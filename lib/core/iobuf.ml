@@ -144,13 +144,10 @@ module Buffer = struct
     if Iosys.touch_data b.bpool.sys then
       Bytes.blit_string src src_off b.store.data (b.boff + dst_off) len
 
-  let fill_gen b f =
+  let fill b f =
     if b.sealed then raise Immutable;
     Iosys.touch b.bpool.sys Iosys.Fill b.blen;
-    if Iosys.touch_data b.bpool.sys then
-      for i = 0 to b.blen - 1 do
-        Bytes.set b.store.data (b.boff + i) (f i)
-      done
+    if Iosys.touch_data b.bpool.sys then f b.store.data ~dst_off:b.boff ~len:b.blen
 
   (* Sealing freezes the buffer. Untrusted producers pay a protection
      toggle over the buffer's own pages (Section 3.2); the chunk's

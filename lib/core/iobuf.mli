@@ -72,9 +72,12 @@ module Buffer : sig
   (** Write initial contents. Raises {!Immutable} once sealed. Charges a
       [Fill] data touch. *)
 
-  val fill_gen : t -> (int -> char) -> unit
-  (** Fill the whole buffer from an index function (used by the simulated
-      disk to materialize file contents). Charges [Fill]. *)
+  val fill : t -> (Bytes.t -> dst_off:int -> len:int -> unit) -> unit
+  (** Fill the whole buffer in one bulk write (used by the simulated disk
+      to materialize file contents): [fill b f] calls [f data ~dst_off
+      ~len] with the buffer's backing range, which [f] must overwrite and
+      not exceed. Charges [Fill]; [f] is not called when the system does
+      not touch data ({!Iosys.touch_data}). *)
 
   val seal : t -> unit
   (** Freeze the contents. For untrusted producers this revokes the

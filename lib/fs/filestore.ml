@@ -50,27 +50,65 @@ let file_count t = t.count
 let total_bytes t = t.total
 let metadata_bytes t = t.count * t.metadata_bytes_per_file
 
+(* Mostly printable text with newlines roughly every 64 bytes, so the
+   line-oriented utilities (wc, grep) see realistic input. *)
+let alphabet = String.init 96 (fun v -> if v = 95 then '\n' else Char.chr (32 + v))
+
+let file_mul = 0x9E3779B9
+let off_mul = 0x85EBCA6B
+
 (* SplitMix-style avalanche of (file, off): cheap, deterministic, and
-   distinct across files and offsets. *)
-let content_byte ~file ~off =
-  let z = (file * 0x9E3779B9) lxor (off * 0x85EBCA6B) in
+   distinct across files and offsets. Takes the two premultiplied terms
+   so bulk loops hoist the per-file one and step the per-offset one by
+   addition. The character is alphabet.[abs z mod 96]; the index is
+   computed as a branch-free abs of [z mod 96], which equals
+   [abs z mod 96] for every other [z] and stays in range for [min_int],
+   whose [abs] is negative. *)
+let[@inline] mix file_term off_term =
+  let z = file_term lxor off_term in
   let z = (z lxor (z lsr 13)) * 0xC2B2AE35 in
   let z = z lxor (z lsr 16) in
-  (* Mostly printable text with newlines roughly every 64 bytes, so the
-     line-oriented utilities (wc, grep) see realistic input. *)
-  let v = abs z mod 96 in
-  if v = 95 then '\n' else Char.chr (32 + v)
+  let r = z mod 96 in
+  let s = r asr 62 in
+  String.unsafe_get alphabet ((r lxor s) - s)
+
+let content_byte ~file ~off = mix (file * file_mul) (off * off_mul)
+
+let blit_content ~file ~off dst ~dst_off ~len =
+  if len < 0 || dst_off < 0 || dst_off > Bytes.length dst - len then
+    invalid_arg "Filestore.blit_content: range";
+  let file_term = file * file_mul in
+  let off_term = ref (off * off_mul) in
+  for i = dst_off to dst_off + len - 1 do
+    Bytes.unsafe_set dst i (mix file_term !off_term);
+    off_term := !off_term + off_mul
+  done
+
+let content ~file ~off ~len =
+  let b = Bytes.create len in
+  blit_content ~file ~off b ~dst_off:0 ~len;
+  Bytes.unsafe_to_string b
 
 let fill_buffer t buf ~file ~off =
   check_id t file;
-  Iolite_core.Iobuf.Buffer.fill_gen buf (fun i -> content_byte ~file ~off:(off + i))
+  Iolite_core.Iobuf.Buffer.fill buf (blit_content ~file ~off)
 
+(* Generate a block at a time into one scratch buffer and compare it,
+   stopping at the first differing block. *)
 let check_string ~file ~off s =
-  let ok = ref true in
-  String.iteri
-    (fun i c -> if c <> content_byte ~file ~off:(off + i) then ok := false)
-    s;
-  !ok
+  let n = String.length s in
+  let block = Bytes.create (min n 4096) in
+  let rec same_from pos =
+    pos >= n
+    ||
+    let len = min (Bytes.length block) (n - pos) in
+    blit_content ~file ~off:(off + pos) block ~dst_off:0 ~len;
+    let rec eq i =
+      i >= len || (Bytes.unsafe_get block i = String.unsafe_get s (pos + i) && eq (i + 1))
+    in
+    eq 0 && same_from (pos + len)
+  in
+  same_from 0
 
 let iter t f =
   for id = 0 to t.count - 1 do

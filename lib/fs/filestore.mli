@@ -27,11 +27,24 @@ val metadata_bytes : t -> int
 (** Metadata footprint to wire in kernel memory. *)
 
 val content_byte : file:int -> off:int -> char
-(** The defining content function. *)
+(** The defining content function. It is defined for every offset, past
+    a file's size too; the bulk functions below produce exactly its
+    bytes. *)
+
+val blit_content : file:int -> off:int -> Bytes.t -> dst_off:int -> len:int -> unit
+(** [blit_content ~file ~off dst ~dst_off ~len] writes the contents of
+    [off, off+len) into [dst] at [dst_off]. Raises [Invalid_argument]
+    when the destination range is out of bounds. *)
+
+val content : file:int -> off:int -> len:int -> string
+(** The contents of [off, off+len) as a fresh string. *)
 
 val fill_buffer : t -> Iolite_core.Iobuf.Buffer.t -> file:int -> off:int -> unit
 (** Fill a whole (unsealed) buffer with the file's contents starting at
-    [off] (zero-padded past EOF, which callers avoid). *)
+    [off], charging one [Fill] touch. Nothing stops at EOF: a buffer
+    reaching past the file's size gets the content function's bytes
+    there, so callers size buffers to the file. Raises [Not_found] for
+    an unknown file id. *)
 
 val check_string : file:int -> off:int -> string -> bool
 (** Integrity check: does the string equal the file contents at [off]? *)

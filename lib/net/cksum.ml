@@ -24,20 +24,60 @@ let sub16 a b = fold_carries (a + (lnot b land 0xFFFF))
    sum byte-swapped (RFC 1071). *)
 let parity_combine ~llen l r = sum16 l (if llen land 1 = 1 then swap16 r else r)
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* Little-endian 64-bit load; the range is checked by the caller. *)
+let[@inline] load64_le data i =
+  let w = get64u data i in
+  if Sys.big_endian then bswap64 w else w
+
+(* Whole words at most, per fold of the word accumulator: each word adds
+   two 32-bit halves (< 2^33), so 2^28 words stay far below max_int. *)
+let max_words = 1 lsl 28
+
+(* RFC 1071 §2, a word at a time: sum the little-endian 16-bit digits of
+   8-byte words as two 32-bit halves, deferring every carry into the
+   63-bit accumulator, fold its four 16-bit digits, and byte-swap once —
+   the little-endian sum swapped is the big-endian sum, modulo 0xFFFF.
+   The 0–7 trailing bytes are summed as big-endian words, an odd last
+   byte being the high byte of a zero-padded word. Each part folds to
+   [1, 0xFFFF] when non-zero and to 0 only over zero bytes, so the result
+   is the one representative a byte-at-a-time scan returns: 0 only for
+   all-zero input. *)
 let of_bytes data ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length data then
     invalid_arg "Cksum.of_bytes: range";
-  let acc = ref 0 in
   let i = ref off in
+  let words = ref 0 in
+  let nwords = ref (len lsr 3) in
+  while !nwords > 0 do
+    let n = min !nwords max_words in
+    let stop = !i + (n lsl 3) in
+    let acc = ref 0 in
+    while !i < stop do
+      let w = load64_le data !i in
+      acc :=
+        !acc
+        + (Int64.to_int w land 0xFFFF_FFFF)
+        + Int64.to_int (Int64.shift_right_logical w 32);
+      i := !i + 8
+    done;
+    let a = !acc in
+    words :=
+      sum16 !words
+        ((a land 0xFFFF) + ((a lsr 16) land 0xFFFF) + ((a lsr 32) land 0xFFFF)
+        + (a lsr 48));
+    nwords := !nwords - n
+  done;
   let stop = off + len in
-  (* Sum 16-bit big-endian words; a trailing odd byte is the high byte of
-     a zero-padded final word. *)
+  let tail = ref 0 in
   while !i + 1 < stop do
-    acc := !acc + (Bytes.get_uint8 data !i lsl 8) + Bytes.get_uint8 data (!i + 1);
+    tail := !tail + (Bytes.get_uint8 data !i lsl 8) + Bytes.get_uint8 data (!i + 1);
     i := !i + 2
   done;
-  if !i < stop then acc := !acc + (Bytes.get_uint8 data !i lsl 8);
-  fold_carries !acc
+  if !i < stop then tail := !tail + (Bytes.get_uint8 data !i lsl 8);
+  sum16 (swap16 !words) !tail
 
 let of_string s = of_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
@@ -173,6 +213,22 @@ let packet_sums_memo agg ~mtu =
 module Cache = struct
   type key = int * int * int * int (* chunk, generation, offset, length *)
 
+  (* The identity table is probed once per slice or fragment checksummed,
+     so it hashes and compares its int keys inline: no polymorphic
+     [caml_hash]/[compare] call per probe. *)
+  module Table = Hashtbl.Make (struct
+    type t = key
+
+    let equal ((c, g, o, l) : t) (c', g', o', l') =
+      c = c' && g = g' && o = o' && l = l'
+
+    let hash ((c, g, o, l) : t) =
+      let h = (c * 0x9E3779B1) + g in
+      let h = (h * 0x85EBCA77) + o in
+      let h = (h * 0xC2B2AE3D) + l in
+      h lxor (h lsr 29)
+  end)
+
   (* Second-chance (clock) entries: a hit sets the reference bit; the
      eviction sweep clears set bits and removes the first clear one. *)
   type entry = { esum : int; mutable refd : bool }
@@ -180,7 +236,7 @@ module Cache = struct
   type t = {
     mutable enabled : bool;
     max_entries : int;
-    table : (key, entry) Hashtbl.t;
+    table : entry Table.t;
     fifo : key Queue.t;
     mutable hits : int;
     mutable misses : int;
@@ -194,7 +250,7 @@ module Cache = struct
     {
       enabled;
       max_entries;
-      table = Hashtbl.create 1024;
+      table = Table.create 1024;
       fifo = Queue.create ();
       hits = 0;
       misses = 0;
@@ -222,29 +278,29 @@ module Cache = struct
     while (not !evicted) && !budget > 0 && not (Queue.is_empty t.fifo) do
       decr budget;
       let k = Queue.pop t.fifo in
-      match Hashtbl.find_opt t.table k with
+      match Table.find_opt t.table k with
       | None -> () (* key already gone: stale queue residue *)
       | Some e when e.refd ->
         e.refd <- false;
         Queue.push k t.fifo
       | Some _ ->
-        Hashtbl.remove t.table k;
+        Table.remove t.table k;
         t.evictions <- t.evictions + 1;
         evicted := true
     done;
-    if (not !evicted) && Hashtbl.length t.table >= t.max_entries then begin
-      Hashtbl.reset t.table;
+    if (not !evicted) && Table.length t.table >= t.max_entries then begin
+      Table.reset t.table;
       Queue.clear t.fifo;
       t.resets <- t.resets + 1
     end
 
   let insert t k sum =
-    if Hashtbl.length t.table >= t.max_entries then evict_one t;
-    Hashtbl.replace t.table k { esum = sum; refd = false };
+    if Table.length t.table >= t.max_entries then evict_one t;
+    Table.replace t.table k { esum = sum; refd = false };
     Queue.push k t.fifo
 
   let find t k =
-    match Hashtbl.find_opt t.table k with
+    match Table.find_opt t.table k with
     | Some e ->
       e.refd <- true;
       t.hits <- t.hits + 1;
@@ -448,7 +504,7 @@ module Cache = struct
   let misses t = t.misses
   let slices_summed t = t.agg_slices
   let memo_slices t = t.memo_slices
-  let entry_count t = Hashtbl.length t.table
+  let entry_count t = Table.length t.table
   let evictions t = t.evictions
   let resets t = t.resets
 

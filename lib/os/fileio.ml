@@ -289,13 +289,15 @@ let iol_read_body ?pool proc ~file ~off ~len =
       match Filecache.lookup cache ~file ~off ~len with
       | Some agg -> deliver proc agg
       | None ->
-        (* The covering entry raced away (evicted between insert and
-           lookup under extreme pressure): fetch privately. *)
+        (* Not cached: the file is above the admission limit, or its
+           entry was evicted between fill and lookup under pressure.
+           Fetch privately into the reader's pool; the kernel produced
+           those buffers, so grant the reader its mappings. *)
         Metrics.incr (Kernel.metrics kernel) "cache.refetch";
         let agg = disk_fetch proc ~pool:(Process.pool proc) ~file ~size in
         let sub = Iobuf.Agg.sub agg ~off ~len in
         Iobuf.Agg.free agg;
-        sub
+        deliver proc sub
     end
   in
   Process.charge proc (Kernel.cost kernel).Costmodel.syscall;

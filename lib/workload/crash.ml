@@ -137,10 +137,8 @@ let check ~history ~crash_t ~log cfg =
     match Hashtbl.find_opt images file with
     | Some b -> b
     | None ->
-      let b =
-        Bytes.init cfg.file_size (fun off ->
-            Filestore.content_byte ~file ~off)
-      in
+      let b = Bytes.create cfg.file_size in
+      Filestore.blit_content ~file ~off:0 b ~dst_off:0 ~len:cfg.file_size;
       Hashtbl.replace images file b;
       b
   in

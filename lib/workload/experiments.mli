@@ -94,6 +94,18 @@ val print_fig13 : ?scale:float -> unit -> unit
 val run_all : ?scale:float -> unit -> unit
 (** Every figure, in order, printed to stdout. *)
 
+val preload_cache :
+  Iolite_os.Kernel.t ->
+  conv:bool ->
+  trace:Trace.t ->
+  prefix_ranks:(int, unit) Hashtbl.t option ->
+  unit
+(** The trace figures' warm start: fill the unified cache (the
+    conventional one with [conv]) with the most popular registered files
+    of [trace] — only ranks in [prefix_ranks] when given — up to 90% of
+    the I/O budget, without disk latency. The loading's VM work leaves
+    no CPU charge pending for the measured run. *)
+
 (** {2 Observability} *)
 
 val set_observability :

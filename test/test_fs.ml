@@ -202,6 +202,85 @@ let test_fill_buffer_and_check () =
     (Filestore.check_string ~file ~off:0 s);
   Iolite_core.Iobuf.Agg.free agg
 
+(* A literal copy of the original one-byte-at-a-time content formula:
+   the bulk generator must reproduce it exactly. *)
+let formula_byte ~file ~off =
+  let z = (file * 0x9E3779B9) lxor (off * 0x85EBCA6B) in
+  let z = (z lxor (z lsr 13)) * 0xC2B2AE35 in
+  let z = z lxor (z lsr 16) in
+  let v = abs z mod 96 in
+  if v = 95 then '\n' else Char.chr (32 + v)
+
+let test_bulk_matches_formula () =
+  let rng = Random.State.make [| 0xF17E |] in
+  let lens = [ 0; 1; 2; 3; 5; 7; 63; 65; 4095; 4097 ] in
+  for _ = 1 to 200 do
+    let file = Random.State.bits rng in
+    (* Offsets up to 2^40, unaligned in general. *)
+    let off = (Random.State.bits rng lsl 10) lor Random.State.int rng 1024 in
+    List.iter
+      (fun len ->
+        let want = String.init len (fun i -> formula_byte ~file ~off:(off + i)) in
+        let name = Printf.sprintf "file %d off %d len %d" file off len in
+        Alcotest.(check string) name want (Filestore.content ~file ~off ~len);
+        (* The blit writes exactly its range. *)
+        let dst = Bytes.make (len + 6) '#' in
+        Filestore.blit_content ~file ~off dst ~dst_off:3 ~len;
+        Alcotest.(check string) name ("###" ^ want ^ "###") (Bytes.to_string dst);
+        if len > 0 then
+          Alcotest.(check char) name want.[len - 1]
+            (Filestore.content_byte ~file ~off:(off + len - 1)))
+      lens
+  done;
+  Alcotest.check_raises "range checked once, up front"
+    (Invalid_argument "Filestore.blit_content: range") (fun () ->
+      Filestore.blit_content ~file:1 ~off:0 (Bytes.create 8) ~dst_off:4 ~len:5)
+
+let test_check_string_blocks () =
+  let file = 11 and off = 4093 in
+  let s = Filestore.content ~file ~off ~len:10_000 in
+  Alcotest.(check bool) "whole range" true (Filestore.check_string ~file ~off s);
+  Alcotest.(check bool) "empty" true (Filestore.check_string ~file ~off "");
+  Alcotest.(check bool) "other file" false (Filestore.check_string ~file:12 ~off s);
+  Alcotest.(check bool) "shifted" false (Filestore.check_string ~file ~off:(off + 1) s);
+  (* A single wrong byte in the first, at either side of a block
+     boundary, or in the last position is caught. *)
+  List.iter
+    (fun pos ->
+      let b = Bytes.of_string s in
+      Bytes.set b pos (if s.[pos] = 'x' then 'y' else 'x');
+      Alcotest.(check bool) (Printf.sprintf "flipped byte %d" pos) false
+        (Filestore.check_string ~file ~off (Bytes.to_string b)))
+    [ 0; 4095; 4096; 8191; 9_999 ]
+
+(* Digests of content ranges and their checksums from every start offset
+   0–7, recorded from the byte-at-a-time generator and checksum scan. *)
+let content_goldens =
+  [
+    (0, 0, 4096, "4d9c5930b38cef7104fa691bf1930270",
+     [ 0xdfc4; 0xc4bf; 0xbf9b; 0x9b4d; 0x4d4c; 0x4c18; 0x17e9; 0xe8f7 ]);
+    (7, 12345, 1000, "7de66e27043aee03996360787943d831",
+     [ 0x0613; 0x12bb; 0xbab1; 0xb192; 0x923a; 0x3a59; 0x58eb; 0xeae9 ]);
+    (123456, 2424835, 65537, "e1ca56eab764582e42e5eae867372371",
+     [ 0x34e6; 0xe601; 0x0168; 0x678f; 0x8f20; 0x2040; 0x3fee; 0xee15 ]);
+    (3, 1, 3, "49ae73b5e9655d9eaf92a4d0787c9c5f", [ 0x8a72; 0x7255; 0x5500; 0x0000 ]);
+    (99, 1 lsl 30, 777, "817e6533005cfe1a4606f1b9cc0a900e",
+     [ 0x408b; 0x8afa; 0xfa23; 0x2382; 0x8201; 0x0178; 0x7786; 0x8651 ]);
+  ]
+
+let test_content_goldens () =
+  List.iter
+    (fun (file, off, len, digest, sums) ->
+      let s = Filestore.content ~file ~off ~len in
+      let name = Printf.sprintf "file %d off %d len %d" file off len in
+      Alcotest.(check string) name digest (Digest.to_hex (Digest.string s));
+      List.iteri
+        (fun o sum ->
+          Alcotest.(check int) (Printf.sprintf "%s cksum from %d" name o) sum
+            (Iolite_net.Cksum.of_bytes (Bytes.of_string s) ~off:o ~len:(len - o)))
+        sums)
+    content_goldens
+
 let test_iter () =
   let fs = Filestore.create () in
   ignore (Filestore.add fs ~name:"/a" ~size:10);
@@ -229,6 +308,9 @@ let suites =
         Alcotest.test_case "deterministic content" `Quick test_content_deterministic;
         Alcotest.test_case "newline density" `Quick test_content_has_newlines;
         Alcotest.test_case "fill buffer" `Quick test_fill_buffer_and_check;
+        Alcotest.test_case "bulk matches formula" `Quick test_bulk_matches_formula;
+        Alcotest.test_case "check_string by blocks" `Quick test_check_string_blocks;
+        Alcotest.test_case "content goldens" `Quick test_content_goldens;
         Alcotest.test_case "iter" `Quick test_iter;
       ] );
   ]

@@ -42,7 +42,7 @@ let test_immutability () =
   Alcotest.check_raises "write after seal" Iobuf.Buffer.Immutable (fun () ->
       Iobuf.Buffer.blit_string b ~src:"x" ~src_off:0 ~dst_off:0 ~len:1);
   Alcotest.check_raises "fill after seal" Iobuf.Buffer.Immutable (fun () ->
-      Iobuf.Buffer.fill_gen b (fun _ -> 'x'));
+      Iobuf.Buffer.fill b (fun data ~dst_off ~len -> Bytes.fill data dst_off len 'x'));
   Iobuf.Buffer.decr_ref b
 
 let test_concat () =

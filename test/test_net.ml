@@ -39,6 +39,36 @@ let test_cksum_odd_length () =
   Alcotest.(check int) "odd trailing byte" (reference_cksum "abc")
     (Cksum.of_string "abc")
 
+(* The word-at-a-time scan against the byte-at-a-time reference, from
+   every start alignment 0–7 and over every tail length, on random bytes
+   and on the extremes: zeros sum to 0, and a non-zero multiple of
+   0xFFFF sums to 0xFFFF, never 0. *)
+let test_cksum_word_matches_bytes () =
+  let rng = Random.State.make [| 1071 |] in
+  let random n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let lens = List.init 40 Fun.id @ [ 63; 65; 1499; 1500; 4097; 65535; 65536 ] in
+  List.iter
+    (fun (kind, make) ->
+      List.iter
+        (fun len ->
+          for off = 0 to 7 do
+            let data = make (off + len + 5) in
+            Alcotest.(check int)
+              (Printf.sprintf "%s off %d len %d" kind off len)
+              (reference_cksum (Bytes.sub_string data off len))
+              (Cksum.of_bytes data ~off ~len)
+          done)
+        lens)
+    [
+      ("random", random);
+      ("zeros", fun n -> Bytes.make n '\x00');
+      ("ones", fun n -> Bytes.make n '\xff');
+    ];
+  Alcotest.(check int) "all zeros" 0 (Cksum.of_string (String.make 64 '\x00'));
+  Alcotest.(check int) "all ones" 0xFFFF (Cksum.of_string (String.make 64 '\xff'));
+  Alcotest.(check int) "digits summing to 0xFFFF" 0xFFFF
+    (Cksum.of_string "\x12\x34\xed\xcb\x00\x00\x00\x00\x00")
+
 let test_cksum_agg_matches_flat () =
   let sys, d, pool = mk () in
   ignore sys;
@@ -420,6 +450,8 @@ let suites =
       [
         Alcotest.test_case "known vector" `Quick test_cksum_known_vector;
         Alcotest.test_case "odd length" `Quick test_cksum_odd_length;
+        Alcotest.test_case "word scan matches byte scan" `Quick
+          test_cksum_word_matches_bytes;
         Alcotest.test_case "agg matches flat" `Quick test_cksum_agg_matches_flat;
         Alcotest.test_case "odd slice boundary" `Quick test_cksum_agg_odd_boundary;
         QCheck_alcotest.to_alcotest prop_cksum_split_invariant;

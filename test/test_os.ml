@@ -180,6 +180,32 @@ let test_admission_limit () =
   Alcotest.(check int) "small file cached whole" 4096
     (Filecache.file_bytes cache ~file:small)
 
+(* A file above the admission limit never enters the cache, so every
+   IOL_read of it fetches privately; the kernel produces those buffers,
+   and the reader must still be able to map what it was handed. *)
+let test_uncached_read_is_readable () =
+  let engine = Engine.create () in
+  let kernel =
+    Kernel.create
+      ~config:{ (Kernel.default_config ()) with Kernel.mem_capacity = 32 * 1024 * 1024 }
+      engine
+  in
+  let admission_limit =
+    Iolite_mem.Physmem.io_budget (Iosys.physmem (Kernel.sys kernel)) / 8
+  in
+  let size = admission_limit + 100_000 in
+  let file = Kernel.add_file kernel ~name:"/big" ~size in
+  in_proc kernel (fun proc ->
+      let a = Fileio.iol_read proc ~file ~off:70_000 ~len:5_000 in
+      Iolite_core.Transfer.check_readable (Kernel.sys kernel) (Process.domain proc) a;
+      Alcotest.(check bool) "contents" true
+        (Iolite_fs.Filestore.check_string ~file ~off:70_000 (agg_str a));
+      Iobuf.Agg.free a);
+  Alcotest.(check int) "not cached" 0
+    (Filecache.file_bytes (Kernel.unified_cache kernel) ~file);
+  Alcotest.(check int) "private fetch counted" 1
+    (Counter.get (Kernel.metrics kernel) "cache.refetch")
+
 let test_stat_and_missing_file () =
   let _, kernel = mk () in
   let file = Kernel.add_file kernel ~name:"/data" ~size:777 in
@@ -614,6 +640,8 @@ let suites =
         Alcotest.test_case "write_string roundtrip" `Quick test_write_string_roundtrip;
         Alcotest.test_case "mmap/munmap" `Quick test_mmap_borrows_and_munmap;
         Alcotest.test_case "admission limit" `Quick test_admission_limit;
+        Alcotest.test_case "uncached read is readable" `Quick
+          test_uncached_read_is_readable;
         Alcotest.test_case "stat + missing" `Quick test_stat_and_missing_file;
         Alcotest.test_case "disk only on miss" `Quick test_disk_only_on_miss;
       ] );

@@ -113,6 +113,24 @@ let test_client_persistent_faster_small_files () =
   let np = run false and p = run true in
   Alcotest.(check bool) "keep-alive helps small files" true (p > np *. 1.3)
 
+(* The warm start's VM work must not be billed to the first measured
+   syscall: after loading, nothing is left pending. *)
+let test_preload_leaves_nothing_pending () =
+  let spec =
+    { Trace.ece with Trace.sname = "small"; files = 200; total_bytes = 4 * 1024 * 1024 }
+  in
+  let trace = Trace.synthesize spec in
+  let kernel =
+    Kernel.create
+      ~config:{ (Kernel.default_config ()) with Kernel.mem_capacity = 32 * 1024 * 1024 }
+      (Engine.create ())
+  in
+  Trace.register_files trace kernel ~prefix_ranks:None;
+  Iolite_workload.Experiments.preload_cache kernel ~conv:false ~trace ~prefix_ranks:None;
+  Alcotest.(check bool) "files loaded" true
+    (Iolite_core.Filecache.total_bytes (Kernel.unified_cache kernel) > 0);
+  Alcotest.(check (float 0.0)) "no pending charge" 0.0 (Kernel.take_pending kernel)
+
 let suites =
   [
     ( "workload.trace",
@@ -128,5 +146,10 @@ let suites =
       [
         Alcotest.test_case "driver measures" `Quick test_client_driver_measures;
         Alcotest.test_case "persistent faster" `Quick test_client_persistent_faster_small_files;
+      ] );
+    ( "workload.warm_start",
+      [
+        Alcotest.test_case "preload leaves nothing pending" `Quick
+          test_preload_leaves_nothing_pending;
       ] );
   ]
