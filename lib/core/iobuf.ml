@@ -42,6 +42,10 @@ type pool_t = {
      means "never covered" (epochs start at 1). *)
   mutable epoch : int;
   mutable grant_epochs : int array;
+  (* [witnesses.(d)]: the chunk the last coverage walk for domain [d]
+     found unreadable. Always a member of [all_chunks] (see
+     [note_domain_coverage]). *)
+  mutable witnesses : Vm.chunk option array;
 }
 
 type buffer_t = {
@@ -79,6 +83,7 @@ module Buffer = struct
     { chunk = Vm.chunk_id b.store.vc; generation = b.generation; offset = b.boff }
 
   let length b = b.blen
+  let generation (b : t) = b.generation
   let pool_name b = b.bpool.pname
   let is_sealed b = b.sealed
   let refcount b = b.refs
@@ -141,13 +146,12 @@ module Buffer = struct
       || dst_off + len > b.blen
     then invalid_arg "Buffer.blit_string: range";
     Iosys.touch b.bpool.sys Iosys.Fill len;
-    if Iosys.touch_data b.bpool.sys then
-      Bytes.blit_string src src_off b.store.data (b.boff + dst_off) len
+    Bytes.blit_string src src_off b.store.data (b.boff + dst_off) len
 
   let fill b f =
     if b.sealed then raise Immutable;
     Iosys.touch b.bpool.sys Iosys.Fill b.blen;
-    if Iosys.touch_data b.bpool.sys then f b.store.data ~dst_off:b.boff ~len:b.blen
+    f b.store.data ~dst_off:b.boff ~len:b.blen
 
   (* Sealing freezes the buffer. Untrusted producers pay a protection
      toggle over the buffer's own pages (Section 3.2); the chunk's
@@ -281,6 +285,7 @@ module Pool = struct
         all_chunks = [];
         epoch = 1;
         grant_epochs = [||];
+        witnesses = [||];
       }
     in
     (* Pool chunks hold application-produced buffer data with no backing
@@ -501,6 +506,7 @@ module Pool = struct
            p.pname);
     List.iter (fun c -> Vm.destroy_chunk (Iosys.vm p.sys) c.vc) p.all_chunks;
     p.all_chunks <- [];
+    Array.fill p.witnesses 0 (Array.length p.witnesses) None;
     Array.iter
       (fun cls ->
         cls.cls_writer <- None;
@@ -516,21 +522,42 @@ module Pool = struct
     let did = Pdomain.id domain in
     did < Array.length p.grant_epochs && p.grant_epochs.(did) = p.epoch
 
-  let record_epoch p domain =
-    let did = Pdomain.id domain in
+  (* Grow the per-domain arrays to index [did]. *)
+  let reserve_domain p did =
     let len = Array.length p.grant_epochs in
     if did >= len then begin
-      let a = Array.make (max (did + 1) (max 8 (2 * len))) 0 in
+      let n = max (did + 1) (max 8 (2 * len)) in
+      let a = Array.make n 0 in
       Array.blit p.grant_epochs 0 a 0 len;
-      p.grant_epochs <- a
-    end;
-    p.grant_epochs.(did) <- p.epoch
+      p.grant_epochs <- a;
+      let w = Array.make n None in
+      Array.blit p.witnesses 0 w 0 len;
+      p.witnesses <- w
+    end
 
+  (* Coverage means every chunk in [all_chunks] is readable by the
+     domain. A walk that fails keeps the first unreadable chunk as a
+     witness; while the witness stays unreadable the answer is still
+     "not covered", found in O(1) instead of another walk that would
+     stop at the same chunk. This is exact because the witness is
+     always in [all_chunks]: that list only grows until [destroy], which
+     clears every witness. Once the witness becomes readable, the walk
+     runs again and records a new witness or the epoch. *)
   let note_domain_coverage p domain =
     if not (epoch_covers p domain) then begin
       let vm = Iosys.vm p.sys in
-      if List.for_all (fun c -> Vm.readable vm domain c.vc) p.all_chunks then
-        record_epoch p domain
+      let did = Pdomain.id domain in
+      reserve_domain p did;
+      match p.witnesses.(did) with
+      | Some w when not (Vm.readable vm domain w) -> ()
+      | Some _ | None -> (
+        match
+          List.find_opt (fun c -> not (Vm.readable vm domain c.vc)) p.all_chunks
+        with
+        | Some c -> p.witnesses.(did) <- Some c.vc
+        | None ->
+          p.witnesses.(did) <- None;
+          p.grant_epochs.(did) <- p.epoch)
     end
 
   let restrict_acl p acl =
@@ -881,13 +908,11 @@ module Agg = struct
     if pos < 0 || pos + total > Bytes.length dst then
       invalid_arg "Agg.blit_to_bytes: range";
     Iosys.touch sys Iosys.Copy total;
-    if Iosys.touch_data sys then begin
-      let cursor = ref pos in
-      iter_leaves t.root (fun s ->
-          let data, off = Slice.view s in
-          Bytes.blit data off dst !cursor (Slice.len s);
-          cursor := !cursor + Slice.len s)
-    end
+    let cursor = ref pos in
+    iter_leaves t.root (fun s ->
+        let data, off = Slice.view s in
+        Bytes.blit data off dst !cursor (Slice.len s);
+        cursor := !cursor + Slice.len s)
 
   (* Clipped slices of [t] overlapping [off, off+len), in order. *)
   let ranged t ~off ~len =
@@ -1149,10 +1174,8 @@ module Agg = struct
           (fun s ->
             let b = Slice.buffer s in
             let n = Slice.len s in
-            if Iosys.touch_data sys then begin
-              let _, abs = Slice.view s in
-              Bytes.blit_string data !cursor b.store.data abs n
-            end;
+            let _, abs = Slice.view s in
+            Bytes.blit_string data !cursor b.store.data abs n;
             cursor := !cursor + n;
             (* The contents changed: give the buffer a fresh system-wide
                identity so stale cached checksums can never match. *)

@@ -31,6 +31,11 @@ module Buffer : sig
 
   val uid : t -> uid
   val length : t -> int
+
+  val generation : t -> int
+  (** The [generation] field of {!uid}, read without building the
+      record. *)
+
   val pool_name : t -> string
   val is_sealed : t -> bool
   val refcount : t -> int
@@ -76,8 +81,8 @@ module Buffer : sig
   (** Fill the whole buffer in one bulk write (used by the simulated disk
       to materialize file contents): [fill b f] calls [f data ~dst_off
       ~len] with the buffer's backing range, which [f] must overwrite and
-      not exceed. Charges [Fill]; [f] is not called when the system does
-      not touch data ({!Iosys.touch_data}). *)
+      not exceed. Charges [Fill]. The bytes are always real: every
+      checksum and content check reads them back. *)
 
   val seal : t -> unit
   (** Freeze the contents. For untrusted producers this revokes the
@@ -196,7 +201,9 @@ module Pool : sig
   val note_domain_coverage : t -> Pdomain.t -> unit
   (** Called after a cold transfer walk: if the domain can now read every
       chunk of the pool, record coverage at the current epoch (otherwise
-      do nothing — later cold walks will retry). *)
+      do nothing — later cold walks will retry). O(1) while the chunk
+      that failed the domain's last check stays unreadable; a walk over
+      the pool's chunks otherwise. *)
 
   val restrict_acl : t -> Vm.acl -> unit
   (** Narrow the pool's ACL: applies to all existing chunks (tearing down

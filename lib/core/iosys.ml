@@ -32,7 +32,6 @@ type t = {
   attrib : Iolite_obs.Attrib.t;
   xfer : xfer_cells;
   mutable on_touch : touch -> int -> unit;
-  mutable touch_data : bool;
   mutable fill_mode : fill_mode;
 }
 
@@ -61,7 +60,6 @@ let create ?(capacity = 128 * 1024 * 1024) ?(seed = 0x10117EL) () =
         xc_cold_walks = Metrics.counter metrics "transfer.cold_walks";
       };
     on_touch = (fun _ _ -> ());
-    touch_data = true;
     fill_mode = `Fill;
   }
 
@@ -98,8 +96,6 @@ let with_fill_mode t mode f =
     t.fill_mode <- saved;
     raise exn
 
-let touch_data t = t.touch_data
-let set_touch_data t v = t.touch_data <- v
 let metrics t = t.metrics
 let trace t = t.trace
 let flow t = t.flow

@@ -43,12 +43,6 @@ val touch : t -> touch -> int -> unit
 val with_fill_mode : t -> fill_mode -> (unit -> 'a) -> 'a
 (** Run a thunk with fills recharged per the given mode. *)
 
-val touch_data : t -> bool
-val set_touch_data : t -> bool -> unit
-(** When false, physical blits are skipped (accounting still happens);
-    used only by large benchmark sweeps where contents are never read
-    back. Defaults to true. *)
-
 val metrics : t -> Iolite_obs.Metrics.t
 (** The kernel-wide metrics registry: byte counts per touch kind, VM op
     counts, and every subsystem's counters under a dotted namespace. *)

@@ -1,4 +1,5 @@
 module Iobuf = Iolite_core.Iobuf
+module Vm = Iolite_mem.Vm
 
 (* Fold a 32+-bit accumulator down to 16 bits. *)
 let fold_carries acc =
@@ -211,33 +212,36 @@ let packet_sums_memo agg ~mtu =
   { dsums = sums; dscanned = !scanned; dfolds = !folds }
 
 module Cache = struct
-  type key = int * int * int * int (* chunk, generation, offset, length *)
+  (* The identity table is probed once per slice or packet fragment
+     checksummed, so it is open addressing over flat int arrays: a probe
+     is one hash, an array index and four int compares, with no bucket
+     list, boxed key or entry record to follow and nothing allocated.
+     Slot [i] holds the key ⟨chunk, generation, offset, length⟩ and the
+     sum at [slots.(5i) .. slots.(5i + 4)]; a [vacant] chunk field marks
+     an empty slot (chunk ids are positive). Collisions probe linearly,
+     deletion shifts the rest of the run back (no tombstones), and the
+     table doubles to keep its load at or below one half.
 
-  (* The identity table is probed once per slice or fragment checksummed,
-     so it hashes and compares its int keys inline: no polymorphic
-     [caml_hash]/[compare] call per probe. *)
-  module Table = Hashtbl.Make (struct
-    type t = key
-
-    let equal ((c, g, o, l) : t) (c', g', o', l') =
-      c = c' && g = g' && o = o' && l = l'
-
-    let hash ((c, g, o, l) : t) =
-      let h = (c * 0x9E3779B1) + g in
-      let h = (h * 0x85EBCA77) + o in
-      let h = (h * 0xC2B2AE3D) + l in
-      h lxor (h lsr 29)
-  end)
-
-  (* Second-chance (clock) entries: a hit sets the reference bit; the
-     eviction sweep clears set bits and removes the first clear one. *)
-  type entry = { esum : int; mutable refd : bool }
+     Eviction is second chance (clock): [refd] holds one reference bit
+     per slot, set by a hit, and [ring] queues the keys in insertion
+     order. The sweep pops keys, re-queues referenced ones with the bit
+     cleared and evicts the first unreferenced one. Hits, misses,
+     evictions and resets depend only on that order and on key
+     membership, never on where a key sits in [slots]. *)
+  let stride = 5
+  let vacant = -1
+  let initial_slots = 1024
 
   type t = {
     mutable enabled : bool;
     max_entries : int;
-    table : entry Table.t;
-    fifo : key Queue.t;
+    mutable slots : int array;
+    mutable refd : Bytes.t;
+    mutable mask : int; (* slot count - 1; the count is a power of two *)
+    mutable count : int;
+    mutable ring : int array; (* queued keys, 4 ints each, circular *)
+    mutable ring_head : int; (* oldest queued key *)
+    mutable ring_len : int;
     mutable hits : int;
     mutable misses : int;
     mutable agg_slices : int; (* slices folded via agg_sum, O(1) per agg *)
@@ -250,8 +254,13 @@ module Cache = struct
     {
       enabled;
       max_entries;
-      table = Table.create 1024;
-      fifo = Queue.create ();
+      slots = Array.make (initial_slots * stride) vacant;
+      refd = Bytes.make initial_slots '\000';
+      mask = initial_slots - 1;
+      count = 0;
+      ring = Array.make (initial_slots * 4) 0;
+      ring_head = 0;
+      ring_len = 0;
       hits = 0;
       misses = 0;
       agg_slices = 0;
@@ -263,79 +272,160 @@ module Cache = struct
   let enabled t = t.enabled
   let set_enabled t v = t.enabled <- v
 
-  let key_of_slice s =
-    let uid, len = Iobuf.Slice.uid s in
-    (uid.Iobuf.Buffer.chunk, uid.Iobuf.Buffer.generation, uid.Iobuf.Buffer.offset, len)
+  let hash c g o l =
+    let h = (c * 0x9E3779B1) + g in
+    let h = (h * 0x85EBCA77) + o in
+    let h = (h * 0xC2B2AE3D) + l in
+    h lxor (h lsr 29)
+
+  (* The slot holding the key, or [lnot i] for the empty slot [i] that
+     ends its probe run (where an insert puts it). *)
+  let rec probe slots mask c g o l i =
+    let b = i * stride in
+    let sc = slots.(b) in
+    if sc = vacant then lnot i
+    else if sc = c && slots.(b + 1) = g && slots.(b + 2) = o && slots.(b + 3) = l
+    then i
+    else probe slots mask c g o l ((i + 1) land mask)
+
+  let slot_of t c g o l = probe t.slots t.mask c g o l (hash c g o l land t.mask)
+
+  let grow t =
+    let old = t.slots and old_refd = t.refd in
+    let n = 2 * (t.mask + 1) in
+    t.slots <- Array.make (n * stride) vacant;
+    t.refd <- Bytes.make n '\000';
+    t.mask <- n - 1;
+    for i = 0 to Bytes.length old_refd - 1 do
+      let b = i * stride in
+      if old.(b) <> vacant then begin
+        let j = lnot (slot_of t old.(b) old.(b + 1) old.(b + 2) old.(b + 3)) in
+        Array.blit old b t.slots (j * stride) stride;
+        Bytes.set t.refd j (Bytes.get old_refd i)
+      end
+    done
+
+  (* Backward-shift deletion: walk the rest of the probe run and move
+     each entry whose home slot does not lie cyclically in (hole, j]
+     into the hole, so every remaining key stays reachable from its
+     home without tombstones. *)
+  let remove_at t i =
+    let slots = t.slots and mask = t.mask in
+    let hole = ref i and j = ref ((i + 1) land mask) in
+    while slots.(!j * stride) <> vacant do
+      let b = !j * stride in
+      let home = hash slots.(b) slots.(b + 1) slots.(b + 2) slots.(b + 3) land mask in
+      if (!j - home) land mask >= (!j - !hole) land mask then begin
+        Array.blit slots b slots (!hole * stride) stride;
+        Bytes.set t.refd !hole (Bytes.get t.refd !j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    slots.(!hole * stride) <- vacant;
+    Bytes.set t.refd !hole '\000';
+    t.count <- t.count - 1
+
+  let ring_push t c g o l =
+    let cap = Array.length t.ring / 4 in
+    if t.ring_len = cap then begin
+      (* Full: unroll into a ring twice the size, oldest key first. *)
+      let a = Array.make (8 * cap) 0 in
+      let h = 4 * t.ring_head in
+      Array.blit t.ring h a 0 ((4 * cap) - h);
+      Array.blit t.ring 0 a ((4 * cap) - h) h;
+      t.ring <- a;
+      t.ring_head <- 0
+    end;
+    let k = 4 * ((t.ring_head + t.ring_len) land ((Array.length t.ring / 4) - 1)) in
+    t.ring.(k) <- c;
+    t.ring.(k + 1) <- g;
+    t.ring.(k + 2) <- o;
+    t.ring.(k + 3) <- l;
+    t.ring_len <- t.ring_len + 1
 
   (* Bounded second-chance eviction: pop keys, give referenced entries a
-     second life, evict the first unreferenced one. Every sweep step
-     either evicts or clears a reference bit, so the loop is bounded by
-     one full rotation; the full-table reset survives only as a
-     never-expected fallback (counted, so it cannot hide). *)
+     second life, evict the first unreferenced one. The ring holds
+     exactly the cached keys and every sweep step either evicts or
+     clears a reference bit, so a non-empty table evicts within one
+     rotation. The full-table reset is left for [max_entries = 0]
+     (counted, so it cannot hide). *)
   let evict_one t =
     let evicted = ref false in
-    let budget = ref (Queue.length t.fifo + 1) in
-    while (not !evicted) && !budget > 0 && not (Queue.is_empty t.fifo) do
+    let budget = ref (t.ring_len + 1) in
+    while (not !evicted) && !budget > 0 && t.ring_len > 0 do
       decr budget;
-      let k = Queue.pop t.fifo in
-      match Table.find_opt t.table k with
-      | None -> () (* key already gone: stale queue residue *)
-      | Some e when e.refd ->
-        e.refd <- false;
-        Queue.push k t.fifo
-      | Some _ ->
-        Table.remove t.table k;
+      let r = t.ring and k = 4 * t.ring_head in
+      let c = r.(k) and g = r.(k + 1) and o = r.(k + 2) and l = r.(k + 3) in
+      t.ring_head <- (t.ring_head + 1) land ((Array.length r / 4) - 1);
+      t.ring_len <- t.ring_len - 1;
+      let i = slot_of t c g o l in
+      if Bytes.get t.refd i <> '\000' then begin
+        Bytes.set t.refd i '\000';
+        ring_push t c g o l
+      end
+      else begin
+        remove_at t i;
         t.evictions <- t.evictions + 1;
         evicted := true
+      end
     done;
-    if (not !evicted) && Table.length t.table >= t.max_entries then begin
-      Table.reset t.table;
-      Queue.clear t.fifo;
+    if (not !evicted) && t.count >= t.max_entries then begin
+      Array.fill t.slots 0 (Array.length t.slots) vacant;
+      Bytes.fill t.refd 0 (Bytes.length t.refd) '\000';
+      t.count <- 0;
+      t.ring_head <- 0;
+      t.ring_len <- 0;
       t.resets <- t.resets + 1
     end
 
-  let insert t k sum =
-    if Table.length t.table >= t.max_entries then evict_one t;
-    Table.replace t.table k { esum = sum; refd = false };
-    Queue.push k t.fifo
+  (* Cache the sum of a key [find] just missed, unreferenced, and queue
+     the key. *)
+  let insert t c g o l sum =
+    if t.count >= t.max_entries then evict_one t;
+    if 2 * (t.count + 1) > t.mask + 1 then grow t;
+    let i = lnot (slot_of t c g o l) in
+    t.count <- t.count + 1;
+    let b = i * stride in
+    t.slots.(b) <- c;
+    t.slots.(b + 1) <- g;
+    t.slots.(b + 2) <- o;
+    t.slots.(b + 3) <- l;
+    t.slots.(b + 4) <- sum;
+    Bytes.set t.refd i '\000';
+    ring_push t c g o l
 
-  let find t k =
-    match Table.find_opt t.table k with
-    | Some e ->
-      e.refd <- true;
+  (* The cached sum, or -1 on a miss (sums are 16-bit); a hit sets the
+     slot's reference bit. *)
+  let find t c g o l =
+    let i = slot_of t c g o l in
+    if i < 0 then -1
+    else begin
+      Bytes.set t.refd i '\001';
       t.hits <- t.hits + 1;
-      Some e.esum
-    | None -> None
+      t.slots.((i * stride) + 4)
+    end
+
+  (* A slice's identity is ⟨chunk, generation, offset, length⟩ with the
+     offset taken in the chunk's backing bytes — the [Slice.uid] fields,
+     read here without building them. *)
+  let chunk_of s = Vm.chunk_id (Iobuf.Buffer.chunk (Iobuf.Slice.buffer s))
+  let generation_of s = Iobuf.Buffer.generation (Iobuf.Slice.buffer s)
+
+  (* Scan [data[off, off+len)] after a failed probe (or with the cache
+     disabled) and, when enabled, cache the sum under ⟨c, g, off, len⟩. *)
+  let miss t data c g off len =
+    t.misses <- t.misses + 1;
+    let sum = of_bytes data ~off ~len in
+    if t.enabled then insert t c g off len sum;
+    sum
 
   let slice_sum t s =
-    if not t.enabled then begin
-      t.misses <- t.misses + 1;
-      (slice_sum_raw s, false)
-    end
-    else begin
-      let k = key_of_slice s in
-      match find t k with
-      | Some sum -> (sum, true)
-      | None ->
-        t.misses <- t.misses + 1;
-        let sum = slice_sum_raw s in
-        insert t k sum;
-        (sum, false)
-    end
-
-  (* Sub-slice identity: a fragment of a slice has the same system-wide
-     content identity as a slice made over the fragment's range. *)
-  let fragment_sum t s ~off ~len ~scanned =
-    let frag = Iobuf.Slice.make (Iobuf.Slice.buffer s) ~off:(Iobuf.Slice.off s + off) ~len in
-    let k = key_of_slice frag in
-    match find t k with
-    | Some sum -> sum
-    | None ->
-      t.misses <- t.misses + 1;
-      scanned := !scanned + len;
-      let sum = slice_sum_raw frag in
-      insert t k sum;
-      sum
+    let data, off = Iobuf.Slice.view s in
+    let len = Iobuf.Slice.len s in
+    let c = chunk_of s and g = generation_of s in
+    let sum = if t.enabled then find t c g off len else -1 in
+    if sum >= 0 then (sum, true) else (miss t data c g off len, false)
 
   let agg_sum t agg =
     t.agg_slices <- t.agg_slices + Iobuf.Agg.num_slices agg;
@@ -413,11 +503,11 @@ module Cache = struct
       in
       let leaf_part s ~off ~len ~whole =
         let slen = Iobuf.Slice.len s in
-        let frag = Iobuf.Slice.make (Iobuf.Slice.buffer s) ~off:(Iobuf.Slice.off s + off) ~len in
-        let k = key_of_slice frag in
-        match find t k with
-        | Some sum -> sum
-        | None ->
+        let _, base = Iobuf.Slice.view s in
+        let c = chunk_of s and g = generation_of s in
+        let sum = find t c g (base + off) len in
+        if sum >= 0 then sum
+        else begin
           t.misses <- t.misses + 1;
           let sum =
             match whole with
@@ -433,8 +523,9 @@ module Cache = struct
               scanned := !scanned + len;
               slice_range_raw s ~off ~len
           in
-          insert t k sum;
+          insert t c g (base + off) len sum;
           sum
+        end
       in
       let combine ~llen l r =
         incr folds;
@@ -479,24 +570,26 @@ module Cache = struct
       if !fill = mtu then flush ()
     in
     Iobuf.Agg.iter_slices agg (fun s ->
+        (* A fragment's identity is its slice's, narrowed to the
+           fragment's offset and length. *)
+        let data, base = Iobuf.Slice.view s in
         let slen = Iobuf.Slice.len s in
-        List.iter
-          (fun (o, l) ->
-            let sum =
-              if not t.enabled then begin
-                t.misses <- t.misses + 1;
-                scanned := !scanned + l;
-                slice_range_raw s ~off:o ~len:l
-              end
-              else if o = 0 && l = slen then begin
-                let sum, hit = slice_sum t s in
-                if not hit then scanned := !scanned + l;
-                sum
-              end
-              else fragment_sum t s ~off:o ~len:l ~scanned
-            in
-            add_frag sum l)
-          (if slen > 0 then leaf_fragments ~mtu ~fill:!fill slen else []));
+        let c = chunk_of s and g = generation_of s in
+        let o = ref 0 in
+        while !o < slen do
+          let l = min (mtu - !fill) (slen - !o) in
+          let off = base + !o in
+          let sum = if t.enabled then find t c g off l else -1 in
+          let sum =
+            if sum >= 0 then sum
+            else begin
+              scanned := !scanned + l;
+              miss t data c g off l
+            end
+          in
+          add_frag sum l;
+          o := !o + l
+        done);
     if !fill > 0 then flush ();
     { dsums = sums; dscanned = !scanned; dfolds = !folds }
 
@@ -504,7 +597,7 @@ module Cache = struct
   let misses t = t.misses
   let slices_summed t = t.agg_slices
   let memo_slices t = t.memo_slices
-  let entry_count t = Table.length t.table
+  let entry_count t = t.count
   let evictions t = t.evictions
   let resets t = t.resets
 

@@ -255,6 +255,288 @@ let test_second_chance_eviction () =
     (Cksum.Cache.entry_count cache <= 4);
   List.iter Iobuf.Agg.free !keep
 
+(* Reference second-chance identity table: the [Hashtbl] + [Queue]
+   implementation the flat open-addressing table replaced, kept verbatim
+   (enabled paths only) so the two can run side by side. *)
+module Ref_cache = struct
+  type key = int * int * int * int
+
+  module Table = Hashtbl.Make (struct
+    type t = key
+
+    let equal ((c, g, o, l) : t) (c', g', o', l') =
+      c = c' && g = g' && o = o' && l = l'
+
+    let hash ((c, g, o, l) : t) =
+      let h = (c * 0x9E3779B1) + g in
+      let h = (h * 0x85EBCA77) + o in
+      let h = (h * 0xC2B2AE3D) + l in
+      h lxor (h lsr 29)
+  end)
+
+  type entry = { esum : int; mutable refd : bool }
+
+  type t = {
+    max_entries : int;
+    table : entry Table.t;
+    fifo : key Queue.t;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable resets : int;
+  }
+
+  let create ~max_entries =
+    {
+      max_entries;
+      table = Table.create 1024;
+      fifo = Queue.create ();
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      resets = 0;
+    }
+
+  let slice_sum_raw s =
+    let data, off = Iobuf.Slice.view s in
+    Cksum.of_bytes data ~off ~len:(Iobuf.Slice.len s)
+
+  let key_of_slice s =
+    let uid, len = Iobuf.Slice.uid s in
+    (uid.Iobuf.Buffer.chunk, uid.Iobuf.Buffer.generation, uid.Iobuf.Buffer.offset, len)
+
+  let evict_one t =
+    let evicted = ref false in
+    let budget = ref (Queue.length t.fifo + 1) in
+    while (not !evicted) && !budget > 0 && not (Queue.is_empty t.fifo) do
+      decr budget;
+      let k = Queue.pop t.fifo in
+      match Table.find_opt t.table k with
+      | None -> () (* key already gone: stale queue residue *)
+      | Some e when e.refd ->
+        e.refd <- false;
+        Queue.push k t.fifo
+      | Some _ ->
+        Table.remove t.table k;
+        t.evictions <- t.evictions + 1;
+        evicted := true
+    done;
+    if (not !evicted) && Table.length t.table >= t.max_entries then begin
+      Table.reset t.table;
+      Queue.clear t.fifo;
+      t.resets <- t.resets + 1
+    end
+
+  let insert t k sum =
+    if Table.length t.table >= t.max_entries then evict_one t;
+    Table.replace t.table k { esum = sum; refd = false };
+    Queue.push k t.fifo
+
+  let find t k =
+    match Table.find_opt t.table k with
+    | Some e ->
+      e.refd <- true;
+      t.hits <- t.hits + 1;
+      Some e.esum
+    | None -> None
+
+  let slice_sum t s =
+    let k = key_of_slice s in
+    match find t k with
+    | Some sum -> (sum, true)
+    | None ->
+      t.misses <- t.misses + 1;
+      let sum = slice_sum_raw s in
+      insert t k sum;
+      (sum, false)
+
+  let fragment_sum t s ~off ~len ~scanned =
+    let frag = Iobuf.Slice.make (Iobuf.Slice.buffer s) ~off:(Iobuf.Slice.off s + off) ~len in
+    let k = key_of_slice frag in
+    match find t k with
+    | Some sum -> sum
+    | None ->
+      t.misses <- t.misses + 1;
+      scanned := !scanned + len;
+      let sum = slice_sum_raw frag in
+      insert t k sum;
+      sum
+
+  let leaf_fragments ~mtu ~fill slen =
+    let first = min slen (mtu - fill) in
+    let rec rest off acc =
+      if off >= slen then List.rev acc
+      else
+        let l = min mtu (slen - off) in
+        rest (off + l) ((off, l) :: acc)
+    in
+    rest first [ (0, first) ]
+
+  let packet_sums t agg ~mtu =
+    let total = Iobuf.Agg.length agg in
+    let npkts = if total = 0 then 0 else ((total - 1) / mtu) + 1 in
+    let sums = Array.make npkts 0 in
+    let scanned = ref 0 in
+    let pkt = ref 0 and fill = ref 0 and acc = ref 0 in
+    let flush () =
+      sums.(!pkt) <- Cksum.finish !acc;
+      acc := 0;
+      fill := 0;
+      incr pkt
+    in
+    let add_frag sum len =
+      acc := Cksum.parity_combine ~llen:!fill !acc sum;
+      fill := !fill + len;
+      if !fill = mtu then flush ()
+    in
+    Iobuf.Agg.iter_slices agg (fun s ->
+        let slen = Iobuf.Slice.len s in
+        List.iter
+          (fun (o, l) ->
+            let sum =
+              if o = 0 && l = slen then begin
+                let sum, hit = slice_sum t s in
+                if not hit then scanned := !scanned + l;
+                sum
+              end
+              else fragment_sum t s ~off:o ~len:l ~scanned
+            in
+            add_frag sum l)
+          (if slen > 0 then leaf_fragments ~mtu ~fill:!fill slen else []));
+    if !fill > 0 then flush ();
+    (sums, !scanned)
+end
+
+(* One step against both tables: a slice's sum, per-packet sums over a
+   concatenation of buffers, or a generation bump — an in-place
+   overwrite, or a free and re-allocation that may recycle the chunk. *)
+type table_op =
+  | T_slice of int * int * int (* buffer, offset, length (both wrapped) *)
+  | T_packets of int * int * int (* first buffer, buffer count, mtu *)
+  | T_overwrite of int
+  | T_realloc of int
+
+let show_table_op = function
+  | T_slice (b, o, l) -> Printf.sprintf "slice(%d,%d,%d)" b o l
+  | T_packets (b, n, m) -> Printf.sprintf "packets(%d,%d,mtu %d)" b n m
+  | T_overwrite b -> Printf.sprintf "overwrite(%d)" b
+  | T_realloc b -> Printf.sprintf "realloc(%d)" b
+
+let table_sizes = [| 100; 777; 2048; 3001; 9000; 65536 |]
+let table_buffers = Array.length table_sizes
+
+(* Run [ops] through a flat table and the reference, failing on the
+   first sum, hit flag or scan count that differs, then on any final
+   counter that differs. Returns the flat table for extra checks. *)
+let run_against_reference ~max_entries ops =
+  let sys, d, pool = mk () in
+  let flat = Cksum.Cache.create ~max_entries () in
+  let model = Ref_cache.create ~max_entries in
+  let alloc i =
+    Iobuf.Agg.of_string pool ~producer:d (letters table_sizes.(i) (i * 3))
+  in
+  let aggs = Array.init table_buffers alloc in
+  let buffer i = Iobuf.Slice.buffer (List.hd (Iobuf.Agg.slices aggs.(i))) in
+  let step n op =
+    let where = Printf.sprintf "step %d %s" n (show_table_op op) in
+    match op with
+    | T_slice (i, o, l) ->
+      let i = i mod table_buffers in
+      let size = table_sizes.(i) in
+      let off = o mod size in
+      let len = 1 + (l mod (size - off)) in
+      let s = Iobuf.Slice.make (buffer i) ~off ~len in
+      Alcotest.(check (pair int bool)) where (Ref_cache.slice_sum model s)
+        (Cksum.Cache.slice_sum flat s)
+    | T_packets (i, n, mtu) ->
+      let parts = List.init (1 + (n mod 3)) (fun k -> aggs.((i + k) mod table_buffers)) in
+      let a = Iobuf.Agg.concat_list parts in
+      let dv = Cksum.Cache.packet_sums flat a ~mtu in
+      Alcotest.(check (pair (array int) int)) where
+        (Ref_cache.packet_sums model a ~mtu)
+        (dv.Cksum.dsums, dv.Cksum.dscanned);
+      Iobuf.Agg.free a
+    | T_overwrite i ->
+      let i = i mod table_buffers in
+      Alcotest.(check bool) where true
+        (Iobuf.Agg.try_overwrite sys aggs.(i) ~off:0 (letters 7 n))
+    | T_realloc i ->
+      let i = i mod table_buffers in
+      Iobuf.Agg.free aggs.(i);
+      aggs.(i) <- alloc i
+  in
+  List.iteri step ops;
+  let counters hits misses evictions resets entries =
+    [ ("hits", hits); ("misses", misses); ("evictions", evictions);
+      ("resets", resets); ("entries", entries) ]
+  in
+  Alcotest.(check (list (pair string int))) "final counters"
+    (counters model.Ref_cache.hits model.Ref_cache.misses
+       model.Ref_cache.evictions model.Ref_cache.resets
+       (Ref_cache.Table.length model.Ref_cache.table))
+    (counters (Cksum.Cache.hits flat) (Cksum.Cache.misses flat)
+       (Cksum.Cache.evictions flat) (Cksum.Cache.resets flat)
+       (Cksum.Cache.entry_count flat));
+  Array.iter Iobuf.Agg.free aggs;
+  flat
+
+let gen_table_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (* Offsets and lengths from a few values each, so keys repeat
+           and hits set reference bits. *)
+        ( 8,
+          map3
+            (fun b o l -> T_slice (b, o, l))
+            nat (oneofl [ 0; 1; 2; 100; 1001 ]) (oneofl [ 0; 1; 63; 500; 1447; max_int ]) );
+        ( 2,
+          map3
+            (fun b n m -> T_packets (b, n, m))
+            nat nat (oneofl [ 512; 700; 1448; 1460 ]) );
+        (1, map (fun b -> T_overwrite b) nat);
+        (1, map (fun b -> T_realloc b) nat);
+      ])
+
+(* With at least one entry allowed, the ring always queues every cached
+   key, so the sweep evicts within one rotation: only [max_entries = 0]
+   reaches the reset fallback. *)
+let prop_flat_table_matches_reference =
+  QCheck.Test.make ~name:"flat identity table matches Hashtbl+Queue reference"
+    ~count:150
+    QCheck.(
+      pair
+        (make ~print:string_of_int
+           Gen.(frequency [ (1, return 0); (6, int_range 4 64) ]))
+        (list_of_size Gen.(1 -- 150)
+           (make ~print:show_table_op gen_table_op)))
+    (fun (max_entries, ops) ->
+      ignore (run_against_reference ~max_entries ops);
+      true)
+
+let test_flat_table_sweep_and_reset () =
+  let ops = List.init 200 (fun i -> T_slice (i mod 4, i mod 3, i mod 5)) in
+  let cycled = run_against_reference ~max_entries:4 ops in
+  Alcotest.(check bool) "sweep evicted" true (Cksum.Cache.evictions cycled > 0);
+  let reset = run_against_reference ~max_entries:0 ops in
+  Alcotest.(check bool) "reset fallback ran" true (Cksum.Cache.resets reset > 0)
+
+(* Thousands of mostly distinct keys against a bound above the initial
+   slot count: the table doubles twice and evicts out of long runs. *)
+let test_flat_table_growth () =
+  let st = Random.State.make [| 14 |] in
+  let ops =
+    List.init 6000 (fun _ ->
+        if Random.State.int st 2 = 0 then
+          T_slice (Random.State.int st 2, Random.State.int st 8, Random.State.int st 8)
+        else
+          T_slice
+            (Random.State.int st table_buffers,
+             Random.State.int st 65536, Random.State.int st 200))
+  in
+  let flat = run_against_reference ~max_entries:1500 ops in
+  Alcotest.(check int) "held its bound" 1500 (Cksum.Cache.entry_count flat)
+
 let test_packet_sums_reference () =
   let _, d, pool = mk () in
   let cache = Cksum.Cache.create () in
@@ -464,6 +746,10 @@ let suites =
         Alcotest.test_case "disabled" `Quick test_cksum_cache_disabled;
         Alcotest.test_case "second-chance eviction" `Quick
           test_second_chance_eviction;
+        QCheck_alcotest.to_alcotest prop_flat_table_matches_reference;
+        Alcotest.test_case "flat table sweep and reset" `Quick
+          test_flat_table_sweep_and_reset;
+        Alcotest.test_case "flat table growth" `Quick test_flat_table_growth;
       ] );
     ( "net.cksum_memo",
       [

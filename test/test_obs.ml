@@ -513,6 +513,26 @@ let test_smoke_latency_and_requests () =
     Alcotest.(check bool) "latencies positive and sub-second" true
       (s.min > 0.0 && s.max < 1.0)
 
+(* The smoke run is deterministic, so its two phase diffs and its trace
+   pin the simulation: any drift in a simulated number moves a digest.
+   A change that moves the simulation on purpose re-records them and
+   says why. *)
+let digest_diff l =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n" (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) l)))
+
+let test_smoke_goldens () =
+  let a, _ = Lazy.force smoke_pair in
+  Alcotest.(check (triple string string string))
+    "digests of (cold diff, warm diff, trace JSON)"
+    ( "7210f69075d0b2dfd037b4ffab33fe72",
+      "4404b1d1685bb3e94e667b57a88a994a",
+      "dc231ee8962421efe2c4fa20a69022b8" )
+    ( digest_diff a.E.sm_cold,
+      digest_diff a.E.sm_warm,
+      Digest.to_hex (Digest.string a.E.sm_trace_json) )
+
 let suites =
   [
     ( "obs.metrics",
@@ -548,5 +568,6 @@ let suites =
           test_smoke_diff_reproduces_cksum;
         Alcotest.test_case "latency histogram" `Slow
           test_smoke_latency_and_requests;
+        Alcotest.test_case "simulation goldens" `Slow test_smoke_goldens;
       ] );
   ]

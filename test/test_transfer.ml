@@ -343,6 +343,158 @@ let prop_fast_path_matches_oracle =
       Iobuf.Agg.free agg;
       sets_agree && all_agree)
 
+(* ------------------------------------------------------------------ *)
+(* Coverage witness: O(1) "not covered" answers stay exact             *)
+(* ------------------------------------------------------------------ *)
+
+let test_witness_chunk_mapped_later () =
+  let sys, alice, bob, _, pool_a, _ = mk () in
+  let vm = Iosys.vm sys in
+  let agg = Iobuf.Agg.of_string pool_a ~producer:alice "first chunk" in
+  Transfer.grant sys agg ~to_:bob;
+  Alcotest.(check bool) "bob covered" true (Iobuf.Pool.epoch_covers pool_a bob);
+  (* A fresh chunk bob has never mapped: it becomes bob's witness, and
+     asking again while it stays unmapped must keep answering "no". *)
+  let big = Iobuf.Pool.alloc pool_a ~producer:alice Iobuf.Pool.max_alloc in
+  for _ = 1 to 3 do
+    Iobuf.Pool.note_domain_coverage pool_a bob;
+    Alcotest.(check bool) "unmapped fresh chunk blocks coverage" false
+      (Iobuf.Pool.epoch_covers pool_a bob)
+  done;
+  (* Bob maps the witness chunk directly, without a transfer: the next
+     check must notice and record coverage. *)
+  Vm.map_read vm bob (Iobuf.Buffer.chunk big);
+  Iobuf.Pool.note_domain_coverage pool_a bob;
+  Alcotest.(check bool) "mapping the witness restores coverage" true
+    (Iobuf.Pool.epoch_covers pool_a bob);
+  Iobuf.Buffer.decr_ref big;
+  Iobuf.Agg.free agg
+
+(* Random operation sequences over two pools and three domains. After
+   every operation each (pool, domain) pair goes through
+   [note_domain_coverage], and [epoch_covers] must then equal the
+   oracle: every chunk of every buffer allocated from the pool since its
+   last [destroy] is readable by the domain. *)
+type cov_op =
+  | Alloc of int * int (* pool, size *)
+  | Free of int (* live aggregate *)
+  | Grant of int * int (* live aggregate, domain *)
+  | Map of int * int * int (* pool, chunk, domain: a direct read mapping *)
+  | Restrict of int * int (* pool, ACL: a subset mask, 8 = public *)
+  | Reclaim of int * bool (* pool, everything? *)
+  | Destroy of int
+
+let show_cov_op = function
+  | Alloc (p, n) -> Printf.sprintf "alloc(p%d,%d)" p n
+  | Free i -> Printf.sprintf "free(%d)" i
+  | Grant (i, d) -> Printf.sprintf "grant(%d,d%d)" i d
+  | Map (p, c, d) -> Printf.sprintf "map(p%d,c%d,d%d)" p c d
+  | Restrict (p, m) -> Printf.sprintf "restrict(p%d,%d)" p m
+  | Reclaim (p, all) -> Printf.sprintf "reclaim(p%d,%b)" p all
+  | Destroy p -> Printf.sprintf "destroy(p%d)" p
+
+let gen_cov_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map2
+            (fun p n -> Alloc (p, n))
+            (int_bound 1)
+            (frequency [ (1, return Iobuf.Pool.max_alloc); (3, int_range 1 5000) ]) );
+        (2, map (fun i -> Free i) nat);
+        (4, map2 (fun i d -> Grant (i, d)) nat (int_bound 2));
+        (3, map3 (fun p c d -> Map (p, c, d)) (int_bound 1) nat (int_bound 2));
+        (1, map2 (fun p m -> Restrict (p, m)) (int_bound 1) (int_bound 8));
+        (1, map2 (fun p all -> Reclaim (p, all)) (int_bound 1) bool);
+        (1, map (fun p -> Destroy p) (int_bound 1));
+      ])
+
+let prop_coverage_matches_oracle =
+  QCheck.Test.make ~name:"coverage witness matches the all-chunks oracle"
+    ~count:200
+    QCheck.(list_of_size Gen.(1 -- 80) (make ~print:show_cov_op gen_cov_op))
+    (fun ops ->
+      let sys, alice, bob, carol, pool_a, pool_b = mk () in
+      let vm = Iosys.vm sys in
+      let producer = Iosys.kernel sys in
+      let domains = [| alice; bob; carol |] in
+      let pools = [| pool_a; pool_b |] in
+      (* Chunks of buffers allocated from each pool since its last
+         destroy, and the live aggregates with their pool. *)
+      let minted = [| []; [] |] in
+      let live = ref [] in
+      let nth_live i = List.nth !live (i mod List.length !live) in
+      let drop_live x = live := List.filter (fun y -> y != x) !live in
+      let oracle pi d = List.for_all (fun c -> Vm.readable vm d c) minted.(pi) in
+      let step op =
+        match op with
+        | Alloc (pi, size) ->
+          let b = Iobuf.Pool.alloc pools.(pi) ~producer size in
+          Iobuf.Buffer.seal b;
+          minted.(pi) <- Iobuf.Buffer.chunk b :: minted.(pi);
+          live := (pi, Iobuf.Agg.of_buffer_owned b) :: !live
+        | Free i ->
+          if !live <> [] then begin
+            let ((_, a) as x) = nth_live i in
+            Iobuf.Agg.free a;
+            drop_live x
+          end
+        | Grant (i, d) -> (
+          if !live <> [] then
+            let _, a = nth_live i in
+            try Transfer.grant sys a ~to_:domains.(d)
+            with Vm.Protection_fault _ -> ())
+        | Map (pi, c, d) -> (
+          match minted.(pi) with
+          | [] -> ()
+          | cs -> (
+            let chunk = List.nth cs (c mod List.length cs) in
+            try Vm.map_read vm domains.(d) chunk
+            with Vm.Protection_fault _ -> ()))
+        | Restrict (pi, m) ->
+          let acl =
+            if m = 8 then Vm.Public
+            else
+              Vm.Only
+                (Pdomain.Set.of_list
+                   (List.filteri (fun k _ -> m land (1 lsl k) <> 0)
+                      (Array.to_list domains)))
+          in
+          Iobuf.Pool.restrict_acl pools.(pi) acl
+        | Reclaim (pi, all) ->
+          ignore (Iobuf.Pool.reclaim pools.(pi) (if all then max_int else 1))
+        | Destroy pi ->
+          List.iter
+            (fun ((p, a) as x) ->
+              if p = pi then begin
+                Iobuf.Agg.free a;
+                drop_live x
+              end)
+            !live;
+          Iobuf.Pool.destroy pools.(pi);
+          minted.(pi) <- []
+      in
+      List.iteri
+        (fun n op ->
+          step op;
+          Array.iteri
+            (fun pi p ->
+              Array.iteri
+                (fun di d ->
+                  Iobuf.Pool.note_domain_coverage p d;
+                  if Iobuf.Pool.epoch_covers p d <> oracle pi d then
+                    QCheck.Test.fail_reportf
+                      "step %d %s: pool %d domain %d covered=%b oracle=%b" n
+                      (show_cov_op op) pi di
+                      (Iobuf.Pool.epoch_covers p d)
+                      (oracle pi d))
+                domains)
+            pools)
+        ops;
+      List.iter (fun (_, a) -> Iobuf.Agg.free a) !live;
+      true)
+
 let suites =
   [
     ( "core.transfer.warm",
@@ -356,7 +508,12 @@ let suites =
         Alcotest.test_case "pipe goes warm" `Quick test_pipe_roundtrips_go_warm;
         Alcotest.test_case "recycle keeps warm epochs" `Quick
           test_recycle_keeps_warm_epochs;
+        Alcotest.test_case "witness chunk mapped later" `Quick
+          test_witness_chunk_mapped_later;
       ] );
     ( "core.transfer.props",
-      [ QCheck_alcotest.to_alcotest prop_fast_path_matches_oracle ] );
+      [
+        QCheck_alcotest.to_alcotest prop_fast_path_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_coverage_matches_oracle;
+      ] );
   ]
