@@ -46,6 +46,9 @@ type pool_t = {
      found unreadable. Always a member of [all_chunks] (see
      [note_domain_coverage]). *)
   mutable witnesses : Vm.chunk option array;
+  alloc_site : Metrics.site; (* pool.alloc *)
+  recycled_site : Metrics.site; (* pool.recycled *)
+  fresh_site : Metrics.site; (* pool.fresh *)
 }
 
 type buffer_t = {
@@ -286,6 +289,9 @@ module Pool = struct
         epoch = 1;
         grant_epochs = [||];
         witnesses = [||];
+        alloc_site = Metrics.site (Iosys.metrics sys) "pool.alloc";
+        recycled_site = Metrics.site (Iosys.metrics sys) "pool.recycled";
+        fresh_site = Metrics.site (Iosys.metrics sys) "pool.fresh";
       }
     in
     (* Pool chunks hold application-produced buffer data with no backing
@@ -304,7 +310,7 @@ module Pool = struct
 
   let fresh_chunk p =
     let vc = Vm.alloc_chunk (Iosys.vm p.sys) ~label:p.pname ~acl:p.pacl in
-    Metrics.incr (Iosys.metrics p.sys) "pool.fresh";
+    Metrics.bump p.fresh_site 1;
     (* A chunk no consumer has ever mapped: every recorded coverage is
        stale until the next cold walk re-verifies it. *)
     p.epoch <- p.epoch + 1;
@@ -329,7 +335,7 @@ module Pool = struct
        only fresh chunks, ACL narrowing, destruction and pageout
        reclaim invalidate coverage). *)
     Vm.recycle_chunk (Iosys.vm p.sys) c.vc;
-    Metrics.incr (Iosys.metrics p.sys) "pool.recycled";
+    Metrics.bump p.recycled_site 1;
     (* Untrusted producers pay the write-permission toggle once per
        chunk reuse (Section 3.2); stale grants from the previous fill
        cycle are revoked here so the next fill re-grants. *)
@@ -452,7 +458,7 @@ module Pool = struct
     in
     store.bump <- boff + slot;
     store.live <- store.live + 1;
-    Metrics.incr (Iosys.metrics p.sys) "pool.alloc";
+    Metrics.bump p.alloc_site 1;
     b
 
   let retire_buffer (b : Buffer.t) =

@@ -31,6 +31,7 @@ type t = {
   flow : Iolite_obs.Flow.t;
   attrib : Iolite_obs.Attrib.t;
   xfer : xfer_cells;
+  touch_sites : Metrics.site array; (* Copy, Fill, Dma *)
   mutable on_touch : touch -> int -> unit;
   mutable fill_mode : fill_mode;
 }
@@ -59,6 +60,10 @@ let create ?(capacity = 128 * 1024 * 1024) ?(seed = 0x10117EL) () =
         xc_warm_hits = Metrics.counter metrics "transfer.warm_hits";
         xc_cold_walks = Metrics.counter metrics "transfer.cold_walks";
       };
+    touch_sites =
+      Array.map
+        (fun kind -> Metrics.site metrics (touch_name kind))
+        [| Copy; Fill; Dma |];
     on_touch = (fun _ _ -> ());
     fill_mode = `Fill;
   }
@@ -81,7 +86,9 @@ let touch t kind n =
         match t.fill_mode with `Fill -> Fill | `As_copy -> Copy | `Dma -> Dma)
       | Copy | Dma -> kind
     in
-    Metrics.add t.metrics (touch_name kind) n;
+    Metrics.bump
+      t.touch_sites.(match kind with Copy -> 0 | Fill -> 1 | Dma -> 2)
+      n;
     t.on_touch kind n
   end
 

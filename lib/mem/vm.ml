@@ -19,6 +19,14 @@ let op_name = function
   | Page_alloc -> "vm.page_alloc"
   | Page_fault -> "vm.page_fault"
 
+let op_index = function
+  | Map_read -> 0
+  | Grant_write -> 1
+  | Revoke_write -> 2
+  | Unmap -> 3
+  | Page_alloc -> 4
+  | Page_fault -> 5
+
 let op_short = function
   | Map_read -> "map_read"
   | Grant_write -> "grant_write"
@@ -46,6 +54,7 @@ type t = {
   mutable on_op : op -> pages:int -> unit;
   mutable pager : pages:int -> unit;
   metrics : Metrics.t;
+  op_sites : Metrics.site array; (* by [op_index] *)
   trace : Trace.t;
   mutable next_chunk : int;
 }
@@ -53,11 +62,16 @@ type t = {
 exception Protection_fault of string
 
 let create ?metrics ?trace ~physmem () =
+  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   {
     physmem;
     on_op = (fun _ ~pages:_ -> ());
     pager = (fun ~pages:_ -> ());
-    metrics = (match metrics with Some m -> m | None -> Metrics.create ());
+    metrics;
+    op_sites =
+      Array.map
+        (fun op -> Metrics.site metrics (op_name op))
+        [| Map_read; Grant_write; Revoke_write; Unmap; Page_alloc; Page_fault |];
     trace = (match trace with Some tr -> tr | None -> Trace.create ());
     next_chunk = 0;
   }
@@ -67,7 +81,7 @@ let set_pager t f = t.pager <- f
 let metrics t = t.metrics
 
 let record t op pages =
-  Metrics.add t.metrics (op_name op) pages;
+  Metrics.bump t.op_sites.(op_index op) pages;
   if Trace.enabled t.trace then
     Trace.instant t.trace ~cat:"vm" ~name:(op_short op)
       ~args:[ ("pages", Int pages) ]

@@ -29,6 +29,22 @@ let add t key n =
 
 let incr t key = add t key 1
 
+(* A site starts on a shared sentinel cell that is never written, and
+   swaps in the registry's cell on its first bump. *)
+type site = { reg : t; key : string; mutable slot : int ref }
+
+let unresolved = ref 0
+let site t key = { reg = t; key; slot = unresolved }
+
+let bump s n =
+  let r = s.slot in
+  if r != unresolved then r := !r + n
+  else begin
+    let r = cell s.reg s.key in
+    s.slot <- r;
+    r := !r + n
+  end
+
 let get t key =
   match Hashtbl.find_opt t.counters key with Some r -> !r | None -> 0
 

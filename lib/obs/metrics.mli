@@ -33,6 +33,17 @@ val counter : t -> string -> int ref
     avoiding the per-event Hashtbl probe of {!add}. Cells stay valid
     across {!reset} (which zeroes them in place). *)
 
+type site
+(** A counter named once at a call site and resolved on its first
+    {!bump}: until then the key is absent from the registry, exactly as
+    if the site used {!add}; afterwards each bump updates the live cell
+    with no registry probe. Like {!counter} cells, a resolved site keeps
+    feeding the registry across {!reset}. *)
+
+val site : t -> string -> site
+val bump : site -> int -> unit
+(** [bump s n] is [add t key n] for the site's registry and key. *)
+
 (** {2 Gauges} *)
 
 val set_gauge : t -> string -> (unit -> int) -> unit

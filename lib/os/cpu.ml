@@ -1,10 +1,9 @@
-module Sync = Iolite_sim.Sync
 module Proc = Iolite_sim.Engine.Proc
 module Attrib = Iolite_obs.Attrib
 
 type t = {
   context_switch : float;
-  lock : Sync.Semaphore.t;
+  mutable free_at : float; (* end of the last burst handed out *)
   mutable last_owner : int;
   mutable busy : float;
   mutable switches : int;
@@ -14,29 +13,35 @@ type t = {
 let create ?(context_switch = 30e-6) ?attrib () =
   {
     context_switch;
-    lock = Sync.Semaphore.create 1;
+    free_at = 0.0;
     last_owner = -1;
     busy = 0.0;
     switches = 0;
     attrib = (match attrib with Some a -> a | None -> Attrib.create ());
   }
 
-let charge_locked t ~owner dt =
-  Sync.Semaphore.with_acquired t.lock (fun () ->
-      let dt =
-        if t.last_owner <> owner && t.last_owner <> -1 then begin
-          t.switches <- t.switches + 1;
-          dt +. t.context_switch
-        end
-        else dt
-      in
-      t.last_owner <- owner;
-      Proc.sleep dt;
-      t.busy <- t.busy +. dt)
+(* A FIFO server on the virtual clock: a burst starts when the previous
+   one handed out ends (or now, if the CPU is idle), so its end is known
+   at request time and the caller sleeps straight to it. The surcharge
+   is decided at request too, against the burst queued just before:
+   that is the burst that runs just before. *)
+let burn t ~owner dt =
+  let dt =
+    if t.last_owner <> owner && t.last_owner <> -1 then begin
+      t.switches <- t.switches + 1;
+      dt +. t.context_switch
+    end
+    else dt
+  in
+  t.last_owner <- owner;
+  let stop = Float.max (Proc.now ()) t.free_at +. dt in
+  t.free_at <- stop;
+  Proc.sleep_until stop;
+  t.busy <- t.busy +. dt
 
-(* The whole charge — CPU-lock contention, context-switch surcharge,
-   and the burn itself — is CPU time from the request's point of
-   view. *)
+(* The whole charge — queueing behind earlier bursts, context-switch
+   surcharge, and the burn itself — is CPU time from the request's
+   point of view. *)
 let charge t ~owner dt =
   if dt > 0.0 then begin
     let a = t.attrib in
@@ -44,12 +49,12 @@ let charge t ~owner dt =
       let ctx = Attrib.here a in
       if ctx > 0 then begin
         let t0 = Attrib.now a in
-        charge_locked t ~owner dt;
+        burn t ~owner dt;
         Attrib.note a ~ctx Cpu (Attrib.now a -. t0)
       end
-      else charge_locked t ~owner dt
+      else burn t ~owner dt
     end
-    else charge_locked t ~owner dt
+    else burn t ~owner dt
   end
 
 let busy_time t = t.busy

@@ -60,6 +60,13 @@ type ra = {
   mutable ra_window : int; (* current prefetch window, in extents *)
 }
 
+type net_sites = {
+  ns_bytes_sent : Iolite_obs.Metrics.site;
+  ns_cksum_bytes : Iolite_obs.Metrics.site;
+  ns_cksum_bytes_total : Iolite_obs.Metrics.site;
+  ns_cksum_folds : Iolite_obs.Metrics.site;
+}
+
 type t = {
   engine : Iolite_sim.Engine.t;
   sys : Iosys.t;
@@ -77,6 +84,7 @@ type t = {
   ra : (int, ra) Hashtbl.t;
   writeback : Writeback.t;
   tier : Iolite_core.Tier.t option;
+  net_sites : net_sites;
   mutable swap_cursor : int; (* next free swap-partition offset *)
   mutable pending : float;
   mutable next_pid : int;
@@ -207,6 +215,15 @@ let create ?config engine =
       ra = Hashtbl.create 64;
       writeback;
       tier;
+      net_sites =
+        (let m = Iosys.metrics sys in
+         let site = Iolite_obs.Metrics.site m in
+         {
+           ns_bytes_sent = site "net.bytes_sent";
+           ns_cksum_bytes = site "net.cksum_bytes";
+           ns_cksum_bytes_total = site "net.cksum_bytes_total";
+           ns_cksum_folds = site "net.cksum_folds";
+         });
       swap_cursor = 0;
       pending = 0.0;
       next_pid = 0;
@@ -376,6 +393,7 @@ let add_file t ~name ~size =
   id
 
 let metrics t = Iosys.metrics t.sys
+let net_sites t = t.net_sites
 let trace t = Iosys.trace t.sys
 let readahead_enabled t = t.config.readahead
 

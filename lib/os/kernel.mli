@@ -154,6 +154,18 @@ val metrics : t -> Iolite_obs.Metrics.t
     every subsystem's counters under a dotted namespace, plus size
     gauges ([cache.unified_bytes], [mem.free_bytes], ...). *)
 
+(** The per-send [net.*] counters, named once per kernel so a send
+    bumps them without probing the registry. *)
+type net_sites = {
+  ns_bytes_sent : Iolite_obs.Metrics.site;  (** [net.bytes_sent] *)
+  ns_cksum_bytes : Iolite_obs.Metrics.site;  (** [net.cksum_bytes] *)
+  ns_cksum_bytes_total : Iolite_obs.Metrics.site;
+      (** [net.cksum_bytes_total] *)
+  ns_cksum_folds : Iolite_obs.Metrics.site;  (** [net.cksum_folds] *)
+}
+
+val net_sites : t -> net_sites
+
 val trace : t -> Iolite_obs.Trace.t
 (** The kernel-wide tracer. Created disabled; see {!enable_tracing}. *)
 

@@ -299,7 +299,6 @@ let send_mode ?on_complete proc c mode agg =
   let cost = Kernel.cost kernel in
   let len = Iobuf.Agg.length agg in
   let mtu = Iolite_net.Link.mtu (Kernel.link kernel) in
-  let metrics = Kernel.metrics kernel in
   let chain, cksum_bytes, cksum_folds =
     match mode with
     | Zero_copy ->
@@ -333,10 +332,11 @@ let send_mode ?on_complete proc c mode agg =
       Iobuf.Agg.free agg;
       (chain, len, 0)
   in
-  Metrics.add metrics "net.bytes_sent" len;
-  Metrics.add metrics "net.cksum_bytes" cksum_bytes;
-  Metrics.add metrics "net.cksum_bytes_total" len;
-  Metrics.add metrics "net.cksum_folds" cksum_folds;
+  let ns = Kernel.net_sites kernel in
+  Metrics.bump ns.Kernel.ns_bytes_sent len;
+  Metrics.bump ns.Kernel.ns_cksum_bytes cksum_bytes;
+  Metrics.bump ns.Kernel.ns_cksum_bytes_total len;
+  Metrics.bump ns.Kernel.ns_cksum_folds cksum_folds;
   (let tr = Kernel.trace kernel in
    if Trace.enabled tr then
      let mode_name =

@@ -16,6 +16,7 @@ type timer = { mutable t_pending : bool; mutable t_cancel : unit -> bool }
 type _ Effect.t +=
   | E_now : float Effect.t
   | E_sleep : float -> unit Effect.t
+  | E_sleep_until : float -> unit Effect.t
   | E_spawn : string option * (unit -> unit) -> unit Effect.t
   | E_suspend : ((unit -> unit) -> unit) -> unit Effect.t
   | E_engine : t Effect.t
@@ -47,6 +48,15 @@ let schedule t time thunk =
 let pending t = Heap.size t.queue
 let pending_timers t = t.live_timers
 
+(* Resume continuation [k] of process [name] at [time], with the flow
+   context it had when it went to sleep. *)
+let wake_at t name k time =
+  let ctx = t.fctx in
+  schedule t time (fun () ->
+      t.current <- name;
+      t.fctx <- ctx;
+      Effect.Deep.continue k ())
+
 (* Run a process body under the engine's deep effect handler. Every
    continuation resumed later re-enters through the thunks we queue, which
    were created inside this handler, so the handler stays installed for the
@@ -76,13 +86,14 @@ let rec exec t name fctx (body : unit -> unit) : unit =
               (fun (k : (a, unit) continuation) ->
                 if dt < 0.0 then
                   discontinue k (Invalid_argument "Proc.sleep: negative delay")
-                else begin
-                  let ctx = t.fctx in
-                  schedule t (t.clock +. dt) (fun () ->
-                      t.current <- name;
-                      t.fctx <- ctx;
-                      continue k ())
-                end)
+                else wake_at t name k (t.clock +. dt))
+          | E_sleep_until time ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                if time < t.clock then
+                  discontinue k
+                    (Invalid_argument "Proc.sleep_until: time in the past")
+                else wake_at t name k time)
           | E_spawn (child_name, f) ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -200,6 +211,7 @@ let run ?until t =
 module Proc = struct
   let now () = Effect.perform E_now
   let sleep dt = Effect.perform (E_sleep dt)
+  let sleep_until time = Effect.perform (E_sleep_until time)
   let yield () = Effect.perform (E_sleep 0.0)
   let spawn ?name f = Effect.perform (E_spawn (name, f))
   let suspend register = Effect.perform (E_suspend register)

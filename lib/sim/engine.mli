@@ -96,6 +96,14 @@ module Proc : sig
   val sleep : float -> unit
   (** Advance this process's local time by [dt >= 0] seconds. *)
 
+  val sleep_until : float -> unit
+  (** Wake at exactly the given absolute virtual time, which must not be
+      in the past (a time equal to {!now} is allowed; an earlier one
+      raises [Invalid_argument] inside the process, as a negative
+      {!sleep} does). Use this when the wake time was computed ahead:
+      [sleep (stop -. now ())] wakes at [now +. (stop -. now)], which
+      need not round back to [stop]. *)
+
   val yield : unit -> unit
   (** Reschedule at the same time, after already-queued same-time events. *)
 

@@ -4,7 +4,7 @@
     {!Engine.Proc.suspend}). Waiters are served FIFO, keeping simulations
     deterministic. *)
 
-(** Counting semaphore; models contended resources (CPU, disk, NIC). *)
+(** Counting semaphore; models contended resources (disk, NIC). *)
 module Semaphore : sig
   type t
 

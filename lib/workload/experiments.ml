@@ -124,20 +124,6 @@ let single_file_point ~kind ~size ~persistent ~scale =
     }
   in
   let r = Client.run kernel listener config ~pick:(fun ~client:_ ~iter:_ -> "/doc") in
-  if Sys.getenv_opt "IOLITE_DEBUG" <> None then begin
-    let now = Engine.now _engine in
-    Printf.eprintf
-      "[%s %dB] reqs=%d mbps=%.1f cpu_busy=%.2f/%.2f link_busy=%.2f sw=%d\n%!"
-      (kind_label kind) size r.Client.requests r.Client.mbps
-      (Iolite_os.Cpu.busy_time (Kernel.cpu kernel))
-      now
-      (Iolite_net.Link.utilization (Kernel.link kernel) ~now *. now)
-      (Iolite_os.Cpu.switches (Kernel.cpu kernel));
-    if Sys.getenv_opt "IOLITE_DEBUG_COUNTERS" <> None then
-      List.iter
-        (fun (k, v) -> Printf.eprintf "      %-24s %d\n%!" k v)
-        (Iolite_obs.Metrics.to_list (Kernel.metrics kernel))
-  end;
   report_point ~label:(Printf.sprintf "%s %dB" (kind_label kind) size) kernel
     server;
   r.Client.mbps
@@ -409,42 +395,6 @@ let replay_point ~kind ~trace ~log ~prefix ~scale ~sampling =
     }
   in
   let r = Client.run kernel listener config ~pick in
-  if Sys.getenv_opt "IOLITE_DEBUG" <> None then begin
-    let uc = Kernel.unified_cache kernel and cc = Kernel.conv_cache kernel in
-    let module F = Iolite_core.Filecache in
-    let pm = Iolite_core.Iosys.physmem (Kernel.sys kernel) in
-    Printf.eprintf
-      "[%s] reqs=%d uc: h=%d m=%d b=%dMB ev=%d | cc: h=%d m=%d b=%dMB ev=%d | disk busy=%.1fs reads=%d | cpu=%.1fs | io=%dMB wired=%dMB proc=%dMB free=%dMB over=%d\n%!"
-      (kind_label kind) r.Client.requests (F.hits uc) (F.misses uc)
-      (F.total_bytes uc / 1048576)
-      (F.evictions uc) (F.hits cc) (F.misses cc)
-      (F.total_bytes cc / 1048576)
-      (F.evictions cc)
-      (Iolite_fs.Disk.busy_time (Kernel.disk kernel))
-      (Iolite_fs.Disk.reads (Kernel.disk kernel))
-      (Iolite_os.Cpu.busy_time (Kernel.cpu kernel))
-      (Iolite_mem.Physmem.used pm Iolite_mem.Physmem.Io_data / 1048576)
-      (Iolite_mem.Physmem.used pm Iolite_mem.Physmem.Net_wired / 1048576)
-      (Iolite_mem.Physmem.used pm Iolite_mem.Physmem.Process / 1048576)
-      (Iolite_mem.Physmem.free_bytes pm / 1048576)
-      (Iolite_mem.Physmem.overcommit pm);
-    let module P = Iolite_core.Iobuf.Pool in
-    let pool_line label p =
-      Printf.eprintf "    pool %-10s chunks=%d free=%d resident=%dMB\n%!" label
-        (P.chunk_count p) (P.free_chunk_count p)
-        (P.resident_bytes p / 1048576)
-    in
-    pool_line "file" (Kernel.file_pool kernel);
-    pool_line "vm_pages" (Kernel.page_pool kernel);
-    let c = Kernel.metrics kernel in
-    Printf.eprintf
-      "    fresh_chunks=%d recycled=%d refetch=%d acl_copy=%d uc_entries=%d cc_entries=%d\n%!"
-      (Iolite_obs.Metrics.get c "pool.fresh")
-      (Iolite_obs.Metrics.get c "pool.recycled")
-      (Iolite_obs.Metrics.get c "cache.refetch")
-      (Iolite_obs.Metrics.get c "cache.acl_copy")
-      (F.entry_count uc) (F.entry_count cc)
-  end;
   report_point ~label:(kind_label kind) kernel server;
   r.Client.mbps
 

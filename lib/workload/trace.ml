@@ -122,7 +122,7 @@ let file_size t ~rank =
     invalid_arg "Trace.file_size: rank";
   t.sizes.(rank)
 
-let file_path ~rank = Printf.sprintf "/doc/r%d" rank
+let file_path ~rank = "/doc/r" ^ string_of_int rank
 
 let total_bytes t = Array.fold_left ( + ) 0 t.sizes
 let mean_request_bytes t = weighted_mean t.zipf t.sizes

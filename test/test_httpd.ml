@@ -38,6 +38,137 @@ let test_response_header () =
   Alcotest.(check bool) "reasonable size" true
     (String.length h > 150 && String.length h < 300)
 
+(* The Printf-based message code the concatenating versions replaced,
+   kept verbatim as the reference: the new code must agree byte for
+   byte. *)
+module Printf_http = struct
+  let request_string ?(keep_alive = false) path =
+    Printf.sprintf
+      "GET %s HTTP/1.%d\r\nHost: server.example.edu\r\nUser-Agent: \
+       repro-client/1.0\r\nAccept: */*\r\n%s\r\n"
+      path
+      (if keep_alive then 1 else 0)
+      (if keep_alive then "Connection: keep-alive\r\n" else "")
+
+  let parse_request s =
+    match String.index_opt s '\r' with
+    | None -> None
+    | Some eol -> (
+      let line = String.sub s 0 eol in
+      match String.split_on_char ' ' line with
+      | [ "GET"; path; proto ] ->
+        let keep_alive =
+          String.equal proto "HTTP/1.1"
+          ||
+          (* Cheap header scan; enough for the simulated clients. *)
+          let rec contains i =
+            i >= 0
+            &&
+            (String.length s - i >= 10 && String.sub s i 10 = "keep-alive"
+            || contains (i - 1))
+          in
+          contains (String.length s - 10)
+        in
+        Some { Http.path; keep_alive }
+      | _ -> None)
+
+  let response_header ?(status = 200) ?(keep_alive = false) ~content_length
+      () =
+    Printf.sprintf
+      "HTTP/1.%d %d %s\r\nDate: Thu, 04 Feb 1999 21:00:00 GMT\r\nServer: \
+       Flash/0.1 (FreeBSD 2.2.6)\r\nContent-Type: text/html\r\nLast-Modified: \
+       Mon, 01 Feb 1999 09:00:00 GMT\r\nContent-Length: %d\r\nConnection: \
+       %s\r\n\r\n"
+      (if keep_alive then 1 else 0)
+      status
+      (match status with
+      | 200 -> "OK"
+      | 404 -> "Not Found"
+      | 502 -> "Bad Gateway"
+      | _ -> "Unknown")
+      content_length
+      (if keep_alive then "keep-alive" else "close")
+end
+
+(* Request-like strings: pieces of real requests glued at random, so
+   the generator hits missing '\r', extra and missing spaces, empty
+   paths, other methods, both protocol versions and "keep-alive" (and
+   near misses) anywhere in the string. *)
+let gen_request_like =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        oneofl
+          [
+            "GET"; "GET "; "POST "; "GE"; " "; "  "; "/"; "/doc"; "/doc/r17";
+            "HTTP/1.0"; "HTTP/1.1"; "HTTP/1.10"; " HTTP/1.1"; "\r"; "\n";
+            "\r\n"; "keep-alive"; "keep-aliv"; "kkeep-alive"; "k";
+            "Connection: keep-alive\r\n"; "Host: a b\r\n"; "";
+          ];
+        string_size ~gen:(oneofl [ 'k'; 'e'; 'p'; '-'; 'a'; ' '; '\r'; 'G' ])
+          (int_range 0 12);
+      ]
+  in
+  let glued = map (String.concat "") (list_size (int_range 0 10) piece) in
+  let real =
+    map2
+      (fun keep_alive path -> Http.request_string ~keep_alive path)
+      bool
+      (oneofl [ ""; "/"; "/doc"; "/a b"; "/keep-alive" ])
+  in
+  frequency [ (4, glued); (1, real) ]
+
+let prop_parse_request_matches_printf =
+  QCheck.Test.make ~count:2000 ~name:"parse_request matches the reference"
+    (QCheck.make ~print:String.escaped gen_request_like)
+    (fun s -> Http.parse_request s = Printf_http.parse_request s)
+
+let test_parse_request_directed () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (String.escaped s) true
+        (Http.parse_request s = Printf_http.parse_request s))
+    [
+      ""; "GET"; "GET\r"; "GET \r"; "GET  \r"; "GET / HTTP/1.1";
+      "GET / HTTP/1.1\r\n"; "GET  HTTP/1.0\r\n"; "GET /  HTTP/1.0\r\n";
+      " GET / HTTP/1.0\r\n"; "GET / HTTP/1.0 \r\n"; "GET /a\r\n";
+      "GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
+      "GET /keep-alive HTTP/1.0\r\n"; "keep-alive"; "GET / x\rkeep-alive";
+      "GET / x\rkeep-aliv"; "GET / HTTP/1.1x\r";
+    ]
+
+let test_messages_match_printf () =
+  List.iter
+    (fun keep_alive ->
+      List.iter
+        (fun status ->
+          List.iter
+            (fun content_length ->
+              Alcotest.(check string)
+                (Printf.sprintf "header %d %b %d" status keep_alive
+                   content_length)
+                (Printf_http.response_header ~status ~keep_alive
+                   ~content_length ())
+                (Http.response_header ~status ~keep_alive ~content_length ()))
+            [ 0; 9; 10; 12345; max_int; -42; min_int ])
+        [ 200; 404; 502; 500 ];
+      List.iter
+        (fun path ->
+          Alcotest.(check string)
+            (Printf.sprintf "request %S %b" path keep_alive)
+            (Printf_http.request_string ~keep_alive path)
+            (Http.request_string ~keep_alive path))
+        [ ""; "/"; "/doc/r42"; "/a b"; "/keep-alive" ])
+    [ false; true ];
+  Alcotest.(check string) "defaults"
+    (Printf_http.response_header ~content_length:7 ())
+    (Http.response_header ~content_length:7 ());
+  Alcotest.(check string) "request default"
+    (Printf_http.request_string "/x")
+    (Http.request_string "/x")
+
 (* Drive one request against a server and return (status bytes, total). *)
 let one_request kernel listener ~path =
   let result = ref 0 in
@@ -343,6 +474,11 @@ let suites =
       [
         Alcotest.test_case "parse request" `Quick test_parse_request;
         Alcotest.test_case "response header" `Quick test_response_header;
+        QCheck_alcotest.to_alcotest prop_parse_request_matches_printf;
+        Alcotest.test_case "parse edge cases" `Quick
+          test_parse_request_directed;
+        Alcotest.test_case "messages match printf" `Quick
+          test_messages_match_printf;
       ] );
     ( "httpd.static",
       [

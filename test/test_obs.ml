@@ -29,6 +29,59 @@ let test_metrics_counters () =
   Metrics.reset m;
   Alcotest.(check int) "reset clears" 0 (Metrics.get m "net.bytes")
 
+let test_metrics_sites () =
+  let m = Metrics.create () in
+  let s = Metrics.site m "net.sent" in
+  Alcotest.(check bool) "absent before the first bump" false
+    (List.mem_assoc "net.sent" (Metrics.snapshot m));
+  Metrics.bump s 0;
+  Alcotest.(check (list (pair string int)))
+    "a zero bump creates the key, as add does" [ ("net.sent", 0) ]
+    (Metrics.snapshot m);
+  Metrics.bump s 5;
+  Metrics.add m "net.sent" 2;
+  Alcotest.(check int) "site and add share the cell" 7 (Metrics.get m "net.sent");
+  Metrics.reset m;
+  Metrics.bump s 3;
+  Alcotest.(check (list (pair string int)))
+    "the cached cell feeds the registry across reset" [ ("net.sent", 3) ]
+    (Metrics.snapshot m);
+  (* Two sites on one key resolve to the same cell. *)
+  let s' = Metrics.site m "net.sent" in
+  Metrics.bump s' 1;
+  Alcotest.(check int) "second site" 4 (Metrics.get m "net.sent")
+
+(* The per-request sites of the kernel resolve lazily: a key shows up
+   in snapshots only once its event has happened, as with [add]. *)
+let test_kernel_sites_lazy () =
+  let sys = Iolite_core.Iosys.create () in
+  let m = Iolite_core.Iosys.metrics sys in
+  let keys () = List.map fst (Metrics.snapshot m) in
+  let pool =
+    Iolite_core.Iobuf.Pool.create sys ~name:"p" ~acl:Iolite_mem.Vm.Public
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " absent") false (List.mem k (keys ())))
+    [ "pool.alloc"; "pool.fresh"; "pool.recycled"; "bytes.filled"; "vm.map_read" ];
+  let b =
+    Iolite_core.Iobuf.Pool.alloc pool ~producer:(Iolite_core.Iosys.kernel sys)
+      100
+  in
+  Alcotest.(check int) "pool.alloc" 1 (Metrics.get m "pool.alloc");
+  Alcotest.(check int) "pool.fresh" 1 (Metrics.get m "pool.fresh");
+  Alcotest.(check bool) "pool.recycled still absent" false
+    (List.mem "pool.recycled" (keys ()));
+  Iolite_core.Iobuf.Buffer.fill b (fun _ ~dst_off:_ ~len:_ -> ());
+  Alcotest.(check int) "bytes.filled" 100 (Metrics.get m "bytes.filled");
+  Alcotest.(check bool) "bytes.copied still absent" false
+    (List.mem "bytes.copied" (keys ()));
+  Metrics.reset m;
+  ignore
+    (Iolite_core.Iobuf.Pool.alloc pool ~producer:(Iolite_core.Iosys.kernel sys)
+       100);
+  Alcotest.(check int) "pool.alloc after reset" 1 (Metrics.get m "pool.alloc")
+
 let test_metrics_gauges () =
   let m = Metrics.create () in
   let v = ref 7 in
@@ -538,6 +591,9 @@ let suites =
     ( "obs.metrics",
       [
         Alcotest.test_case "counters" `Quick test_metrics_counters;
+        Alcotest.test_case "sites" `Quick test_metrics_sites;
+        Alcotest.test_case "kernel sites resolve lazily" `Quick
+          test_kernel_sites_lazy;
         Alcotest.test_case "gauges" `Quick test_metrics_gauges;
         Alcotest.test_case "histograms" `Quick test_metrics_hist;
         Alcotest.test_case "snapshot diff" `Quick test_metrics_snapshot_diff;

@@ -99,6 +99,51 @@ let test_negative_sleep_raises () =
   Engine.run e;
   Alcotest.(check bool) "raised" true !raised
 
+(* A pair for which [a +. (b -. a)] does not round back to [b]: a
+   relative [sleep] from [a] cannot land on [b], an absolute one must. *)
+let sleep_until_a = 0.26691387214567508
+let sleep_until_b = 1.9609081650959415
+
+let test_sleep_until_exact () =
+  let a = sleep_until_a and b = sleep_until_b in
+  Alcotest.(check bool) "relative sleep would miss" true (a +. (b -. a) <> b);
+  let e = Engine.create () in
+  let woke = ref nan in
+  Engine.spawn e (fun () ->
+      Proc.sleep a;
+      Proc.sleep_until b;
+      woke := Proc.now ());
+  Engine.run e;
+  Alcotest.(check bool) "wakes at exactly b" true (!woke = b);
+  Alcotest.(check bool) "clock ends at b" true (Engine.now e = b)
+
+let test_sleep_until_now () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.spawn e (fun () ->
+      Proc.sleep sleep_until_a;
+      Proc.sleep_until (Proc.now ());
+      log := ("self", Proc.now ()) :: !log);
+  Engine.spawn_at e sleep_until_a (fun () ->
+      log := ("other", Proc.now ()) :: !log);
+  Engine.run e;
+  (* Waking "now" requeues behind events already due at this time. *)
+  Alcotest.(check (list (pair string (float 0.0))))
+    "same-time wake runs after queued events"
+    [ ("other", sleep_until_a); ("self", sleep_until_a) ]
+    (List.rev !log)
+
+let test_sleep_until_past_raises () =
+  let e = Engine.create () in
+  let raised = ref false and after = ref nan in
+  Engine.spawn e (fun () ->
+      Proc.sleep 1.0;
+      (try Proc.sleep_until 0.5 with Invalid_argument _ -> raised := true);
+      after := Proc.now ());
+  Engine.run e;
+  Alcotest.(check bool) "raised" true !raised;
+  Alcotest.(check (float 0.0)) "clock unchanged" 1.0 !after
+
 let test_semaphore_mutual_exclusion () =
   let e = Engine.create () in
   let sem = Sync.Semaphore.create 1 in
@@ -509,6 +554,10 @@ let suites =
         Alcotest.test_case "run until" `Quick test_run_until;
         Alcotest.test_case "spawn within" `Quick test_spawn_within;
         Alcotest.test_case "negative sleep" `Quick test_negative_sleep_raises;
+        Alcotest.test_case "sleep_until exact" `Quick test_sleep_until_exact;
+        Alcotest.test_case "sleep_until now" `Quick test_sleep_until_now;
+        Alcotest.test_case "sleep_until past raises" `Quick
+          test_sleep_until_past_raises;
         Alcotest.test_case "determinism" `Quick test_determinism;
       ] );
     ( "sim.sync",

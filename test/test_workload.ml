@@ -113,6 +113,14 @@ let test_client_persistent_faster_small_files () =
   let np = run false and p = run true in
   Alcotest.(check bool) "keep-alive helps small files" true (p > np *. 1.3)
 
+let test_file_path_matches_printf () =
+  List.iter
+    (fun rank ->
+      Alcotest.(check string) (string_of_int rank)
+        (Printf.sprintf "/doc/r%d" rank)
+        (Trace.file_path ~rank))
+    [ 0; 1; 9; 10; 12345; max_int; -1; min_int ]
+
 (* The warm start's VM work must not be billed to the first measured
    syscall: after loading, nothing is left pending. *)
 let test_preload_leaves_nothing_pending () =
@@ -131,6 +139,54 @@ let test_preload_leaves_nothing_pending () =
     (Iolite_core.Filecache.total_bytes (Kernel.unified_cache kernel) > 0);
   Alcotest.(check (float 0.0)) "no pending charge" 0.0 (Kernel.take_pending kernel)
 
+(* The multi-owner figures at a fixed small scale, digested exactly
+   (floats in hex). Apache's per-connection processes, FastCGI and the
+   converted applications run many CPU owners, so these pin the
+   context-switch surcharges that the single-server workloads never
+   pay. Any change to a simulated number shows up here. *)
+module E = Iolite_workload.Experiments
+
+let digest_series series =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.concat_map
+             (fun s ->
+               s.E.label
+               :: List.map
+                    (fun p -> Printf.sprintf "%h %h" p.E.x p.E.mbps)
+                    s.E.points)
+             series)))
+
+let digest_apps apps =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.map
+             (fun a ->
+               Printf.sprintf "%s %h %h %b" a.E.app a.E.posix_s a.E.iolite_s
+                 a.E.verified)
+             apps)))
+
+let test_figure_goldens () =
+  let scale = 0.1 in
+  Alcotest.(check (list (pair string string)))
+    "figure digests at scale 0.1"
+    [
+      ("fig3", "f0006cb9b66aa7477c61d0a5ee40fe3a");
+      ("fig4", "649518f2e4f7ee37eb020ab884dd1424");
+      ("fig5", "f5dfce903461885d77436811538b3897");
+      ("fig6", "2f92e45ad8df393304f579c3bf98cb79");
+      ("fig13", "4e3533e3f237fdcb3bdfaca14fe86536");
+    ]
+    [
+      ("fig3", digest_series (E.fig3 ~scale ()));
+      ("fig4", digest_series (E.fig4 ~scale ()));
+      ("fig5", digest_series (E.fig5 ~scale ()));
+      ("fig6", digest_series (E.fig6 ~scale ()));
+      ("fig13", digest_apps (E.fig13 ~scale ()));
+    ]
+
 let suites =
   [
     ( "workload.trace",
@@ -141,6 +197,8 @@ let suites =
         Alcotest.test_case "sizes bounded" `Quick test_trace_sizes_bounded;
         Alcotest.test_case "log + prefix" `Quick test_request_log_and_prefix;
         Alcotest.test_case "deterministic" `Quick test_trace_deterministic;
+        Alcotest.test_case "file_path matches printf" `Quick
+          test_file_path_matches_printf;
       ] );
     ( "workload.client",
       [
@@ -152,4 +210,6 @@ let suites =
         Alcotest.test_case "preload leaves nothing pending" `Quick
           test_preload_leaves_nothing_pending;
       ] );
+    ( "workload.figures",
+      [ Alcotest.test_case "figure goldens" `Slow test_figure_goldens ] );
   ]
