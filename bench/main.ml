@@ -28,12 +28,12 @@
          # appended to its "runs" array, so the checked-in BENCH_agg.json
          # accumulates the perf trajectory across PRs.
      dune exec bench/main.exe -- async [label] [out.json] [scale]
-         # async disk pipeline: legacy vs. queued backend, warm and
-         # memory-pressure scenarios — request-latency percentiles, disk
-         # utilization, batching/coalescing/readahead counters, and a
-         # cold sequential-read time (default ./BENCH_async.json).
+         # async disk pipeline, warm and memory-pressure scenarios —
+         # request-latency percentiles, disk utilization,
+         # batching/coalescing/readahead counters, and a cold
+         # sequential-read time (default ./BENCH_async.json).
      dune exec bench/main.exe -- write [label] [out.json] [crash_runs]
-         # delayed write-back: eager vs. clustered disk write ops on the
+         # delayed write-back: writes per clustered disk write op on the
          # sequential headline, the CAWL burst sweep at two flush
          # intervals, and the crash-at-any-point consistency harness
          # (default ./BENCH_write.json, 1000 crash points).
@@ -290,16 +290,16 @@ let agg_json_of_run ~label entries =
   Stdlib.Buffer.add_string b "      ]\n    }";
   Stdlib.Buffer.contents b
 
-(* Append one labeled run to a JSON history file (shared by the agg,
-   cksum, and scale sections): the checked-in BENCH_*.json files
-   accumulate the perf trajectory across PRs instead of being clobbered
-   per run. *)
-let append_json_text ~benchmark ~out ~run_json =
+(* Append one labeled run to a JSON history file (shared by every
+   section): the checked-in BENCH_*.json files accumulate the perf
+   trajectory across PRs instead of being clobbered per run. [units]
+   names the clock behind the file's numbers; it is written only when
+   the file is created. *)
+let append_json_text ~benchmark ~units ~out ~run_json =
   let fresh =
     Printf.sprintf
-      "{\n  \"benchmark\": %S,\n  \"units\": \"nanoseconds \
-       (wall-clock)\",\n  \"runs\": [\n%s\n  ]\n}\n"
-      benchmark run_json
+      "{\n  \"benchmark\": %S,\n  \"units\": %S,\n  \"runs\": [\n%s\n  ]\n}\n"
+      benchmark units run_json
   in
   let tail_marker = "\n  ]\n}\n" in
   let existing =
@@ -335,7 +335,8 @@ let append_json_text ~benchmark ~out ~run_json =
   with Sys_error e -> Printf.printf "  could not write %s: %s\n%!" out e
 
 let append_json_run ~benchmark ~out ~label entries =
-  append_json_text ~benchmark ~out ~run_json:(agg_json_of_run ~label entries)
+  append_json_text ~benchmark ~units:"nanoseconds (wall-clock)" ~out
+    ~run_json:(agg_json_of_run ~label entries)
 
 let run_agg ?(label = "current") ?(out = "BENCH_agg.json") () =
   Printf.printf "\n== Deep-aggregate scaling (label: %s) ==\n" label;
@@ -743,12 +744,11 @@ let run_obs ?(label = "current") ?(out = "BENCH_obs.json") () =
 (* ------------------------------------------------------------------ *)
 
 (* Holds 10^3..10^6 concurrent persistent connections against Flash-Lite
-   and measures per-request wall cost, request latency percentiles,
-   warm-phase fresh-chunk allocations, and timer cancel+insert cost at
-   full population — once on the pre-scaffolding configuration (binary
-   heap timers, single-shard tables: "heap-flat") and once on the
-   scaffolding ("wheel-sharded"). Flat wall ns/req and timer ns/op
-   across three decades of population is the acceptance criterion. *)
+   (timer-wheel idle timers, 16-way sharded tables) and measures
+   per-request wall cost, request latency percentiles, warm-phase
+   fresh-chunk allocations, and timer cancel+insert cost at full
+   population. Flat wall ns/req and timer ns/op across three decades of
+   population is the acceptance criterion. *)
 
 let scale_json_of_run ~label points =
   let module E = Iolite_workload.Experiments in
@@ -759,12 +759,12 @@ let scale_json_of_run ~label points =
     (fun i p ->
       Stdlib.Buffer.add_string b
         (Printf.sprintf
-           "        {\"conns\": %d, \"config\": %S, \"requests\": %d, \
+           "        {\"conns\": %d, \"requests\": %d, \
             \"sim_rps\": %.0f, \"wall_ns_per_req\": %.1f, \"p50_s\": %.6f, \
             \"p90_s\": %.6f, \"p99_s\": %.6f, \"fresh_warm\": %d, \
             \"recycled_warm\": %d, \"timer_ns_per_op\": %.1f, \
             \"peak_timers\": %d, \"idle_closed\": %d}%s\n"
-           p.E.c1m_conns p.E.c1m_label p.E.c1m_requests p.E.c1m_sim_rps
+           p.E.c1m_conns p.E.c1m_requests p.E.c1m_sim_rps
            p.E.c1m_wall_ns_per_req p.E.c1m_p50 p.E.c1m_p90 p.E.c1m_p99
            p.E.c1m_fresh_warm p.E.c1m_recycled_warm p.E.c1m_timer_ns_per_op
            p.E.c1m_peak_timers p.E.c1m_idle_closed
@@ -777,32 +777,34 @@ let run_scale ?(label = "current") ?(out = "BENCH_scale.json")
     ?(conns = [ 1_000; 10_000; 100_000; 1_000_000 ]) () =
   Printf.printf "\n== C1M connection-scale sweep (label: %s) ==\n%!" label;
   let module E = Iolite_workload.Experiments in
-  let points = ref [] in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun baseline ->
-          Printf.printf "  running %d conns, %s...\n%!" n
-            (if baseline then "heap-flat" else "wheel-sharded");
-          points := E.c1m ~baseline ~conns:n () :: !points;
-          (* each point retires a whole simulated machine *)
-          Gc.full_major ())
-        [ true; false ])
-    conns;
-  let points = List.rev !points in
+  let points =
+    List.map
+      (fun n ->
+        Printf.printf "  running %d conns...\n%!" n;
+        let p = E.c1m ~conns:n () in
+        (* each point retires a whole simulated machine *)
+        Gc.full_major ();
+        p)
+      conns
+  in
   E.print_c1m points;
-  append_json_text ~benchmark:"c1m-scale" ~out
+  append_json_text ~benchmark:"c1m-scale"
+    ~units:
+      "host nanoseconds (wall_ns_per_req, timer_ns_per_op); simulated \
+       seconds (p50_s, p90_s, p99_s); requests per simulated second \
+       (sim_rps); counts otherwise"
+    ~out
     ~run_json:(scale_json_of_run ~label points)
 
 (* ------------------------------------------------------------------ *)
 (* Async disk pipeline                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Tail latency under memory pressure, legacy (serialized disk, no
-   readahead, synchronous pageout) vs. async (queued ring + elevator,
-   readahead, single-flight fills, batched pageout writes), plus a cold
-   sequential-read headline. The "legacy" entries are the pre-async
-   system recorded for comparison. *)
+(* Tail latency of the async pipeline (queued ring + elevator,
+   readahead, single-flight fills, batched pageout writes) at 128MB and
+   under memory pressure at 24MB, plus a cold sequential-read headline.
+   The history's "legacy" entries are the pre-async system, recorded
+   for comparison. *)
 
 let async_json_of_run ~label points =
   let module E = Iolite_workload.Experiments in
@@ -818,7 +820,7 @@ let async_json_of_run ~label points =
       in
       Stdlib.Buffer.add_string b
         (Printf.sprintf
-           "        {\"scenario\": %S, \"backend\": %S, \"mem_mb\": %d, \
+           "        {\"scenario\": %S, \"mem_mb\": %d, \
             \"requests\": %d, \"p50_s\": %.6f, \"p90_s\": %.6f, \"p99_s\": \
             %.6f, \"disk_util\": %.4f, \"disk_reads\": %d, \"disk_writes\": \
             %d, \"batches\": %d, \"batched\": %d, \"fill_coalesced\": %d, \
@@ -828,7 +830,7 @@ let async_json_of_run ~label points =
             \"attr_disk_service_s\": %.6f, \"attr_coalesced_wait_s\": %.6f, \
             \"attr_vm_stall_s\": %.6f, \"attr_cpu_s\": %.6f, \
             \"tail_covered_min\": %.4f}%s\n"
-           p.E.as_scenario p.E.as_label p.E.as_mem_mb p.E.as_requests
+           p.E.as_scenario p.E.as_mem_mb p.E.as_requests
            p.E.as_p50 p.E.as_p90 p.E.as_p99 p.E.as_disk_util p.E.as_disk_reads
            p.E.as_disk_writes p.E.as_batches p.E.as_batched p.E.as_coalesced
            p.E.as_ra_issued p.E.as_ra_hit p.E.as_swap_writes p.E.as_seq_read_s
@@ -852,22 +854,26 @@ let run_async ?(label = "current") ?(out = "BENCH_async.json") ?(scale = 1.0)
   let points = E.async_sweep ~scale () in
   E.print_async points;
   E.print_async_tail points;
-  append_json_text ~benchmark:"async-disk" ~out
+  append_json_text ~benchmark:"async-disk"
+    ~units:
+      "simulated seconds (*_s); fractions (disk_util, tail_covered_min); \
+       counts otherwise"
+    ~out
     ~run_json:(async_json_of_run ~label points)
 
 (* ------------------------------------------------------------------ *)
 (* Delayed write-back                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Three exhibits: the clustering headline (eager one-disk-op-per-write
-   vs. the sync daemon merging adjacent dirty extents — compare disk
-   write ops for the same bytes), the CAWL sweep (write throughput vs.
-   burst size over the dirty hard limit under two flush intervals:
-   memory speed below the knee, drain speed above, the knee's position
-   set by the interval), and the crash-at-any-point harness (randomized
-   crash points replayed against the durable-write log; the per-offset
-   oracle must accept every recovered byte and fsync'd data must
-   survive). *)
+(* Three exhibits: the clustering headline (the sync daemon merging
+   adjacent dirty extents — writes per disk write op, where the
+   history's write-through "eager" entries paid one op per write), the
+   CAWL sweep (write throughput vs. burst size over the dirty hard
+   limit under two flush intervals: memory speed below the knee, drain
+   speed above, the knee's position set by the interval), and the
+   crash-at-any-point harness (randomized crash points replayed against
+   the durable-write log; the per-offset oracle must accept every
+   recovered byte and fsync'd data must survive). *)
 
 let write_json_of_run ~label ~crash points =
   let module E = Iolite_workload.Experiments in
@@ -890,19 +896,18 @@ let write_json_of_run ~label ~crash points =
            p.E.wp_superseded p.E.wp_throttled p.E.wp_write_s p.E.wp_mbps
            (if i = List.length points - 1 then "" else ",")))
     points;
-  let find l = List.find_opt (fun p -> p.E.wp_label = l) points in
-  let ratio =
-    match (find "eager", find "delayed") with
-    | Some e, Some d when d.E.wp_disk_writes > 0 ->
-      float_of_int e.E.wp_disk_writes /. float_of_int d.E.wp_disk_writes
+  let writes_per_op =
+    match List.find_opt (fun p -> p.E.wp_label = "delayed") points with
+    | Some d when d.E.wp_disk_writes > 0 ->
+      float_of_int d.E.wp_writes /. float_of_int d.E.wp_disk_writes
     | _ -> 0.0
   in
   Stdlib.Buffer.add_string b
     (Printf.sprintf
-       "      ],\n      \"eager_over_delayed_disk_ops\": %.1f,\n      \
+       "      ],\n      \"writes_per_disk_op\": %.1f,\n      \
         \"crash\": {\"points\": %d, \"failures\": %d, \"durable_min\": %d, \
         \"durable_max\": %d}\n    }"
-       ratio crash.C.r_points
+       writes_per_op crash.C.r_points
        (List.length crash.C.r_failures)
        crash.C.r_durable_min crash.C.r_durable_max);
   Stdlib.Buffer.contents b
@@ -913,13 +918,17 @@ let run_write ?(label = "current") ?(out = "BENCH_write.json")
     "\n== Delayed write-back: clustering + CAWL (label: %s) ==\n%!" label;
   let module E = Iolite_workload.Experiments in
   let module C = Iolite_workload.Crash in
-  let points = E.write_seq () @ E.write_cawl_sweep () in
+  let points = E.write_seq_point () :: E.write_cawl_sweep () in
   E.print_write points;
   Printf.printf "\n  crash harness: %d randomized crash points...\n%!"
     crash_runs;
   let crash = C.run_many ~runs:crash_runs () in
   C.print crash;
-  append_json_text ~benchmark:"write-back" ~out
+  append_json_text ~benchmark:"write-back"
+    ~units:
+      "simulated seconds (write_s); MB/s of simulated time (mbps); counts \
+       and bytes otherwise"
+    ~out
     ~run_json:(write_json_of_run ~label ~crash points)
 
 (* ------------------------------------------------------------------ *)
@@ -980,9 +989,13 @@ let run_tier ?(label = "current") ?(out = "BENCH_tier.json") ?(scale = 1.0) ()
   Gc.full_major ();
   let probe = E.tier_probe_run () in
   E.print_tier (baseline @ tiered) (Some probe);
-  append_json_text ~benchmark:"nvmm-tier" ~out
+  let units =
+    "Mb/s of simulated time (mbps); simulated seconds (probe *_s); counts \
+     otherwise"
+  in
+  append_json_text ~benchmark:"nvmm-tier" ~units ~out
     ~run_json:(tier_json_of_run ~label:(label ^ " dram-baseline") baseline);
-  append_json_text ~benchmark:"nvmm-tier" ~out
+  append_json_text ~benchmark:"nvmm-tier" ~units ~out
     ~run_json:(tier_json_of_run ~label:(label ^ " tiered") ~probe tiered)
 
 (* ------------------------------------------------------------------ *)

@@ -174,36 +174,20 @@ let cmds =
          & info [ "requests" ] ~docv:"N"
              ~doc:"Measured-phase requests per point (default 50000).")
      in
-     let baseline_arg =
-       Cmdliner.Arg.(
-         value
-         & flag
-         & info [ "baseline-only" ]
-             ~doc:
-               "Run only the heap-timer, single-shard baseline \
-                configuration (default: baseline and scaffolding both).")
-     in
-     let run verbose directives conns requests baseline_only =
+     let run verbose directives conns requests =
        with_logging verbose directives;
-       let points =
-         List.concat_map
-           (fun n ->
-             let p b = E.c1m ~baseline:b ?requests ~conns:n () in
-             if baseline_only then [ p true ] else [ p true; p false ])
-           conns
-       in
-       E.print_c1m points
+       E.print_c1m (List.map (fun n -> E.c1m ?requests ~conns:n ()) conns)
      in
      Cmdliner.Cmd.v
        (Cmdliner.Cmd.info "scale"
           ~doc:
             "C1M sweep: hold N concurrent connections against Flash-Lite \
+             (timer-wheel idle timers, 16-way sharded connection tables) \
              and measure per-request wall cost, latency percentiles, \
              warm-phase fresh allocations, and timer churn at full \
              population")
        Cmdliner.Term.(
-         const run $ verbose_arg $ log_arg $ conns_arg $ requests_arg
-         $ baseline_arg));
+         const run $ verbose_arg $ log_arg $ conns_arg $ requests_arg));
     (let run verbose directives scale =
        with_logging verbose directives;
        let points = E.async_sweep ~scale () in
@@ -213,11 +197,10 @@ let cmds =
      Cmdliner.Cmd.v
        (Cmdliner.Cmd.info "async"
           ~doc:
-            "Async disk pipeline sweep: legacy/async backends at 128MB \
-             (warm) and 24MB (memory pressure), measuring foreground \
-             small-file latency percentiles under a background scan, disk \
-             utilization, batching, miss coalescing and readahead \
-             accuracy")
+            "Async disk pipeline sweep at 128MB (warm) and 24MB (memory \
+             pressure), measuring foreground small-file latency \
+             percentiles under a background scan, disk utilization, \
+             batching, miss coalescing and readahead accuracy")
        Cmdliner.Term.(const run $ verbose_arg $ log_arg $ scale_arg));
     (let crash_arg =
        Cmdliner.Arg.(
@@ -231,7 +214,7 @@ let cmds =
      let run verbose directives metrics trace_out crash_points =
        with_logging verbose directives;
        with_observability ~metrics ~trace_out (fun () ->
-           E.print_write (E.write_seq () @ E.write_cawl_sweep ()));
+           E.print_write (E.write_seq_point () :: E.write_cawl_sweep ()));
        if crash_points > 0 then begin
          let module C = Iolite_workload.Crash in
          Printf.printf "\ncrash harness: %d randomized crash points...\n%!"
@@ -242,8 +225,8 @@ let cmds =
      Cmdliner.Cmd.v
        (Cmdliner.Cmd.info "write"
           ~doc:
-            "Delayed write-back sweep: eager vs. clustered disk write \
-             operations on the small-sequential-write headline, plus the \
+            "Delayed write-back sweep: writes per clustered disk write \
+             operation on the small-sequential-write headline, plus the \
              CAWL burst sweep at two sync-daemon flush intervals \
              (memory-speed vs. disk-bound regimes either side of the \
              dirty-limit knee)")

@@ -4,9 +4,7 @@
    real work on real bytes — both variants must produce identical
    answers; only the I/O structure differs.
 
-   Run with: dune exec examples/unix_pipeline.exe
-   Pass --legacy-disk to use the serialized pre-async disk backend
-   (no request queue, no readahead) for comparison. *)
+   Run with: dune exec examples/unix_pipeline.exe *)
 
 module Engine = Iolite_sim.Engine
 module Kernel = Iolite_os.Kernel
@@ -21,16 +19,8 @@ module Counter = Iolite_obs.Metrics
 
 let file_size = 1_792 * 1024 (* the paper's 1.75MB test file *)
 
-let legacy_disk = Array.exists (( = ) "--legacy-disk") Sys.argv
-
-let kernel_config () =
-  let c = Kernel.default_config () in
-  if legacy_disk then
-    { c with Kernel.disk_backend = `Legacy; readahead = false }
-  else c
-
 let fresh_kernel () =
-  let kernel = Kernel.create ~config:(kernel_config ()) (Engine.create ()) in
+  let kernel = Kernel.create (Engine.create ()) in
   let file = Kernel.add_file kernel ~name:"/bigfile.txt" ~size:file_size in
   (* Warm the file cache, as in the paper's runs. *)
   ignore
@@ -82,11 +72,10 @@ let run_cat_grep ~iolite =
   in
   (t, Option.get !out)
 
-(* Cold run: no warm phase, so `wc` reads the file off the disk. With
-   the queued backend, readahead keeps the disk busy ahead of the
-   consumer; with --legacy-disk every 64KB unit waits out its own seek. *)
+(* Cold run: no warm phase, so `wc` reads the file off the disk;
+   readahead keeps the disk busy ahead of the consumer. *)
 let run_wc_cold () =
-  let kernel = Kernel.create ~config:(kernel_config ()) (Engine.create ()) in
+  let kernel = Kernel.create (Engine.create ()) in
   let file = Kernel.add_file kernel ~name:"/bigfile.txt" ~size:file_size in
   let t =
     timed kernel (fun () ->
@@ -97,8 +86,7 @@ let run_wc_cold () =
   (kernel, t)
 
 let () =
-  Printf.printf "Running converted utilities on a cached 1.75MB file%s...\n\n"
-    (if legacy_disk then " (legacy disk backend)" else "");
+  Printf.printf "Running converted utilities on a cached 1.75MB file...\n\n";
   let t_wc_posix, wc_posix = run_wc ~iolite:false in
   let t_wc_iolite, wc_iolite = run_wc ~iolite:true in
   assert (wc_posix = wc_iolite);
@@ -133,11 +121,8 @@ let () =
   let kernel, t_cold = run_wc_cold () in
   let m = Kernel.metrics kernel in
   Printf.printf
-    "\nCold run (file read off the %s disk): wc took %s —\n%d disk reads, \
+    "\nCold run (file read off the disk): wc took %s —\n%d disk reads, \
      %d readahead prefetches issued, %d prefetched extents hit.\n"
-    (match Iolite_fs.Disk.backend (Kernel.disk kernel) with
-    | `Queued -> "queued"
-    | `Legacy -> "legacy")
     (Table.fmt_time_s t_cold)
     (Iolite_fs.Disk.reads (Kernel.disk kernel))
     (Counter.get m "cache.readahead_issued")

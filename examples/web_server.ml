@@ -4,9 +4,7 @@
    then explain where the difference comes from using the kernels' own
    operation counters.
 
-   Run with: dune exec examples/web_server.exe
-   Pass --legacy-disk to use the serialized pre-async disk backend
-   (no request queue, no readahead, no miss coalescing at the device). *)
+   Run with: dune exec examples/web_server.exe *)
 
 module Engine = Iolite_sim.Engine
 module Kernel = Iolite_os.Kernel
@@ -31,17 +29,9 @@ let site kernel =
 
 let pages = [| "/index.html"; "/logo.gif"; "/paper.ps"; "/photo.jpg"; "/doc7.html" |]
 
-let legacy_disk = Array.exists (( = ) "--legacy-disk") Sys.argv
-
-let kernel_config () =
-  let c = Kernel.default_config () in
-  if legacy_disk then
-    { c with Kernel.disk_backend = `Legacy; readahead = false }
-  else c
-
 let drive variant =
   let engine = Engine.create () in
-  let kernel = Kernel.create ~config:(kernel_config ()) engine in
+  let kernel = Kernel.create engine in
   site kernel;
   let server = Flash.start ~variant kernel ~port:80 in
   let rng = Iolite_util.Rng.create 11L in
@@ -77,12 +67,8 @@ let () =
       [ "server"; "bandwidth"; "requests"; "bytes copied"; "bytes checksummed"; "bytes sent" ]
     ~rows:[ row "Flash-Lite (IO-Lite)" (k_lite, r_lite); row "Flash (conventional)" (k_conv, r_conv) ];
   Printf.printf
-    "\nDisk pipeline (%s backend): %d reads in %d batches, %d requests \
-     batched with\nneighbors, %d concurrent misses coalesced onto \
-     in-flight fills.\n"
-    (match Iolite_fs.Disk.backend (Kernel.disk k_lite) with
-    | `Queued -> "queued"
-    | `Legacy -> "legacy")
+    "\nDisk pipeline: %d reads in %d batches, %d requests batched with\n\
+     neighbors, %d concurrent misses coalesced onto in-flight fills.\n"
     (Iolite_fs.Disk.reads (Kernel.disk k_lite))
     (Iolite_fs.Disk.batches (Kernel.disk k_lite))
     (Iolite_fs.Disk.batched (Kernel.disk k_lite))

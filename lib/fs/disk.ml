@@ -3,8 +3,6 @@ module Proc = Iolite_sim.Engine.Proc
 module Trace = Iolite_obs.Trace
 module Attrib = Iolite_obs.Attrib
 
-type backend = [ `Legacy | `Queued ]
-
 type op = [ `Read | `Write ]
 
 type request = {
@@ -32,13 +30,11 @@ type write_record = {
 }
 
 type t = {
-  backend : backend;
   positioning_s : float;
   sequential_positioning_s : float;
   bytes_per_sec : float;
   qdepth : int;
-  lock : Sync.Semaphore.t; (* legacy serialization *)
-  ring : Sync.Semaphore.t; (* queued: submission slots *)
+  ring : Sync.Semaphore.t; (* submission slots *)
   pending : request Queue.t;
   mutable dispatching : bool;
   mutable in_service : int;
@@ -58,17 +54,15 @@ type t = {
   attrib : Attrib.t;
 }
 
-let create ?(backend = `Queued) ?(qdepth = 64) ?(positioning_s = 0.008)
+let create ?(qdepth = 64) ?(positioning_s = 0.008)
     ?(sequential_positioning_s = 0.0005) ?(bytes_per_sec = 12e6) ?trace
     ?attrib () =
   if qdepth < 1 then invalid_arg "Disk.create: qdepth";
   {
-    backend;
     positioning_s;
     sequential_positioning_s;
     bytes_per_sec;
     qdepth;
-    lock = Sync.Semaphore.create 1;
     ring = Sync.Semaphore.create qdepth;
     pending = Queue.create ();
     dispatching = false;
@@ -121,8 +115,8 @@ let account t op bytes =
     t.bytes_written <- t.bytes_written + bytes
 
 (* Position-then-transfer cost of one request, with the sequential
-   discount against whatever the head last serviced — under the queued
-   backend that includes a batched neighbor serviced just before. *)
+   discount against whatever the head last serviced — including a
+   batched neighbor serviced just before. *)
 let service_cost t ~file ~off ~bytes =
   let sequential = file = t.last_file && off = t.last_end in
   let position =
@@ -136,49 +130,6 @@ let service_one t ~file ~off ~bytes =
   t.busy <- t.busy +. cost;
   t.last_file <- file;
   t.last_end <- off + bytes
-
-(* ------------------------------ legacy ----------------------------- *)
-
-let legacy_service t ~file ~off ~bytes =
-  Sync.Semaphore.with_acquired t.lock (fun () ->
-      service_one t ~file ~off ~bytes)
-
-(* Spans cover queueing (semaphore wait) plus positioning and
-   transfer, so a congested disk shows as long [disk] spans. *)
-let legacy_traced t name ~file ~bytes f =
-  if Trace.enabled t.trace then
-    Trace.span t.trace ~cat:"disk" ~name
-      ~args:[ ("file", Trace.Int file); ("bytes", Trace.Int bytes) ]
-      f
-  else f ()
-
-let legacy_op ?data t op ~file ~off ~bytes =
-  legacy_traced t (op_name op) ~file ~bytes (fun () ->
-      let a = t.attrib in
-      let ctx =
-        if Attrib.enabled a || Trace.enabled t.trace then Attrib.here a else 0
-      in
-      if ctx <> 0 && Trace.enabled t.trace then
-        Trace.flow_step t.trace ~id:ctx
-          ~args:[ ("at", Trace.Str "disk"); ("file", Trace.Int file) ]
-          ();
-      if Attrib.enabled a && ctx > 0 then begin
-        (* Device-lock wait is queueing; the serviced extent is disk
-           service. *)
-        let t0 = Attrib.now a in
-        Sync.Semaphore.acquire t.lock;
-        let t1 = Attrib.now a in
-        Attrib.note a ~ctx Queue (t1 -. t0);
-        Fun.protect
-          ~finally:(fun () -> Sync.Semaphore.release t.lock)
-          (fun () -> service_one t ~file ~off ~bytes);
-        Attrib.note a ~ctx Disk_service (Attrib.now a -. t1)
-      end
-      else legacy_service t ~file ~off ~bytes;
-      log_write t op ~file ~off ~bytes data;
-      account t op bytes)
-
-(* ------------------------------ queued ----------------------------- *)
 
 (* One dispatcher fiber drains the ring in frozen batches: it removes
    every pending request (up to the ring depth — the io_uring-shaped
@@ -304,7 +255,7 @@ let ensure_dispatcher t =
 
 let submitter_name t = if Trace.enabled t.trace then Proc.self () else None
 
-let submit_queued ?data ?(ctx = 0) t ~op ~file ~off ~bytes k =
+let submit ?data ?(ctx = 0) t ~op ~file ~off ~bytes k =
   (* Backpressure: block the submitter while the ring is full. Async
      submissions usually carry no flow context — nobody is suspended on
      the completion, so nothing should be charged for its waits; a
@@ -315,39 +266,24 @@ let submit_queued ?data ?(ctx = 0) t ~op ~file ~off ~bytes k =
   enqueue ?data t ~proc ~ctx ~op ~file ~off ~bytes k;
   ensure_dispatcher t
 
-(* ------------------------------ public ----------------------------- *)
-
-let submit ?data ?(ctx = 0) t ~op ~file ~off ~bytes k =
-  match t.backend with
-  | `Queued -> submit_queued ?data ~ctx t ~op ~file ~off ~bytes k
-  | `Legacy ->
-    (* The legacy device has no ring; model an async submission as a
-       helper fiber serialized by the device semaphore. *)
-    Proc.spawn ~name:"disk.legacy-submit" (fun () ->
-        legacy_op ?data t op ~file ~off ~bytes;
-        k ())
-
 let blocking ?data t op ~file ~off ~bytes =
-  match t.backend with
-  | `Legacy -> legacy_op ?data t op ~file ~off ~bytes
-  | `Queued ->
-    let proc = submitter_name t in
-    let a = t.attrib in
-    let ctx =
-      if Attrib.enabled a || Trace.enabled t.trace then Attrib.here a else 0
-    in
-    if Attrib.enabled a && ctx > 0 then begin
-      (* Submit-ring admission wait is queueing on the request. *)
-      let t0 = Attrib.now a in
-      Sync.Semaphore.acquire t.ring;
-      Attrib.note a ~ctx Queue (Attrib.now a -. t0)
-    end
-    else Sync.Semaphore.acquire t.ring;
-    (* A freshly spawned dispatcher only runs once this fiber parks, so
-       it observes the request pushed by the register closure. *)
-    ensure_dispatcher t;
-    Proc.suspend (fun resume ->
-        enqueue ?data t ~proc ~ctx ~op ~file ~off ~bytes resume)
+  let proc = submitter_name t in
+  let a = t.attrib in
+  let ctx =
+    if Attrib.enabled a || Trace.enabled t.trace then Attrib.here a else 0
+  in
+  if Attrib.enabled a && ctx > 0 then begin
+    (* Submit-ring admission wait is queueing on the request. *)
+    let t0 = Attrib.now a in
+    Sync.Semaphore.acquire t.ring;
+    Attrib.note a ~ctx Queue (Attrib.now a -. t0)
+  end
+  else Sync.Semaphore.acquire t.ring;
+  (* A freshly spawned dispatcher only runs once this fiber parks, so
+     it observes the request pushed by the register closure. *)
+  ensure_dispatcher t;
+  Proc.suspend (fun resume ->
+      enqueue ?data t ~proc ~ctx ~op ~file ~off ~bytes resume)
 
 let read t ~file ~off ~bytes = blocking t `Read ~file ~off ~bytes
 let write ?data t ~file ~off ~bytes = blocking ?data t `Write ~file ~off ~bytes
@@ -361,7 +297,6 @@ let set_write_log t on =
 
 let write_log t = List.rev t.wlog
 let durable_writes t = t.wseq
-let backend t = t.backend
 let positioning_s t = t.positioning_s
 let bytes_per_sec t = t.bytes_per_sec
 

@@ -5,33 +5,24 @@
     experiments are disk-bound exactly when the paper's are; absolute
     speeds are configuration.
 
-    Two selectable backends (compare the engine's [`Wheel]/[`Heap]
-    timers):
-
-    - [`Queued] (default): an io_uring-shaped submission/completion
-      ring. Requests enter a bounded queue ([qdepth] slots; submitters
-      block while the ring is full) and a dispatcher fiber drains them
-      in frozen batches, each batch sorted in C-SCAN elevator order.
-      The sequential-positioning discount is applied against whatever
-      the head last serviced, so contiguous requests from different
-      fibers batched together still ride the discount. Completion
-      callbacks run as engine-fiber continuations. A request admitted
-      while batch [k] is in service is serviced in batch [k+1] (FIFO
-      admission), so waits are bounded — elevator order never starves.
-    - [`Legacy]: the original single-semaphore FIFO device; each
-      request pays its own positioning in arrival order. Kept so the
-      pre-async cost model remains reproducible.
-
-    For a single outstanding request the two backends charge identical
-    costs. *)
+    Requests go through an io_uring-shaped submission/completion ring.
+    They enter a bounded queue ([qdepth] slots; submitters block while
+    the ring is full) and a dispatcher fiber drains them in frozen
+    batches, each batch sorted in C-SCAN elevator order. The
+    sequential-positioning discount is applied against whatever the
+    head last serviced, so contiguous requests from different fibers
+    batched together still ride the discount. Completion callbacks run
+    as engine-fiber continuations. A request admitted while batch [k]
+    is in service is serviced in batch [k+1] (FIFO admission), so waits
+    are bounded — elevator order never starves. With [~qdepth:1] every
+    batch holds one request, so requests are serviced in ring-admission
+    order, each paying its own positioning. *)
 
 type t
 
-type backend = [ `Legacy | `Queued ]
 type op = [ `Read | `Write ]
 
 val create :
-  ?backend:backend ->
   ?qdepth:int ->
   ?positioning_s:float ->
   ?sequential_positioning_s:float ->
@@ -40,15 +31,14 @@ val create :
   ?attrib:Iolite_obs.Attrib.t ->
   unit ->
   t
-(** Defaults: [`Queued] backend with a 64-slot ring, 8 ms average
-    positioning, 0.5 ms when sequential with the previously serviced
-    request, 12 MB/s media transfer. [trace] receives a
-    [disk]/[read|write] span per request covering queueing +
-    positioning + transfer (emitted at completion as a [complete]
-    event under the queued backend, with the submitter in [proc]),
-    plus a flow step per in-context request at service start so the
-    request stitches into the dispatcher batch. [attrib] charges
-    blocking requests' waits to their flow context: ring admission and
+(** Defaults: a 64-slot ring, 8 ms average positioning, 0.5 ms when
+    sequential with the previously serviced request, 12 MB/s media
+    transfer. [trace] receives a [disk]/[read|write] span per request
+    covering queueing + positioning + transfer (emitted at completion
+    as a [complete] event, with the submitter in [proc]), plus a flow
+    step per in-context request at service start so the request
+    stitches into the dispatcher batch. [attrib] charges blocking
+    requests' waits to their flow context: ring admission and
     submission-to-service residency as [Queue], the serviced extent as
     [Disk_service]. Asynchronous submissions are never charged (their
     submitter isn't waiting). *)
@@ -68,14 +58,10 @@ val submit : ?data:string -> ?ctx:int -> t -> op:op -> file:int ->
     ring slot is held (blocking only while the ring is full). The
     callback fires at virtual completion time. It runs on the
     dispatcher fiber, so it must not block — resume a waiter or record
-    completion, nothing more. Under [`Legacy] the submission is a
-    helper fiber serialized by the device semaphore. [data] is the
-    payload recorded in the durable-write log; [ctx] (default 0) is a
-    flow context for trace stitching — pass a detached (negative)
-    context so the request joins its flow without being charged
-    attribution. *)
-
-val backend : t -> backend
+    completion, nothing more. [data] is the payload recorded in the
+    durable-write log; [ctx] (default 0) is a flow context for trace
+    stitching — pass a detached (negative) context so the request joins
+    its flow without being charged attribution. *)
 
 val positioning_s : t -> float
 val bytes_per_sec : t -> float
@@ -86,10 +72,10 @@ val refetch_time : t -> bytes:int -> float
     charges for entries whose only other copy is on this disk. *)
 
 val queue_depth : t -> int
-(** Requests submitted but not yet serviced (queued backend). *)
+(** Requests submitted but not yet serviced. *)
 
 val batches : t -> int
-(** Dispatch batches issued so far (queued backend). *)
+(** Dispatch batches issued so far. *)
 
 val batched : t -> int
 (** Requests that were serviced in a batch of two or more — the share

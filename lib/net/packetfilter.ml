@@ -11,7 +11,6 @@ type shard = {
 
 type t = {
   shards : shard array;
-  mask : int;
   (* Request-id source for early demultiplexing: when a flow allocator
      is attached (observability armed), [demux] stamps every classified
      packet train with a fresh flow id — the packet filter is where a
@@ -22,24 +21,21 @@ type t = {
 
 type verdict = Demuxed of Iolite_core.Iobuf.Pool.t | Unmatched
 
-let round_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
+(* A power of two, so the shard index is a mask of the port. *)
+let n_shards = 16
 
-let create ?(shards = 16) () =
-  let n = round_pow2 (max 1 shards) in
+let create () =
   {
     shards =
-      Array.init n (fun _ ->
+      Array.init n_shards (fun _ ->
           { flows = Hashtbl.create 64; s_lookups = 0; s_matched = 0 });
-    mask = n - 1;
     flow = None;
   }
 
 let attach_flow t flow = t.flow <- Some (flow : Iolite_obs.Flow.t)
 let detach_flow t = t.flow <- None
 
-let shard t ~port = t.shards.(port land t.mask)
+let shard t ~port = t.shards.(port land (n_shards - 1))
 
 let bind t ~port pool = Hashtbl.replace (shard t ~port).flows port pool
 let unbind t ~port = Hashtbl.remove (shard t ~port).flows port
@@ -68,5 +64,3 @@ let matched t =
 
 let flow_count t =
   Array.fold_left (fun acc s -> acc + Hashtbl.length s.flows) 0 t.shards
-
-let shard_count t = Array.length t.shards

@@ -15,11 +15,10 @@ type verdict =
   | Demuxed of Iolite_core.Iobuf.Pool.t  (** placed copy-free in the flow's pool *)
   | Unmatched  (** no filter: data must be copied at delivery *)
 
-val create : ?shards:int -> unit -> t
-(** The flow table is hash-sharded by port ([shards] rounded up to a
-    power of two, default 16): no bind or classify ever touches a table
-    sized by the whole live-connection population. [shards:1] restores
-    a single flat table (the measured baseline for the scale sweep). *)
+val create : unit -> t
+(** The flow table is hash-sharded by port into 16 shards: no bind or
+    classify ever touches a table sized by the whole live-connection
+    population. *)
 
 val bind : t -> port:int -> Iolite_core.Iobuf.Pool.t -> unit
 (** Install a filter mapping the local port to the pool. Rebinding
@@ -47,5 +46,3 @@ val lookups : t -> int
 val matched : t -> int
 val flow_count : t -> int
 (** Summed across shards at read time. *)
-
-val shard_count : t -> int

@@ -274,11 +274,7 @@ let iol_read_body ?pool proc ~file ~off ~len =
   in
   let size = file_size proc ~file in
   let len = max 0 (min len (size - off)) in
-  if
-    Kernel.readahead_enabled kernel
-    && size > extent
-    && size <= admission_limit kernel
-  then begin
+  if size > extent && size <= admission_limit kernel then begin
     ensure_range proc cache ~pool:fill_pool ~file ~size ~off ~len;
     readahead proc cache ~pool:fill_pool ~file ~size ~off ~len
   end
@@ -317,26 +313,12 @@ let iol_read ?pool proc ~file ~off ~len =
         iol_read_body ?pool proc ~file ~off ~len)
   else iol_read_body ?pool proc ~file ~off ~len
 
-(* Payload snapshot for the durable-write log / eager queue: a host
-   copy, free in simulated time (the simulated copy cost, when the
-   caller wants one, was already paid building the aggregate). *)
-let capture_bytes agg =
-  let b = Buffer.create (Iobuf.Agg.length agg) in
-  Iobuf.Agg.fold_bytes agg ~init:() ~f:(fun () data off len ->
-      Buffer.add_subbytes b data off len);
-  Buffer.contents b
-
 let iol_write_body proc ~file ~off agg =
   let kernel = Process.kernel proc in
   let sys = Kernel.sys kernel in
   let _size = file_size proc ~file in
   let len = Iobuf.Agg.length agg in
   let wb = Kernel.writeback kernel in
-  let eager_data =
-    match Writeback.mode wb with
-    | `Eager when len > 0 -> Some (capture_bytes agg)
-    | _ -> None
-  in
   (* The kernel side (filecache, write-back) gains the data by reference;
      repeated writes on the same stream hit the grant-epoch fast path. *)
   Transfer.grant sys agg ~to_:(Iosys.kernel sys);
@@ -345,17 +327,12 @@ let iol_write_body proc ~file ~off agg =
   | Some tier when len > 0 ->
     Iolite_core.Tier.invalidate tier ~file ~off ~len
   | _ -> ());
-  (match eager_data with
-  | None ->
-    (* Delayed write-back: the extent parks dirty in the cache and
-       returns at memory speed; the sync daemon clusters and flushes
-       it later (superseded if rewritten first). *)
-    Filecache.insert ~dirty:(len > 0) (Kernel.unified_cache kernel) ~file
-      ~off agg;
-    if len > 0 then Writeback.note_write wb ~file ~off ~len
-  | Some data ->
-    Filecache.insert (Kernel.unified_cache kernel) ~file ~off agg;
-    Writeback.eager_write wb ~file ~off ~len ~data);
+  (* Delayed write-back: the extent parks dirty in the cache and
+     returns at memory speed; the sync daemon clusters and flushes it
+     later (superseded if rewritten first). *)
+  Filecache.insert ~dirty:(len > 0) (Kernel.unified_cache kernel) ~file ~off
+    agg;
+  if len > 0 then Writeback.note_write wb ~file ~off ~len;
   Process.charge proc (Kernel.cost kernel).Costmodel.syscall
 
 let iol_write proc ~file ~off agg =

@@ -11,10 +11,9 @@
 
     Files larger than one extent (64 KB) are demand-paged at extent
     granularity with adaptive sequential readahead (window doubles on
-    sequential hits up to 8 extents, resets on seeks), when
-    [Kernel.config.readahead] is on. All miss fills are single-flight
-    per file: concurrent missing readers coalesce onto one disk read
-    ([cache.fill_coalesced] counts the followers). *)
+    sequential hits up to 8 extents, resets on seeks). All miss fills
+    are single-flight per file: concurrent missing readers coalesce onto
+    one disk read ([cache.fill_coalesced] counts the followers). *)
 
 exception No_such_file of int
 
@@ -45,13 +44,10 @@ val iol_read :
 val iol_write : Process.t -> file:int -> off:int -> Iolite_core.Iobuf.Agg.t -> unit
 (** Replaces the file range with the aggregate's contents (takes
     ownership). The cache entry is replaced — earlier readers keep their
-    snapshots. Write-back to disk is asynchronous: under the default
-    [`Delayed] mode the extent parks dirty in the unified cache and the
-    sync daemon later flushes it clustered with its neighbours
-    ({!Writeback}); under [`Eager] it queues to the bounded
-    single-writer fiber. Either way the caller returns at memory speed
-    unless write-throttled at the dirty hard limit (or the eager queue
-    is full). *)
+    snapshots. Write-back to disk is delayed: the extent parks dirty in
+    the unified cache and the sync daemon later flushes it clustered
+    with its neighbours ({!Writeback}). The caller returns at memory
+    speed unless write-throttled at the dirty hard limit. *)
 
 val fsync : Process.t -> file:int -> unit
 (** Flush [file]'s buffered writes and block until they are durable.

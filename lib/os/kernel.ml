@@ -11,12 +11,7 @@ type config = {
   cost : Costmodel.t;
   cksum_cache_enabled : bool;
   cache_policy : Policy.t;
-  filter_shards : int;
   seed : int64;
-  disk_backend : Iolite_fs.Disk.backend;
-  readahead : bool;
-  swap_writeback : bool;
-  write_mode : Writeback.mode;
   flush_interval : float;
   dirty_hi_ratio : float;
   dirty_hard_ratio : float;
@@ -39,12 +34,7 @@ let default_config () =
     cost = Costmodel.default;
     cksum_cache_enabled = true;
     cache_policy = Policy.lru ();
-    filter_shards = 16;
     seed = 0x10117EL;
-    disk_backend = `Queued;
-    readahead = true;
-    swap_writeback = true;
-    write_mode = `Delayed;
     flush_interval = Writeback.default_config.Writeback.wb_flush_interval;
     dirty_hi_ratio = Writeback.default_config.Writeback.wb_hi_ratio;
     dirty_hard_ratio = Writeback.default_config.Writeback.wb_hard_ratio;
@@ -130,8 +120,7 @@ let create ?config engine =
       done;
       !freed);
   let disk =
-    Iolite_fs.Disk.create ~backend:config.disk_backend
-      ~trace:(Iosys.trace sys) ~attrib:(Iosys.attrib sys) ()
+    Iolite_fs.Disk.create ~trace:(Iosys.trace sys) ~attrib:(Iosys.attrib sys) ()
   in
   if config.log_durable_writes then Iolite_fs.Disk.set_write_log disk true;
   let writeback =
@@ -141,8 +130,7 @@ let create ?config engine =
       ~budget:(fun () -> Physmem.io_budget (Iosys.physmem sys))
       {
         Writeback.default_config with
-        Writeback.wb_mode = config.write_mode;
-        wb_flush_interval = config.flush_interval;
+        Writeback.wb_flush_interval = config.flush_interval;
         wb_hi_ratio = config.dirty_hi_ratio;
         wb_hard_ratio = config.dirty_hard_ratio;
       }
@@ -207,7 +195,7 @@ let create ?config engine =
       conv_cache;
       cksum_cache =
         Iolite_net.Cksum.Cache.create ~enabled:config.cksum_cache_enabled ();
-      filter = Iolite_net.Packetfilter.create ~shards:config.filter_shards ();
+      filter = Iolite_net.Packetfilter.create ();
       page_pool =
         Iolite_core.Iobuf.Pool.create sys ~name:"vm_pages" ~acl:Vm.Public;
       file_pool =
@@ -230,61 +218,59 @@ let create ?config engine =
       metadata_wired = 0;
     }
   in
-  if config.swap_writeback then begin
-    (* Pageout victim writes and fault swap-ins go to the swap
-       partition through the disk. Swap slots are handed out from a
-       rotating cursor, so one reclaim round's victims are contiguous
-       and batch into (mostly) sequential device traffic. *)
-    let module Sync = Iolite_sim.Sync in
-    let module Proc = Iolite_sim.Engine.Proc in
-    let swap_cv = Sync.Condvar.create () in
-    Iolite_mem.Pageout.set_swapper (Iosys.pageout sys)
-      {
-        Iolite_mem.Pageout.swap_out =
-          (fun ~bytes ~on_done ->
-            if Proc.running () then begin
-              let off = t.swap_cursor in
-              t.swap_cursor <- off + bytes;
-              Iolite_fs.Disk.submit t.disk ~op:`Write ~file:swap_file ~off
-                ~bytes (fun () ->
-                  on_done ();
-                  Sync.Condvar.broadcast swap_cv);
-              true
-            end
-            else false);
-        swap_wait =
-          (fun done_ ->
-            while not (done_ ()) do
-              Sync.Condvar.wait swap_cv
-            done);
-      };
-    (* Swap-in: a fault on a paged-out chunk reads it back, suspending
-       exactly the faulting process. The slot offset is modeled as the
-       tail of the swapped region. *)
-    Vm.set_pager (Iosys.vm sys) (fun ~pages ->
-        if Proc.running () then begin
-          let bytes = pages * Iolite_mem.Page.page_size in
-          Iolite_obs.Metrics.incr (Iosys.metrics sys) "vm.swap_in";
-          let swap_in () =
-            Iolite_fs.Disk.read t.disk ~file:swap_file
-              ~off:(max 0 (t.swap_cursor - bytes))
-              ~bytes
-          in
-          let a = Iosys.attrib sys in
-          let ctx = if Iolite_obs.Attrib.enabled a then Iolite_obs.Attrib.here a else 0 in
-          if ctx > 0 then begin
-            (* The faulting request stalls for the swap-in; charge the
-               whole read as [Vm_stall] and run it under a detached
-               context so the disk layer doesn't also charge its queue
-               and service components (the flow still stitches). *)
-            let t0 = Iolite_obs.Attrib.now a in
-            Proc.with_ctx (Iolite_obs.Flow.detach ctx) swap_in;
-            Iolite_obs.Attrib.note a ~ctx Iolite_obs.Attrib.Vm_stall
-              (Iolite_obs.Attrib.now a -. t0)
+  (* Pageout victim writes and fault swap-ins go to the swap
+     partition through the disk. Swap slots are handed out from a
+     rotating cursor, so one reclaim round's victims are contiguous
+     and batch into (mostly) sequential device traffic. *)
+  let module Sync = Iolite_sim.Sync in
+  let module Proc = Iolite_sim.Engine.Proc in
+  let swap_cv = Sync.Condvar.create () in
+  Iolite_mem.Pageout.set_swapper (Iosys.pageout sys)
+    {
+      Iolite_mem.Pageout.swap_out =
+        (fun ~bytes ~on_done ->
+          if Proc.running () then begin
+            let off = t.swap_cursor in
+            t.swap_cursor <- off + bytes;
+            Iolite_fs.Disk.submit t.disk ~op:`Write ~file:swap_file ~off
+              ~bytes (fun () ->
+                on_done ();
+                Sync.Condvar.broadcast swap_cv);
+            true
           end
-          else swap_in ()
-        end)
-  end;
+          else false);
+      swap_wait =
+        (fun done_ ->
+          while not (done_ ()) do
+            Sync.Condvar.wait swap_cv
+          done);
+    };
+  (* Swap-in: a fault on a paged-out chunk reads it back, suspending
+     exactly the faulting process. The slot offset is modeled as the
+     tail of the swapped region. *)
+  Vm.set_pager (Iosys.vm sys) (fun ~pages ->
+      if Proc.running () then begin
+        let bytes = pages * Iolite_mem.Page.page_size in
+        Iolite_obs.Metrics.incr (Iosys.metrics sys) "vm.swap_in";
+        let swap_in () =
+          Iolite_fs.Disk.read t.disk ~file:swap_file
+            ~off:(max 0 (t.swap_cursor - bytes))
+            ~bytes
+        in
+        let a = Iosys.attrib sys in
+        let ctx = if Iolite_obs.Attrib.enabled a then Iolite_obs.Attrib.here a else 0 in
+        if ctx > 0 then begin
+          (* The faulting request stalls for the swap-in; charge the
+             whole read as [Vm_stall] and run it under a detached
+             context so the disk layer doesn't also charge its queue
+             and service components (the flow still stitches). *)
+          let t0 = Iolite_obs.Attrib.now a in
+          Proc.with_ctx (Iolite_obs.Flow.detach ctx) swap_in;
+          Iolite_obs.Attrib.note a ~ctx Iolite_obs.Attrib.Vm_stall
+            (Iolite_obs.Attrib.now a -. t0)
+        end
+        else swap_in ()
+      end);
   (* VM operations and data touches accumulate CPU work; syscall
      wrappers charge it to the calling process. *)
   Vm.set_on_op (Iosys.vm sys) (fun op ~pages ->
@@ -395,7 +381,6 @@ let add_file t ~name ~size =
 let metrics t = Iosys.metrics t.sys
 let net_sites t = t.net_sites
 let trace t = Iosys.trace t.sys
-let readahead_enabled t = t.config.readahead
 
 let ra_state t ~file =
   match Hashtbl.find_opt t.ra file with

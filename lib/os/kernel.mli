@@ -12,7 +12,15 @@
       copy into wired mbuf clusters; pipes copy twice.
 
     Both configurations coexist in one kernel object so ablations can mix
-    paths; the server implementations choose per call. *)
+    paths; the server implementations choose per call.
+
+    Both share one storage path: the queued disk ({!Iolite_fs.Disk}),
+    per-file sequential readahead on the [IOL_read] miss path (the
+    window doubles on sequential hits and resets on seeks), delayed
+    clustered write-back ({!Writeback}), and a swap partition on the
+    disk that takes pageout victim writes (submitted asynchronously per
+    reclaim round, joined at the end) and fault swap-ins (which suspend
+    only the faulting process). *)
 
 type config = {
   mem_capacity : int;  (** physical memory, default 128 MB *)
@@ -21,26 +29,7 @@ type config = {
   cost : Costmodel.t;
   cksum_cache_enabled : bool;
   cache_policy : Iolite_core.Policy.t;  (** for the unified cache *)
-  filter_shards : int;  (** packet-filter flow-table shards, default 16 *)
   seed : int64;
-  disk_backend : Iolite_fs.Disk.backend;
-      (** [`Queued] (default): batched submission/completion ring with
-          elevator dispatch; [`Legacy]: the semaphore-serialized FIFO
-          device (the pre-async baseline). *)
-  readahead : bool;
-      (** Per-file sequential readahead on the [IOL_read] miss path
-          (default [true]); the window adapts — doubling on sequential
-          hits, resetting on seeks. *)
-  swap_writeback : bool;
-      (** Model pageout victim writes and fault swap-ins against a
-          swap partition on the disk (default [true]). Victim writes
-          are submitted asynchronously per reclaim round and joined at
-          the end; swap-ins suspend only the faulting process. *)
-  write_mode : Writeback.mode;
-      (** [`Delayed] (default): [IOL_write] parks dirty extents in the
-          cache and the sync daemon flushes them clustered.
-          [`Eager]: write-through via the bounded single-writer queue
-          (the pre-delayed cost model). *)
   flush_interval : float;  (** sync-daemon period, default 0.5 s *)
   dirty_hi_ratio : float;
       (** dirty-byte fraction of the I/O budget that starts an early
@@ -144,8 +133,6 @@ type ra = {
 val ra_state : t -> file:int -> ra
 (** The file's readahead state, created on first use
     ([ra_next = 0], [ra_window = 1]). *)
-
-val readahead_enabled : t -> bool
 
 (** {2 Observability} *)
 

@@ -1,5 +1,4 @@
 module Engine = Iolite_sim.Engine
-module Proc = Engine.Proc
 module Sync = Iolite_sim.Sync
 module Filecache = Iolite_core.Filecache
 module Disk = Iolite_fs.Disk
@@ -9,35 +8,27 @@ module Flow = Iolite_obs.Flow
 
 let log = Iolite_util.Logging.src "writeback"
 
-type mode = [ `Delayed | `Eager ]
-
 type config = {
-  wb_mode : mode;
   wb_flush_interval : float;
   wb_hi_ratio : float;
   wb_hard_ratio : float;
   wb_max_cluster : int;
-  wb_eager_qdepth : int;
 }
 
 let default_config =
   {
-    wb_mode = `Delayed;
     wb_flush_interval = 0.5;
     wb_hi_ratio = 0.25;
     wb_hard_ratio = 0.5;
     wb_max_cluster = Iolite_core.Iobuf.Pool.max_alloc;
-    wb_eager_qdepth = 64;
   }
 
 type cells = {
   wc_delayed : int ref; (* write.delayed: writes parked in the cache *)
-  wc_eager : int ref; (* write.eager: writes routed to the eager fiber *)
   wc_flushes : int ref; (* write.flushes: flush rounds submitting >= 1 cluster *)
   wc_cluster_writes : int ref; (* write.cluster_writes: clustered disk requests *)
   wc_clustered : int ref; (* write.clustered: extents riding multi-extent clusters *)
   wc_throttled : int ref; (* write.throttled: writers blocked at the hard limit *)
-  wc_eager_blocked : int ref; (* write.eager_blocked: eager queue backpressure *)
   wc_fsync : int ref; (* write.fsync *)
 }
 
@@ -60,13 +51,6 @@ type t = {
   mutable inflight_total : int;
   durable_cv : Sync.Condvar.t; (* fsync/sync waiters *)
   throttle_cv : Sync.Condvar.t; (* writers parked at the hard limit *)
-  (* Eager mode: one writer fiber drains a bounded queue (replacing the
-     old fiber-per-write spawn). [eager_slots] bounds queued-but-not-
-     yet-dequeued writes; submitters block while it is exhausted. *)
-  eq : (int * int * int * string) Queue.t; (* file, off, len, payload *)
-  queued : (int, int) Hashtbl.t; (* file -> queued eager writes *)
-  mutable eager_running : bool;
-  eager_slots : Sync.Semaphore.t;
   (* NVMM write-ahead staging (the second cache tier): each cluster
      payload is copied there before the disk write is submitted and
      unpinned when it completes, so evicted-then-reread dirty data can
@@ -87,12 +71,10 @@ let create ~engine ~disk ~cache ~metrics ~trace ~flow ~budget cfg =
     cells =
       {
         wc_delayed = Metrics.counter metrics "write.delayed";
-        wc_eager = Metrics.counter metrics "write.eager";
         wc_flushes = Metrics.counter metrics "write.flushes";
         wc_cluster_writes = Metrics.counter metrics "write.cluster_writes";
         wc_clustered = Metrics.counter metrics "write.clustered";
         wc_throttled = Metrics.counter metrics "write.throttled";
-        wc_eager_blocked = Metrics.counter metrics "write.eager_blocked";
         wc_fsync = Metrics.counter metrics "write.fsync";
       };
     timer = None;
@@ -102,16 +84,11 @@ let create ~engine ~disk ~cache ~metrics ~trace ~flow ~budget cfg =
     inflight_total = 0;
     durable_cv = Sync.Condvar.create ();
     throttle_cv = Sync.Condvar.create ();
-    eq = Queue.create ();
-    queued = Hashtbl.create 16;
-    eager_running = false;
-    eager_slots = Sync.Semaphore.create (max 1 cfg.wb_eager_qdepth);
     tier = None;
   }
 
 let set_tier t tier = t.tier <- Some tier
 
-let mode t = t.cfg.wb_mode
 let hard_limit t = int_of_float (t.cfg.wb_hard_ratio *. float_of_int (t.budget ()))
 let hi_limit t = int_of_float (t.cfg.wb_hi_ratio *. float_of_int (t.budget ()))
 
@@ -304,7 +281,7 @@ let evict_flush t ~file =
     Engine.spawn ~name:"wb-evict-flush" t.engine (fun () ->
         submit_clusters t ~reason:"evict" clusters)
 
-(* Per-write notification (delayed mode), called by [Fileio.iol_write]
+(* Per-write notification, called by [Fileio.iol_write]
    after the dirty insert: arms the daemon, fires the high-watermark
    early flush, and blocks the writer at the hard limit (the CAWL
    disk-bound regime: above the dirty threshold every writer runs at
@@ -326,35 +303,6 @@ let note_write t ~file ~off ~len =
     done
   end
 
-(* ------------------------------ eager ------------------------------ *)
-
-let rec eager_drain t =
-  match Queue.take_opt t.eq with
-  | None -> t.eager_running <- false
-  | Some (file, off, len, data) ->
-    bump t.queued file (-1);
-    bump t.inflight file 1;
-    t.inflight_total <- t.inflight_total + 1;
-    (* The slot frees at dequeue: the bound covers queued writes. *)
-    Sync.Semaphore.release t.eager_slots;
-    Disk.write ~data t.disk ~file ~off ~bytes:len;
-    bump t.inflight file (-1);
-    t.inflight_total <- t.inflight_total - 1;
-    Sync.Condvar.broadcast t.durable_cv;
-    eager_drain t
-
-let eager_write t ~file ~off ~len ~data =
-  incr t.cells.wc_eager;
-  if Sync.Semaphore.available t.eager_slots = 0 then
-    incr t.cells.wc_eager_blocked;
-  Sync.Semaphore.acquire t.eager_slots;
-  bump t.queued file 1;
-  Queue.push (file, off, len, data) t.eq;
-  if not t.eager_running then begin
-    t.eager_running <- true;
-    Proc.spawn ~name:"eager-writer" (fun () -> eager_drain t)
-  end
-
 (* ------------------------------ syncs ------------------------------ *)
 
 (* Block the caller on this file's in-flight set only: the wait
@@ -364,16 +312,10 @@ let eager_write t ~file ~off ~len ~data =
    completions arrive cluster by cluster). *)
 let fsync t ~file =
   incr t.cells.wc_fsync;
-  let flush () =
-    match t.cfg.wb_mode with
-    | `Delayed -> submit_clusters t ~reason:"fsync" (collect t ~file)
-    | `Eager -> ()
-  in
+  let flush () = submit_clusters t ~reason:"fsync" (collect t ~file) in
   flush ();
   while
-    Filecache.file_dirty_bytes t.cache ~file > 0
-    || count t.inflight file > 0
-    || count t.queued file > 0
+    Filecache.file_dirty_bytes t.cache ~file > 0 || count t.inflight file > 0
   do
     Sync.Condvar.wait t.durable_cv;
     (* Re-collect: runs vetoed by an in-flight overlap — or written
@@ -384,24 +326,12 @@ let fsync t ~file =
 
 let sync t =
   incr t.cells.wc_fsync;
-  let flush () =
-    match t.cfg.wb_mode with
-    | `Delayed -> flush_round t ~reason:"sync"
-    | `Eager -> ()
-  in
-  flush ();
-  while
-    Filecache.dirty_bytes t.cache > 0
-    || t.inflight_total > 0
-    || not (Queue.is_empty t.eq)
-  do
+  flush_round t ~reason:"sync";
+  while Filecache.dirty_bytes t.cache > 0 || t.inflight_total > 0 do
     Sync.Condvar.wait t.durable_cv;
-    flush ()
+    flush_round t ~reason:"sync"
   done
 
-let quiescent t =
-  Filecache.dirty_bytes t.cache = 0
-  && t.inflight_total = 0
-  && Queue.is_empty t.eq
+let quiescent t = Filecache.dirty_bytes t.cache = 0 && t.inflight_total = 0
 
 let inflight_clusters t ~file = count t.inflight file

@@ -2,11 +2,11 @@
     write path, grown the rest of the way to Unix's [bdwrite]/B_DELWRI
     scheme).
 
-    [IOL_write] no longer spawns a disk fiber per call. In [`Delayed]
-    mode (default) the written aggregate parks in the file cache as a
-    dirty extent and the writer returns at memory speed; a sync daemon
-    — a re-armed cancelable timer, so an idle system's event queue
-    still drains — later walks the per-file interval index, merges
+    [IOL_write] no longer spawns a disk fiber per call: the written
+    aggregate parks in the file cache as a dirty extent and the writer
+    returns at memory speed; a sync daemon — a re-armed cancelable
+    timer, so an idle system's event queue still drains — later walks
+    the per-file interval index, merges
     runs of adjacent dirty extents into extent-sized contiguous disk
     requests ({!Iolite_core.Filecache.collect_dirty}), and submits the
     whole round back to back through the async ring so the C-SCAN
@@ -23,30 +23,22 @@
       write throughput degrades from memory speed to drain speed;
     - a {b dirty cache victim} triggers {!evict_flush} (wired via
       {!Iolite_core.Filecache.set_evict_flusher}), so pageout forces a
-      clustered write-back instead of losing buffered writes.
-
-    [`Eager] mode preserves the old write-through cost model but fixes
-    its unbounded fiber spawn: writes queue (bounded, blocking when
-    full) to one writer fiber. *)
+      clustered write-back instead of losing buffered writes. *)
 
 type t
 
-type mode = [ `Delayed | `Eager ]
-
 type config = {
-  wb_mode : mode;
   wb_flush_interval : float;  (** sync-daemon period, seconds *)
   wb_hi_ratio : float;
       (** dirty/[budget] fraction that starts an early flush; set [>=
           wb_hard_ratio] to disable the watermark (CAWL sweeps do) *)
   wb_hard_ratio : float;  (** dirty fraction that blocks writers *)
   wb_max_cluster : int;  (** clustered-request size cap, bytes *)
-  wb_eager_qdepth : int;  (** eager-mode writer queue bound *)
 }
 
 val default_config : config
-(** [`Delayed], 0.5 s interval, hi/hard ratios 0.25/0.5, extent-sized
-    ([Iobuf.Pool.max_alloc]) clusters, 64-deep eager queue. *)
+(** 0.5 s interval, hi/hard ratios 0.25/0.5, extent-sized
+    ([Iobuf.Pool.max_alloc]) clusters. *)
 
 val create :
   engine:Iolite_sim.Engine.t ->
@@ -62,8 +54,6 @@ val create :
     kernel passes [Physmem.io_budget]). The caller wires
     {!evict_flush} into the cache's evict-flusher hook. *)
 
-val mode : t -> mode
-
 val set_tier : t -> Iolite_core.Tier.t -> unit
 (** Arm NVMM write-ahead staging: every flushed cluster's payload is
     {!Iolite_core.Tier.stage}d (pinned, tagged with the cluster's
@@ -72,16 +62,11 @@ val set_tier : t -> Iolite_core.Tier.t -> unit
     doubling as the tier's write-ahead log. *)
 
 val note_write : t -> file:int -> off:int -> len:int -> unit
-(** Delayed-mode write notification, called after the dirty insert:
+(** Write notification, called after the dirty insert:
     arms the daemon, kicks an early flush past the high watermark, and
     blocks the caller while dirty bytes exceed the hard limit
     (counting [write.throttled]). Must run inside a simulation
     process. *)
-
-val eager_write : t -> file:int -> off:int -> len:int -> data:string -> unit
-(** Eager-mode write: enqueue to the single writer fiber, blocking
-    while the bounded queue is full (counting [write.eager_blocked]).
-    Durability then follows queue order; {!fsync} observes it. *)
 
 val kick : ?reason:string -> t -> unit
 (** Start a flush round now (an engine fiber; coalesced if one is
@@ -101,7 +86,7 @@ val evict_flush : t -> file:int -> unit
     fresh fiber. *)
 
 val quiescent : t -> bool
-(** No dirty bytes, no in-flight clustered writes, empty eager queue. *)
+(** No dirty bytes and no in-flight clustered writes. *)
 
 val inflight_clusters : t -> file:int -> int
 (** In-flight clustered writes of one file (test support). *)

@@ -1,5 +1,3 @@
-type timer_backend = [ `Wheel | `Heap ]
-
 type t = {
   mutable clock : float;
   mutable seq : int;
@@ -7,7 +5,6 @@ type t = {
   mutable fctx : int; (* flow context of the running process, 0 = none *)
   queue : (unit -> unit) Heap.t;
   wheel : (unit -> unit) Twheel.t;
-  backend : timer_backend;
   mutable live_timers : int;
 }
 
@@ -22,7 +19,7 @@ type _ Effect.t +=
   | E_engine : t Effect.t
   | E_self : string option Effect.t
 
-let create ?(timer_backend = `Wheel) ?(timer_tick = 1e-3) () =
+let create ?(timer_tick = 1e-3) () =
   {
     clock = 0.0;
     seq = 0;
@@ -30,7 +27,6 @@ let create ?(timer_backend = `Wheel) ?(timer_tick = 1e-3) () =
     fctx = 0;
     queue = Heap.create ();
     wheel = Twheel.create ~tick:timer_tick ();
-    backend = timer_backend;
     live_timers = 0;
   }
 
@@ -38,7 +34,6 @@ let now t = t.clock
 let current_name t = t.current
 let ctx t = t.fctx
 let set_ctx t c = t.fctx <- c
-let timer_backend t = t.backend
 
 let schedule t time thunk =
   let seq = t.seq in
@@ -123,11 +118,9 @@ let spawn ?name t f = schedule t t.clock (fun () -> exec t name 0 f)
 
 let spawn_at ?name t time f = schedule t time (fun () -> exec t name 0 f)
 
-(* Coarse cancelable timers. On the wheel backend the deadline is
-   quantized up to the wheel tick (never fires early); insert and
-   cancel are O(1) regardless of how many timers are pending. The heap
-   backend keeps exact deadlines and O(log n) insert with tombstone
-   cancel — it exists as the measured baseline for the scale sweep. *)
+(* Coarse cancelable timers: the deadline is quantized up to the wheel
+   tick (never fires early); insert and cancel are O(1) regardless of
+   how many timers are pending. *)
 let schedule_cancelable ?name t time f =
   let tm = { t_pending = true; t_cancel = (fun () -> false) } in
   let body () =
@@ -136,19 +129,12 @@ let schedule_cancelable ?name t time f =
     exec t name 0 f
   in
   t.live_timers <- t.live_timers + 1;
-  (match t.backend with
-  | `Wheel ->
-    let tick =
-      max (Twheel.current_tick t.wheel)
-        (Twheel.tick_of_time t.wheel (Float.max time t.clock))
-    in
-    let h = Twheel.add t.wheel ~tick body in
-    tm.t_cancel <- (fun () -> Twheel.cancel t.wheel h)
-  | `Heap ->
-    let seq = t.seq in
-    t.seq <- seq + 1;
-    let e = Heap.push_entry t.queue ~time:(Float.max time t.clock) ~seq body in
-    tm.t_cancel <- (fun () -> Heap.cancel t.queue e));
+  let tick =
+    max (Twheel.current_tick t.wheel)
+      (Twheel.tick_of_time t.wheel (Float.max time t.clock))
+  in
+  let h = Twheel.add t.wheel ~tick body in
+  tm.t_cancel <- (fun () -> Twheel.cancel t.wheel h);
   tm
 
 let cancel_timer t tm =

@@ -10,16 +10,11 @@
 
 type t
 
-type timer_backend = [ `Wheel | `Heap ]
-
-val create : ?timer_backend:timer_backend -> ?timer_tick:float -> unit -> t
-(** [timer_backend] selects the structure behind
-    {!schedule_cancelable}: [`Wheel] (default) is a hierarchical timer
-    wheel with O(1) insert/cancel and deadlines quantized up to
-    [timer_tick] seconds (default 1 ms); [`Heap] keeps exact deadlines
-    in the event heap with O(log n) insert and tombstone cancel, and
-    exists as the measured baseline for the scale sweep. Plain
-    [spawn]/[sleep] events always use the heap. *)
+val create : ?timer_tick:float -> unit -> t
+(** [timer_tick] (default 1 ms) is the resolution of the hierarchical
+    timer wheel behind {!schedule_cancelable}: O(1) insert/cancel, with
+    deadlines quantized up to a whole tick. Plain [spawn]/[sleep]
+    events use an exact event heap. *)
 
 val now : t -> float
 (** Current virtual time (for use from outside a process). *)
@@ -37,7 +32,8 @@ val run : ?until:float -> t -> unit
     propagate out of [run]. *)
 
 val pending : t -> int
-(** Number of queued events, cancelled timers excluded (diagnostic). *)
+(** Number of queued heap events; wheel timers are counted by
+    {!pending_timers} (diagnostic). *)
 
 type timer
 (** A cancelable coarse timer (see {!schedule_cancelable}). *)
@@ -45,23 +41,20 @@ type timer
 val schedule_cancelable :
   ?name:string -> t -> float -> (unit -> unit) -> timer
 (** [schedule_cancelable t time f] runs [f] as a process at absolute
-    virtual time [time] (quantized up to the wheel tick on the [`Wheel]
-    backend — never early). Returns a handle for {!cancel_timer}.
-    Insert is O(1) on the wheel backend regardless of the pending
-    population; intended for the huge sets of coarse TCP/connection
-    timeouts that are usually cancelled before they fire. *)
+    virtual time [time], quantized up to the wheel tick (never early).
+    Returns a handle for {!cancel_timer}. Insert is O(1) regardless of
+    the pending population; intended for the huge sets of coarse
+    TCP/connection timeouts that are usually cancelled before they
+    fire. *)
 
 val cancel_timer : t -> timer -> bool
-(** O(1) on the wheel backend. [false] if the timer already fired or
-    was already cancelled. Cancelled heap-backend timers become
-    tombstones dropped lazily by the run loop (no re-heapify). *)
+(** O(1). [false] if the timer already fired or was already
+    cancelled. *)
 
 val timer_pending : timer -> bool
 
 val pending_timers : t -> int
 (** Live timers scheduled via {!schedule_cancelable}. *)
-
-val timer_backend : t -> timer_backend
 
 val current_name : t -> string option
 (** Name of the process currently executing inside [run], as given to

@@ -1,21 +1,11 @@
-type 'a entry = {
-  time : float;
-  seq : int;
-  value : 'a;
-  mutable state : int; (* 0 = live, 1 = cancelled, 2 = popped *)
-}
+type 'a entry = { time : float; seq : int; value : 'a }
 
-type 'a t = {
-  mutable data : 'a entry array;
-  mutable len : int;
-  mutable live : int; (* entries neither cancelled nor popped *)
-}
+type 'a t = { mutable data : 'a entry array; mutable len : int }
 
-let create () = { data = [||]; len = 0; live = 0 }
+let create () = { data = [||]; len = 0 }
 
-let is_empty t = t.live = 0
-let size t = t.live
-let raw_size t = t.len
+let is_empty t = t.len = 0
+let size t = t.len
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -28,12 +18,11 @@ let grow t entry =
     t.data <- ndata
   end
 
-let push_entry t ~time ~seq value =
-  let entry = { time; seq; value; state = 0 } in
+let push t ~time ~seq value =
+  let entry = { time; seq; value } in
   grow t entry;
   t.data.(t.len) <- entry;
   t.len <- t.len + 1;
-  t.live <- t.live + 1;
   (* Sift up. *)
   let i = ref (t.len - 1) in
   while
@@ -47,65 +36,33 @@ let push_entry t ~time ~seq value =
     t.data.(!i) <- t.data.(parent);
     t.data.(parent) <- tmp;
     i := parent
-  done;
-  entry
+  done
 
-let push t ~time ~seq value = ignore (push_entry t ~time ~seq value)
-
-(* O(1): mark the entry dead in place. It stays in the array as a
-   tombstone and is dropped lazily when it reaches the root, so no
-   re-heapify happens at cancel time. *)
-let cancel t entry =
-  if entry.state <> 0 then false
-  else begin
-    entry.state <- 1;
-    t.live <- t.live - 1;
-    true
-  end
-
-let pop_root t =
-  let top = t.data.(0) in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.data.(0) <- t.data.(t.len);
-    (* Sift down. *)
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.len && less t.data.(l) t.data.(!smallest) then smallest := l;
-      if r < t.len && less t.data.(r) t.data.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = t.data.(!i) in
-        t.data.(!i) <- t.data.(!smallest);
-        t.data.(!smallest) <- tmp;
-        i := !smallest
-      end
-    done
-  end;
-  top
-
-(* Drop cancelled tombstones sitting at the root. Each one costs a
-   single O(log n) pop, paid at most once per cancelled entry, so the
-   amortized overhead of cancellation stays O(log n). *)
-let rec pop t =
+let pop t =
   if t.len = 0 then None
   else begin
-    let top = pop_root t in
-    if top.state <> 0 then pop t
-    else begin
-      top.state <- 2;
-      t.live <- t.live - 1;
-      Some (top.time, top.seq, top.value)
-    end
+    let top = t.data.(0) in
+    t.len <- t.len - 1;
+    if t.len > 0 then begin
+      t.data.(0) <- t.data.(t.len);
+      (* Sift down. *)
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < t.len && less t.data.(l) t.data.(!smallest) then smallest := l;
+        if r < t.len && less t.data.(r) t.data.(!smallest) then smallest := r;
+        if !smallest = !i then continue := false
+        else begin
+          let tmp = t.data.(!i) in
+          t.data.(!i) <- t.data.(!smallest);
+          t.data.(!smallest) <- tmp;
+          i := !smallest
+        end
+      done
+    end;
+    Some (top.time, top.seq, top.value)
   end
 
-let rec peek_time t =
-  if t.len = 0 then None
-  else if t.data.(0).state <> 0 then begin
-    ignore (pop_root t);
-    peek_time t
-  end
-  else Some t.data.(0).time
+let peek_time t = if t.len = 0 then None else Some t.data.(0).time

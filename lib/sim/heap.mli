@@ -1,39 +1,21 @@
 (** Minimal binary min-heap keyed by [(time, sequence)].
 
     The sequence number makes the ordering total and FIFO-stable for
-    simultaneous events, which keeps every simulation deterministic.
-
-    Entries can be cancelled in O(1): cancellation marks the entry as a
-    tombstone in place, and [pop]/[peek_time] drop tombstones lazily
-    when they surface at the root (O(log n) amortized per cancelled
-    entry, no eager re-heapify). *)
+    simultaneous events, which keeps every simulation deterministic. *)
 
 type 'a t
-
-type 'a entry
-(** Handle to a pushed element, usable for cancellation. *)
 
 val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int
-(** Number of live (not cancelled, not popped) entries. *)
-
-val raw_size : 'a t -> int
-(** Number of array slots in use, tombstones included (diagnostic). *)
+(** Number of entries pushed and not yet popped. *)
 
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
-val push_entry : 'a t -> time:float -> seq:int -> 'a -> 'a entry
-(** Like [push] but returns a handle for [cancel]. *)
-
-val cancel : 'a t -> 'a entry -> bool
-(** Marks the entry as a tombstone. Returns [false] if it already
-    popped or was already cancelled. O(1). *)
-
 val pop : 'a t -> (float * int * 'a) option
-(** Removes and returns the minimum live element. *)
+(** Removes and returns the minimum element. *)
 
 val peek_time : 'a t -> float option
-(** Time of the minimum live element. *)
+(** Time of the minimum element. *)

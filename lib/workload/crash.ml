@@ -226,19 +226,24 @@ let run_one ?(cfg = default_workload) ~seed ~frac () =
 
 (* [runs] randomized crash points: seeds vary the workload, the crash
    fraction sweeps (0, 1] — early crashes land mid-first-flush, late
-   ones mid-final-fsync. The recording pass is shared per seed. *)
+   ones mid-final-fsync. The recording pass is shared per seed. The
+   first [runs mod seeds] seeds take one extra point, so exactly [runs]
+   points run. *)
 let run_many ?(cfg = default_workload) ?(seeds = 25) ?(runs = 1000) () =
-  let points_per_seed = max 1 (runs / max 1 seeds) in
+  let per_seed = runs / max 1 seeds and extra = runs mod max 1 seeds in
   let durable_min = ref max_int in
   let durable_max = ref 0 in
   let points = ref 0 in
   let durable_total = ref 0 in
   let failures = ref [] in
-  for s = 0 to seeds - 1 do
+  (* With fewer runs than seeds, only the first [runs] seeds get a
+     point; the rest are not recorded at all. *)
+  for s = 0 to min seeds runs - 1 do
+    let seed_points = per_seed + if s < extra then 1 else 0 in
     let seed = Int64.of_int (0x5EED + (s * 7919)) in
     let _k, history = run_workload ~seed cfg in
     let prng = Rng.create (Int64.add seed 1L) in
-    for _ = 1 to points_per_seed do
+    for _ = 1 to seed_points do
       let frac = 0.02 +. Rng.float prng 0.98 in
       let crash_t = frac *. history.h_end in
       let kernel, _ = run_workload ~until:crash_t ~seed cfg in

@@ -80,8 +80,9 @@ type result = {
 }
 
 val run_many : ?cfg:wl_config -> ?seeds:int -> ?runs:int -> unit -> result
-(** [runs] randomized crash points spread over [seeds] distinct
-    workloads (default 1000 over 25); the recording pass is shared per
-    seed and crash fractions sweep (0, 1]. *)
+(** Exactly [runs] randomized crash points spread over [seeds] distinct
+    workloads (default 1000 over 25; the first [runs mod seeds] seeds
+    take one extra point); the recording pass is shared per seed and
+    crash fractions sweep (0, 1]. *)
 
 val print : result -> unit

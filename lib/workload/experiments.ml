@@ -901,7 +901,6 @@ let smoke ?(tracing = true) () =
 
 type c1m_point = {
   c1m_conns : int;
-  c1m_label : string;
   c1m_requests : int;
   c1m_sim_rps : float;
   c1m_wall_ns_per_req : float;
@@ -915,18 +914,11 @@ type c1m_point = {
   c1m_idle_closed : int;
 }
 
-let c1m ?(baseline = false) ?(requests = 50_000) ~conns () =
+let c1m ?(requests = 50_000) ~conns () =
   let module Http = Iolite_httpd.Http in
   let module Sock = Iolite_os.Sock in
-  let label = if baseline then "heap-flat" else "wheel-sharded" in
-  let shards = if baseline then 1 else 16 in
-  let engine =
-    Engine.create ~timer_backend:(if baseline then `Heap else `Wheel) ()
-  in
-  let config =
-    { (Kernel.default_config ()) with Kernel.filter_shards = shards }
-  in
-  let kernel = Kernel.create ~config engine in
+  let engine = Engine.create () in
+  let kernel = Kernel.create engine in
   let nfiles = 64 in
   let sizes = [| 512; 1024; 2048; 4096; 8192; 16384 |] in
   for i = 0 to nfiles - 1 do
@@ -936,8 +928,7 @@ let c1m ?(baseline = false) ?(requests = 50_000) ~conns () =
          ~size:sizes.(i mod Array.length sizes))
   done;
   let flash =
-    Flash.start ~variant:Flash.Iolite ~lat_shards:shards ~conn_shards:shards
-      ~idle_timeout:3600.0 kernel ~port:80
+    Flash.start ~variant:Flash.Iolite ~idle_timeout:3600.0 kernel ~port:80
   in
   let listener = Flash.listener flash in
   let reqs =
@@ -998,7 +989,7 @@ let c1m ?(baseline = false) ?(requests = 50_000) ~conns () =
               peak_timers := Engine.pending_timers engine;
               (* Timer churn at full population: the cancel+insert pair
                  every idle-timer re-arm performs, measured in isolation
-                 while the backend holds [conns] pending timeouts. *)
+                 while the wheel holds [conns] pending timeouts. *)
               let ops = 100_000 in
               let due = Engine.now engine +. 1800.0 in
               let ct0 = Unix.gettimeofday () in
@@ -1021,7 +1012,6 @@ let c1m ?(baseline = false) ?(requests = 50_000) ~conns () =
   in
   {
     c1m_conns = conns;
-    c1m_label = label;
     c1m_requests = requests;
     c1m_sim_rps = float_of_int requests /. Float.max 1e-9 (!v2 -. !v1);
     c1m_wall_ns_per_req =
@@ -1042,7 +1032,6 @@ let print_c1m points =
       (fun p ->
         [
           string_of_int p.c1m_conns;
-          p.c1m_label;
           string_of_int p.c1m_requests;
           Printf.sprintf "%.0f" p.c1m_sim_rps;
           Printf.sprintf "%.0f" p.c1m_wall_ns_per_req;
@@ -1058,8 +1047,8 @@ let print_c1m points =
   Table.print
     ~header:
       [
-        "conns"; "config"; "reqs"; "sim req/s"; "wall ns/req"; "p50 s";
-        "p90 s"; "p99 s"; "fresh(warm)"; "timer ns/op"; "peak timers";
+        "conns"; "reqs"; "sim req/s"; "wall ns/req"; "p50 s"; "p90 s";
+        "p99 s"; "fresh(warm)"; "timer ns/op"; "peak timers";
       ]
     ~rows
 
@@ -1068,7 +1057,6 @@ let print_c1m points =
 (* ------------------------------------------------------------------ *)
 
 type async_point = {
-  as_label : string;
   as_scenario : string;
   as_mem_mb : int;
   as_requests : int;
@@ -1094,18 +1082,13 @@ type async_point = {
 
 let seq_file_size = 1_792 * 1024
 
-let async_point ?(legacy = false) ?(scale = 1.0) ~pressure () =
+let async_point ?(scale = 1.0) ~pressure () =
   let mem_mb = if pressure then 24 else 128 in
   let engine = Engine.create () in
   let config =
     {
       (Kernel.default_config ()) with
       Kernel.mem_capacity = mem_mb * 1024 * 1024;
-      disk_backend = (if legacy then `Legacy else `Queued);
-      readahead = not legacy;
-      (* The legacy point is the pre-async system: pageout drops pages
-         synchronously with no swap traffic. *)
-      swap_writeback = not legacy;
     }
   in
   let kernel = Kernel.create ~config engine in
@@ -1122,7 +1105,7 @@ let async_point ?(legacy = false) ?(scale = 1.0) ~pressure () =
   (* The document population has a hot head (32 files, warmed below)
      and a long cold tail: foreground requests to the tail are
      compulsory misses, and what a miss costs under scan pressure is
-     exactly where the backends diverge. *)
+     what this point measures. *)
   let nsmall = 256 and nhot = 32 and nbig = 24 in
   let small =
     Array.init nsmall (fun i ->
@@ -1136,10 +1119,8 @@ let async_point ?(legacy = false) ?(scale = 1.0) ~pressure () =
           ~name:(Printf.sprintf "/b%d.bin" i)
           ~size:(1024 * 1024))
   in
-  (* Phase 1: one cold sequential reader (the headline number). With
-     readahead the prefetch pipeline hides disk time behind the
-     consumer; legacy pays one long synchronous fill before any byte is
-     counted. *)
+  (* Phase 1: one cold sequential reader (the headline number): the
+     readahead pipeline hides disk time behind the consumer. *)
   let seq_file = Kernel.add_file kernel ~name:"/seq.bin" ~size:seq_file_size in
   let seq_t = ref 0.0 in
   ignore
@@ -1165,11 +1146,9 @@ let async_point ?(legacy = false) ?(scale = 1.0) ~pressure () =
      wc over the big files in a loop — under pressure their extents
      flood the cache, evicting the hot set and keeping the disk near
      its knee. Three foreground workers serve small-file requests (the
-     interactive class) and are the measured latency population. The
-     backends diverge on what a foreground miss costs: legacy queues it
-     behind a serialized whole-file scan read (up to two 1MB fills);
-     async scans are extent-granular, so the elevator slips the small
-     read into the next batch and pageout never blocks the reader. *)
+     interactive class) and are the measured latency population. Scans
+     are extent-granular, so the elevator slips a foreground miss into
+     the next batch, and pageout never blocks the reader. *)
   let rng = Rng.create 42L in
   let jobs = max 40 (int_of_float (200.0 *. scale)) in
   let workers = 3 and scanners = 1 in
@@ -1190,10 +1169,8 @@ let async_point ?(legacy = false) ?(scale = 1.0) ~pressure () =
              ignore (Iolite_apps.Wc.run_iolite proc ~file:big.(!j mod nbig));
              j := !j + scanners;
              (* A short breath between files: the scan sits at the
-                knee, not past it, so the backends' utilization can
-                differ — legacy idles the disk during each scan's
-                compute (and this sleep); the async pipeline keeps it
-                streaming. *)
+                knee, not past it; the readahead pipeline keeps the
+                disk streaming through each scan's compute. *)
              Iolite_sim.Engine.Proc.sleep 0.01
            done))
   done;
@@ -1245,7 +1222,6 @@ let async_point ?(legacy = false) ?(scale = 1.0) ~pressure () =
   let m = Kernel.metrics kernel in
   let disk = Kernel.disk kernel in
   {
-    as_label = (if legacy then "legacy" else "async");
     as_scenario = (if pressure then "pressure" else "warm");
     as_mem_mb = mem_mb;
     as_requests = List.length !latencies;
@@ -1269,9 +1245,7 @@ let async_point ?(legacy = false) ?(scale = 1.0) ~pressure () =
 
 let async_sweep ?(scale = 1.0) () =
   [
-    async_point ~legacy:true ~scale ~pressure:false ();
     async_point ~scale ~pressure:false ();
-    async_point ~legacy:true ~scale ~pressure:true ();
     async_point ~scale ~pressure:true ();
   ]
 
@@ -1281,7 +1255,6 @@ let print_async points =
       (fun p ->
         [
           p.as_scenario;
-          p.as_label;
           string_of_int p.as_mem_mb;
           string_of_int p.as_requests;
           Printf.sprintf "%.4f" p.as_p50;
@@ -1298,8 +1271,8 @@ let print_async points =
   Table.print
     ~header:
       [
-        "scenario"; "backend"; "MB"; "reqs"; "p50 s"; "p90 s"; "p99 s";
-        "disk util"; "batched"; "coalesced"; "ra hit/issued"; "seq ms";
+        "scenario"; "MB"; "reqs"; "p50 s"; "p90 s"; "p99 s"; "disk util";
+        "batched"; "coalesced"; "ra hit/issued"; "seq ms";
       ]
     ~rows
 
@@ -1311,8 +1284,8 @@ let print_async_tail points =
   let ms v = Printf.sprintf "%.2f" (v *. 1e3) in
   List.iter
     (fun p ->
-      Printf.printf "\n%s/%s: wait-state attribution over %d requests\n"
-        p.as_scenario p.as_label p.as_attr_completed;
+      Printf.printf "\n%s: wait-state attribution over %d requests\n"
+        p.as_scenario p.as_attr_completed;
       (match p.as_attr_totals with
       | ("wall", wall) :: causes when wall > 0.0 ->
         Printf.printf "  aggregate:%s\n"
@@ -1414,19 +1387,13 @@ let write_obs_finish ~label kernel =
 
 (* The clustering headline: 2 MB of small sequential writes plus a
    rewrite of the first eighth (issued before any flush, so the parked
-   extents are superseded in place), then fsync. Eager pays one disk
-   request per write; delayed merges adjacent dirty extents into
-   extent-sized clusters — the disk-operation ratio is the figure. *)
-let write_seq_point ?(eager = false) () =
+   extents are superseded in place), then fsync. Write-back merges
+   adjacent dirty extents into extent-sized clusters; writes per disk
+   operation is the figure (write-through would pay one each). *)
+let write_seq_point () =
   let engine = Engine.create () in
-  let config =
-    {
-      (Kernel.default_config ()) with
-      Kernel.write_mode = (if eager then `Eager else `Delayed);
-    }
-  in
-  let kernel = Kernel.create ~config engine in
-  let label = if eager then "write eager" else "write delayed" in
+  let kernel = Kernel.create engine in
+  let label = "write delayed" in
   write_obs_start ~label kernel;
   let size = 2 * 1024 * 1024 in
   let chunk = 4096 in
@@ -1454,8 +1421,7 @@ let write_seq_point ?(eager = false) () =
          write_s := !write_s +. (Engine.now engine -. t0)));
   Engine.run engine;
   write_obs_finish ~label kernel;
-  write_metrics kernel
-    ~label:(if eager then "eager" else "delayed")
+  write_metrics kernel ~label:"delayed"
     ~flush_interval:(Kernel.config kernel).Kernel.flush_interval ~burst:0
     ~x:0.0 ~writes:!writes ~bytes:!bytes ~write_s:!write_s
 
@@ -1512,8 +1478,6 @@ let write_cawl_point ~flush_interval ~burst () =
     ~flush_interval ~burst
     ~x:(float_of_int burst /. float_of_int hard)
     ~writes:!writes ~bytes:!bytes ~write_s:!write_s
-
-let write_seq () = [ write_seq_point ~eager:true (); write_seq_point () ]
 
 let write_cawl_sweep () =
   let ks = [ 128; 256; 512; 1024; 2048 ] in

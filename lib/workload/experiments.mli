@@ -137,7 +137,6 @@ val smoke : ?tracing:bool -> unit -> smoke_result
 
 type c1m_point = {
   c1m_conns : int;  (** concurrent persistent connections held open *)
-  c1m_label : string;  (** ["heap-flat"] or ["wheel-sharded"] *)
   c1m_requests : int;  (** measured-phase request count *)
   c1m_sim_rps : float;  (** requests per simulated second *)
   c1m_wall_ns_per_req : float;
@@ -152,20 +151,18 @@ type c1m_point = {
   c1m_recycled_warm : int;  (** [pool.recycled] delta, same phase *)
   c1m_timer_ns_per_op : float;
       (** wall-clock per cancel+insert pair at full population — the
-          idle-timer re-arm cost (O(1) wheel vs. O(log n) heap) *)
+          idle-timer re-arm cost (O(1) on the timer wheel) *)
   c1m_peak_timers : int;  (** pending timers at peak, ≈ [conns] *)
   c1m_idle_closed : int;  (** connections reaped by idle expiry (≈ 0) *)
 }
 
-val c1m : ?baseline:bool -> ?requests:int -> conns:int -> unit -> c1m_point
+val c1m : ?requests:int -> conns:int -> unit -> c1m_point
 (** One point of the connection-scale sweep: a Flash-Lite server holds
-    [conns] persistent connections (each with a one-hour idle timer),
-    64 driver fibers stream [requests] (default 50k) round-robin over
-    the whole population, and the measured phase is bracketed with
-    metrics snapshots and wall-clock stamps. [baseline] runs the
-    pre-scaffolding configuration — exact binary-heap timers and
-    single-shard connection/filter/latency tables — against which the
-    default (timer wheel, 16-way shards) is compared. Ends with a
+    [conns] persistent connections (each with a one-hour idle timer on
+    the engine's timer wheel, in 16-way sharded connection, filter and
+    latency tables), 64 driver fibers stream [requests] (default 50k)
+    round-robin over the whole population, and the measured phase is
+    bracketed with metrics snapshots and wall-clock stamps. Ends with a
     100k-op timer cancel+insert churn at full population. *)
 
 val print_c1m : c1m_point list -> unit
@@ -173,7 +170,6 @@ val print_c1m : c1m_point list -> unit
 (** {2 Async disk pipeline: tail latency under memory pressure} *)
 
 type async_point = {
-  as_label : string;  (** ["legacy"] or ["async"] *)
   as_scenario : string;  (** ["warm"] (128MB) or ["pressure"] (24MB) *)
   as_mem_mb : int;
   as_requests : int;  (** responses completed in the measured window *)
@@ -189,7 +185,7 @@ type async_point = {
   as_coalesced : int;  (** misses that joined an in-flight fill *)
   as_ra_issued : int;
   as_ra_hit : int;
-  as_swap_writes : int;  (** swap traffic (writes + faults), async only *)
+  as_swap_writes : int;  (** swap traffic (writes + faults) *)
   as_seq_read_s : float;
       (** cold 1.75MB sequential read, simulated seconds — the
           readahead-pipelining headline *)
@@ -203,20 +199,17 @@ type async_point = {
           input *)
 }
 
-val async_point :
-  ?legacy:bool -> ?scale:float -> pressure:bool -> unit -> async_point
+val async_point : ?scale:float -> pressure:bool -> unit -> async_point
 (** One point: a cold 1.75MB sequential read (the readahead headline),
     then foreground-vs-background contention — a scanner process streams
     wc over 24MB of 1MB data files while three workers serve small-file
     requests (70% warmed hot head, 30% cold tail) and are the measured
     latency population. [pressure] shrinks memory to 24MB so the scan
-    never fits the io budget and keeps the disk at its knee; what a
-    foreground miss then costs is where the backends diverge. [legacy]
-    runs the pre-async system (serialized disk, no readahead,
-    synchronous pageout). *)
+    never fits the io budget and keeps the disk at its knee, so a
+    foreground miss pays for queueing behind the scan. *)
 
 val async_sweep : ?scale:float -> unit -> async_point list
-(** legacy/async × warm/pressure, in that order. *)
+(** warm, then pressure. *)
 
 val print_async : async_point list -> unit
 
@@ -231,7 +224,7 @@ val print_async_tail : async_point list -> unit
     regimes} *)
 
 type write_point = {
-  wp_label : string;  (** ["eager"] / ["delayed"] / ["F=0.2s"] ... *)
+  wp_label : string;  (** ["delayed"] / ["F=0.2s"] ... *)
   wp_flush_interval : float;
   wp_burst : int;  (** CAWL burst bytes; 0 for the headline points *)
   wp_x : float;  (** burst / hard dirty limit; 0 for the headline *)
@@ -248,16 +241,12 @@ type write_point = {
   wp_mbps : float;  (** bytes / write_s *)
 }
 
-val write_seq_point : ?eager:bool -> unit -> write_point
+val write_seq_point : unit -> write_point
 (** The clustering headline: 2 MB of 4 KB sequential writes, a rewrite
     of the first eighth before any flush (superseding the parked
-    extents), then [fsync]. Eager issues one disk request per write
-    through the bounded single-writer queue; delayed merges adjacent
-    dirty extents into extent-sized clusters — compare
+    extents), then [fsync]. Delayed write-back merges adjacent dirty
+    extents into extent-sized clusters: compare [wp_writes] with
     [wp_disk_writes]. *)
-
-val write_seq : unit -> write_point list
-(** [eager; delayed]. *)
 
 val write_cawl_point :
   flush_interval:float -> burst:int -> unit -> write_point

@@ -8,13 +8,13 @@ let run_sim f =
   Engine.run e;
   Engine.now e
 
-(* For serial request streams the two backends must charge identical
-   costs; the legacy cost model is the reference. *)
+(* A serial request stream charges the closed-form cost at any ring
+   depth: each request is alone in its batch. *)
 let test_disk_latency_model () =
   List.iter
-    (fun backend ->
+    (fun qdepth ->
       let d =
-        Disk.create ~backend ~positioning_s:0.008
+        Disk.create ~qdepth ~positioning_s:0.008
           ~sequential_positioning_s:0.0005 ~bytes_per_sec:12e6 ()
       in
       let elapsed =
@@ -29,10 +29,11 @@ let test_disk_latency_model () =
       Alcotest.(check (float 1e-6)) "latency" expect elapsed;
       Alcotest.(check int) "reads counted" 3 (Disk.reads d);
       Alcotest.(check int) "bytes counted" 240_000 (Disk.bytes_read d))
-    [ `Legacy; `Queued ]
+    [ 1; 64 ]
 
+(* A one-slot ring serves one request per batch, in admission order. *)
 let test_disk_fifo_queueing () =
-  let d = Disk.create ~backend:`Legacy ~positioning_s:0.01 ~bytes_per_sec:1e9 () in
+  let d = Disk.create ~qdepth:1 ~positioning_s:0.01 ~bytes_per_sec:1e9 () in
   let order = ref [] in
   let e = Engine.create () in
   for i = 1 to 3 do
@@ -54,12 +55,12 @@ let test_disk_write_accounting () =
 
 (* Contiguous requests from different fibers, submitted interleaved:
    the elevator sorts them back into file order inside the batch so the
-   later half rides the sequential discount. Legacy arrival order pays
-   full positioning for both. *)
+   later half rides the sequential discount. A one-slot ring keeps
+   arrival order and pays full positioning for both. *)
 let test_disk_elevator_discount () =
-  let run backend =
+  let run qdepth =
     let d =
-      Disk.create ~backend ~positioning_s:0.01
+      Disk.create ~qdepth ~positioning_s:0.01
         ~sequential_positioning_s:0.001 ~bytes_per_sec:1e9 ()
     in
     let e = Engine.create () in
@@ -71,9 +72,9 @@ let test_disk_elevator_discount () =
     Engine.run e;
     Engine.now e
   in
-  let legacy = run `Legacy and queued = run `Queued in
+  let fifo = run 1 and queued = run 64 in
   (* Elevator order is 1:0, 1:1000 (discounted), 9:0. *)
-  Alcotest.(check (float 1e-9)) "legacy: three full seeks" 0.030003 legacy;
+  Alcotest.(check (float 1e-9)) "qdepth 1: three full seeks" 0.030003 fifo;
   Alcotest.(check (float 1e-9)) "queued: one discounted" 0.021003 queued
 
 (* An async submission overlaps the submitter's own compute: total
@@ -93,20 +94,20 @@ let test_disk_async_overlap () =
   Alcotest.(check (float 1e-9)) "total is max, not sum" 0.05 elapsed;
   Alcotest.(check int) "read accounted" 1 (Disk.reads d)
 
-(* qcheck oracle: the queued elevator services exactly the multiset of
-   requests FIFO does (same op/byte totals, every completion fires) and
-   never starves — with at most [qdepth] requests outstanding, a
-   request admitted while batch [k] is in flight completes by batch
-   [k+1]. *)
+(* qcheck oracle: the 24-slot elevator services exactly the multiset of
+   requests a one-slot FIFO ring does (same op/byte totals, every
+   completion fires) and never starves — with at most [qdepth] requests
+   outstanding, a request admitted while batch [k] is in flight
+   completes by batch [k+1]. *)
 let test_disk_elevator_oracle =
   let gen =
     QCheck.Gen.(list_size (1 -- 24) (triple (0 -- 4) (0 -- 15) (1 -- 5000)))
   in
   QCheck.Test.make ~count:60 ~name:"elevator services FIFO's multiset"
     (QCheck.make gen) (fun reqs ->
-      let serve backend =
+      let serve qdepth =
         let d =
-          Disk.create ~backend ~qdepth:24 ~positioning_s:0.01
+          Disk.create ~qdepth ~positioning_s:0.01
             ~sequential_positioning_s:0.001 ~bytes_per_sec:1e6 ()
         in
         let e = Engine.create () in
@@ -120,7 +121,7 @@ let test_disk_elevator_oracle =
                 let op = if i mod 4 = 0 then `Write else `Read in
                 Disk.submit d ~op ~file ~off:(block * 4096) ~bytes (fun () ->
                     incr done_;
-                    if backend = `Queued then
+                    if qdepth > 1 then
                       let turn = Disk.batches d - submit_batch in
                       if turn > 1 then
                         Alcotest.failf "starved: waited %d batch turns" turn)))
@@ -129,7 +130,7 @@ let test_disk_elevator_oracle =
         (!done_, Disk.reads d, Disk.writes d, Disk.bytes_read d,
          Disk.bytes_written d)
       in
-      serve `Queued = serve `Legacy)
+      serve 24 = serve 1)
 
 let test_filestore_registration () =
   let fs = Filestore.create () in

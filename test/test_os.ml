@@ -565,8 +565,8 @@ let test_trace_disk_span_overlaps_cpu () =
   let compute = List.filter (fun (_, n, _, _) -> n = "compute") evs in
   Alcotest.(check bool) "disk span traced" true (disk <> []);
   Alcotest.(check bool) "compute span traced" true (compute <> []);
-  (* Under the async backend the disk services the reader's fill while
-     the cruncher's CPU burst is in progress: the spans overlap. *)
+  (* The queued disk services the reader's fill while the cruncher's
+     CPU burst is in progress: the spans overlap. *)
   let overlaps =
     List.exists
       (fun (_, _, ts, dur) ->

@@ -284,39 +284,6 @@ let test_determinism () =
   in
   Alcotest.(check string) "identical traces" (run_once ()) (run_once ())
 
-let test_heap_cancel_tombstones () =
-  let h = Heap.create () in
-  let entries =
-    List.init 10 (fun i -> Heap.push_entry h ~time:(float_of_int i) ~seq:i i)
-  in
-  Alcotest.(check int) "all live" 10 (Heap.size h);
-  (* Cancel the three smallest and one in the middle. *)
-  List.iteri
-    (fun i e ->
-      if i < 3 || i = 6 then
-        Alcotest.(check bool) "cancel live entry" true (Heap.cancel h e))
-    entries;
-  Alcotest.(check int) "live after cancel" 6 (Heap.size h);
-  Alcotest.(check int) "tombstones still resident" 10 (Heap.raw_size h);
-  Alcotest.(check bool) "double cancel refused" false
-    (Heap.cancel h (List.nth entries 0));
-  (* peek skips the cancelled prefix without popping live work. *)
-  Alcotest.(check (option (float 1e-9))) "peek skips tombstones" (Some 3.0)
-    (Heap.peek_time h);
-  let popped = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, _, v) ->
-      popped := v :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "only live popped" [ 3; 4; 5; 7; 8; 9 ]
-    (List.rev !popped);
-  Alcotest.(check bool) "cancel after pop refused" false
-    (Heap.cancel h (List.nth entries 4))
-
 (* ------------------------------------------------------------------ *)
 (* Timer wheel                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -467,7 +434,7 @@ let prop_twheel_matches_oracle =
 (* ------------------------------------------------------------------ *)
 
 let test_engine_timer_quantized_never_early () =
-  let e = Engine.create () (* wheel backend, 1 ms tick *) in
+  let e = Engine.create () (* timer wheel, 1 ms tick *) in
   let fired_at = ref (-1.0) in
   let tm =
     Engine.schedule_cancelable e 0.0012 (fun () -> fired_at := Engine.now e)
@@ -491,22 +458,9 @@ let test_engine_timer_cancel () =
   Alcotest.(check (list int)) "only survivor fired" [ 2 ] !fired;
   Alcotest.(check int) "none pending" 0 (Engine.pending_timers e)
 
-let test_engine_timer_heap_backend () =
-  let e = Engine.create ~timer_backend:`Heap () in
-  let fired_at = ref (-1.0) in
-  let t1 =
-    Engine.schedule_cancelable e 0.0012 (fun () -> fired_at := Engine.now e)
-  in
-  let t2 = Engine.schedule_cancelable e 2.0 (fun () -> fired_at := -2.0) in
-  ignore t1;
-  Alcotest.(check bool) "cancel on heap backend" true (Engine.cancel_timer e t2);
-  Engine.run e;
-  Alcotest.(check (float 1e-12)) "heap timers fire at exact time" 0.0012
-    !fired_at
-
 let test_engine_timer_interleaves_with_sleeps () =
   (* Wheel timers and heap sleeps share one virtual clock; order must
-     follow deadlines across the two backends. *)
+     follow deadlines across the two event sources. *)
   let e = Engine.create () in
   let log = ref [] in
   Engine.spawn e (fun () ->
@@ -524,8 +478,6 @@ let suites =
       [
         Alcotest.test_case "order" `Quick test_heap_order;
         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-        Alcotest.test_case "cancel tombstones" `Quick
-          test_heap_cancel_tombstones;
       ] );
     ( "sim.twheel",
       [
@@ -542,8 +494,6 @@ let suites =
         Alcotest.test_case "wheel quantizes up" `Quick
           test_engine_timer_quantized_never_early;
         Alcotest.test_case "cancel" `Quick test_engine_timer_cancel;
-        Alcotest.test_case "heap backend exact" `Quick
-          test_engine_timer_heap_backend;
         Alcotest.test_case "interleaves with sleeps" `Quick
           test_engine_timer_interleaves_with_sleeps;
       ] );

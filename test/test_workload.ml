@@ -187,6 +187,67 @@ let test_figure_goldens () =
       ("fig13", digest_apps (E.fig13 ~scale ()));
     ]
 
+(* The sweeps that carried a baseline column, digested exactly (floats
+   in hex). They are the only runs of the async pipeline under memory
+   pressure, of both CAWL throttle regimes and of 10^3 live idle
+   timers. The digests were recorded while the baseline paths still
+   existed, so they pin that removing them left these rows unchanged.
+   The C1M point leaves out its two host wall-clock fields. *)
+let digest_lines lines =
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let async_lines p =
+  Printf.sprintf "%s %d %d %h %h %h %h %d %d %d %d %d %d %d %d %h %d"
+    p.E.as_scenario p.E.as_mem_mb p.E.as_requests p.E.as_p50 p.E.as_p90
+    p.E.as_p99 p.E.as_disk_util p.E.as_disk_reads p.E.as_disk_writes
+    p.E.as_batches p.E.as_batched p.E.as_coalesced p.E.as_ra_issued
+    p.E.as_ra_hit p.E.as_swap_writes p.E.as_seq_read_s p.E.as_attr_completed
+  :: List.map (fun (k, v) -> Printf.sprintf "%s %h" k v) p.E.as_attr_totals
+  @ List.map
+      (fun (r : Iolite_obs.Attrib.record) ->
+        Printf.sprintf "%d %s %h %h %h %h %h %h %h %d" r.ar_id r.ar_tag
+          r.ar_start r.ar_end r.ar_queue r.ar_disk r.ar_coalesced r.ar_vm
+          r.ar_cpu r.ar_coalesced_on)
+      p.E.as_tail
+
+let write_line p =
+  Printf.sprintf "%s %h %d %h %d %d %d %d %d %d %d %d %d %h %h" p.E.wp_label
+    p.E.wp_flush_interval p.E.wp_burst p.E.wp_x p.E.wp_writes p.E.wp_bytes
+    p.E.wp_disk_writes p.E.wp_disk_bytes p.E.wp_cluster_writes
+    p.E.wp_clustered p.E.wp_flushes p.E.wp_superseded p.E.wp_throttled
+    p.E.wp_write_s p.E.wp_mbps
+
+let test_sweep_goldens () =
+  let c = E.c1m ~requests:5_000 ~conns:1_000 () in
+  Alcotest.(check (list (pair string string)))
+    "sweep digests"
+    [
+      ("async warm", "d4ee49dac65e63988cf3a4045558d0cb");
+      ("async pressure", "715f573a2fea0b3b792c53270eb54729");
+      ("write seq", "70ac18d8c45a7c98b91542fb39bc837d");
+      ("write cawl", "1b77ffa8df94f0b15392eb36f45dd0fe");
+      ("c1m", "ffc19dd86d1e494c3a21e10815c7f0f7");
+    ]
+    [
+      ( "async warm",
+        digest_lines (async_lines (E.async_point ~scale:0.2 ~pressure:false ()))
+      );
+      ( "async pressure",
+        digest_lines (async_lines (E.async_point ~scale:0.2 ~pressure:true ()))
+      );
+      ("write seq", digest_lines [ write_line (E.write_seq_point ()) ]);
+      ( "write cawl",
+        digest_lines (List.map write_line (E.write_cawl_sweep ())) );
+      ( "c1m",
+        digest_lines
+          [
+            Printf.sprintf "%d %h %h %h %h %d %d %d %d" c.E.c1m_requests
+              c.E.c1m_sim_rps c.E.c1m_p50 c.E.c1m_p90 c.E.c1m_p99
+              c.E.c1m_fresh_warm c.E.c1m_recycled_warm c.E.c1m_peak_timers
+              c.E.c1m_idle_closed;
+          ] );
+    ]
+
 let suites =
   [
     ( "workload.trace",
@@ -211,5 +272,8 @@ let suites =
           test_preload_leaves_nothing_pending;
       ] );
     ( "workload.figures",
-      [ Alcotest.test_case "figure goldens" `Slow test_figure_goldens ] );
+      [
+        Alcotest.test_case "figure goldens" `Slow test_figure_goldens;
+        Alcotest.test_case "sweep goldens" `Slow test_sweep_goldens;
+      ] );
   ]

@@ -1,7 +1,7 @@
 (* Clustered delayed write-back: dirty-extent parking, the sync
    daemon's clustering, supersede-before-flush, fsync/sync durability,
    throttling at the dirty hard limit, dirty-victim eviction flushes,
-   the bounded eager queue, msync coalescing, and the crash-consistency
+   the clustering ratio, msync coalescing, and the crash-consistency
    oracle. *)
 
 open Iolite_os
@@ -302,67 +302,21 @@ let test_evict_backs_off_when_uncaptured () =
   Alcotest.(check int) "evicts after capture" 1024
     (Filecache.evict_one cache)
 
-(* --------------------------- eager mode --------------------------- *)
-
-let test_eager_bounded_queue () =
-  let config =
-    { (Kernel.default_config ()) with Kernel.write_mode = `Eager }
-  in
-  let _, kernel = mk ~config () in
-  let file = Kernel.add_file kernel ~name:"/f" ~size:(1 lsl 20) in
-  in_proc kernel (fun proc ->
-      (* 100 back-to-back writes against a 64-deep queue: the producer
-         outruns the single writer fiber and must block. *)
-      for i = 0 to 99 do
-        Fileio.write_string proc ~file ~off:(i * 4096)
-          (String.make 4096 'e')
-      done);
-  Alcotest.(check int) "one disk write per write" 100
-    (Disk.writes (Kernel.disk kernel));
-  Alcotest.(check int) "eager counted" 100 (metric kernel "write.eager");
-  Alcotest.(check bool) "queue bound blocked the producer" true
-    (metric kernel "write.eager_blocked" >= 1);
-  Alcotest.(check int) "nothing parked in eager mode" 0
-    (Filecache.dirty_bytes (Kernel.unified_cache kernel))
-
-let test_eager_fsync_waits_for_queue () =
-  let config =
-    {
-      (Kernel.default_config ()) with
-      Kernel.write_mode = `Eager;
-      log_durable_writes = true;
-    }
-  in
-  let _, kernel = mk ~config () in
-  let file = Kernel.add_file kernel ~name:"/f" ~size:(1 lsl 20) in
-  in_proc kernel (fun proc ->
-      for i = 0 to 7 do
-        Fileio.write_string proc ~file ~off:(i * 4096)
-          (String.make 4096 'q')
-      done;
-      Fileio.fsync proc ~file;
-      Alcotest.(check int) "queue drained at fsync return" 8
-        (Disk.writes (Kernel.disk kernel));
-      Alcotest.(check string) "payload durable"
-        (String.make (8 * 4096) 'q')
-        (replayed_range kernel ~file ~off:0 ~len:(8 * 4096)))
+(* ------------------------ clustering ratio ------------------------ *)
 
 let test_eager_vs_delayed_disk_ops () =
-  (* The headline acceptance figure, at test scale: the clustered path
-     issues at least 8x fewer disk write operations for the same
-     bytes. *)
+  (* The headline acceptance figure, at test scale: write-through pays
+     one disk write per write, and the clustered path issues at least 8x
+     fewer disk write operations for the same writes. *)
   let module E = Iolite_workload.Experiments in
-  let eager = E.write_seq_point ~eager:true () in
   let delayed = E.write_seq_point () in
-  Alcotest.(check int) "same writes issued" eager.E.wp_writes
-    delayed.E.wp_writes;
   Alcotest.(check bool) "delayed superseded the rewrite" true
     (delayed.E.wp_superseded > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "disk ops ratio >= 8 (eager %d, delayed %d)"
-       eager.E.wp_disk_writes delayed.E.wp_disk_writes)
+    (Printf.sprintf "writes per disk op >= 8 (%d writes, %d disk ops)"
+       delayed.E.wp_writes delayed.E.wp_disk_writes)
     true
-    (eager.E.wp_disk_writes >= 8 * delayed.E.wp_disk_writes)
+    (delayed.E.wp_writes >= 8 * delayed.E.wp_disk_writes)
 
 (* ----------------------------- msync ------------------------------ *)
 
@@ -397,6 +351,12 @@ let test_crash_directed_points () =
         (Printf.sprintf "no failures at frac %.2f" frac)
         [] failures)
     [ 0.05; 0.3; 0.5; 0.7; 0.95; 1.0 ]
+
+let test_crash_run_many_counts_points () =
+  (* 3 points over 2 seeds: the first seed takes the remainder. *)
+  let r = Crash.run_many ~seeds:2 ~runs:3 () in
+  Alcotest.(check int) "every requested point runs" 3 r.Crash.r_points;
+  Alcotest.(check (list string)) "no failures" [] r.Crash.r_failures
 
 let test_crash_oracle_detects_corruption () =
   (* Negative control: replaying a stale overwrite of an fsync'd range
@@ -559,9 +519,6 @@ let suites =
       ] );
     ( "wb.eager",
       [
-        Alcotest.test_case "bounded queue" `Quick test_eager_bounded_queue;
-        Alcotest.test_case "fsync waits for queue" `Quick
-          test_eager_fsync_waits_for_queue;
         Alcotest.test_case "eager vs delayed disk ops" `Quick
           test_eager_vs_delayed_disk_ops;
       ] );
@@ -576,6 +533,8 @@ let suites =
           test_crash_directed_points;
         Alcotest.test_case "oracle detects corruption" `Quick
           test_crash_oracle_detects_corruption;
+        Alcotest.test_case "run_many runs every point" `Quick
+          test_crash_run_many_counts_points;
         QCheck_alcotest.to_alcotest prop_crash_consistent;
         QCheck_alcotest.to_alcotest prop_dirty_accounting;
       ] );
