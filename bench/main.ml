@@ -988,7 +988,7 @@ let run_tier ?(label = "current") ?(out = "BENCH_tier.json") ?(scale = 1.0) ()
   let tiered = E.tier_sweep ~scale ~variant:`Tiered () in
   Gc.full_major ();
   let probe = E.tier_probe_run () in
-  E.print_tier (baseline @ tiered) (Some probe);
+  E.print_tier (baseline @ tiered) probe;
   let units =
     "Mb/s of simulated time (mbps); simulated seconds (probe *_s); counts \
      otherwise"

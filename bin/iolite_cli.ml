@@ -233,48 +233,12 @@ let cmds =
        Cmdliner.Term.(
          const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg
          $ crash_arg));
-    (let tier_capacity_arg =
-       Cmdliner.Arg.(
-         value
-         & opt (some int) None
-         & info [ "tier-capacity" ] ~docv:"MB"
-             ~doc:
-               "NVMM tier byte budget in megabytes (default: tracks 10x \
-                the machine's I/O budget).")
-     in
-     let tier_latency_arg =
-       Cmdliner.Arg.(
-         value
-         & opt (some float) None
-         & info [ "tier-latency" ] ~docv:"MB/S"
-             ~doc:
-               "Simulated NVMM transfer rate in MB/s (default 20 — \
-                roughly 10x a DRAM hit on the small-transfer class; \
-                lower means a more latent tier).")
-     in
-     let run verbose directives metrics trace_out scale capacity_mb rate =
+    (let run verbose directives metrics trace_out scale =
        with_logging verbose directives;
-       let tier_capacity =
-         Option.map (fun mb -> mb * 1024 * 1024) capacity_mb
-       in
-       let tier_bytes_per_sec = Option.map (fun r -> r *. 1e6) rate in
        with_observability ~metrics ~trace_out (fun () ->
-           let baseline =
-             E.tier_sweep ~scale ~variant:`Baseline ?tier_capacity
-               ?tier_bytes_per_sec ()
-           in
-           let tiered =
-             E.tier_sweep ~scale ~variant:`Tiered ?tier_capacity
-               ?tier_bytes_per_sec ()
-           in
-           let probe =
-             (* The probe exhibits the stock cost model's three latency
-                classes; skip it when the knobs reshape that model. *)
-             if capacity_mb = None && rate = None then
-               Some (E.tier_probe_run ())
-             else None
-           in
-           E.print_tier (baseline @ tiered) probe)
+           let baseline = E.tier_sweep ~scale ~variant:`Baseline () in
+           let tiered = E.tier_sweep ~scale ~variant:`Tiered () in
+           E.print_tier (baseline @ tiered) (E.tier_probe_run ()))
      in
      Cmdliner.Cmd.v
        (Cmdliner.Cmd.info "tier"
@@ -286,7 +250,7 @@ let cmds =
              hit, cold disk fill)")
        Cmdliner.Term.(
          const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg
-         $ scale_arg $ tier_capacity_arg $ tier_latency_arg));
+         $ scale_arg));
     (let run verbose directives metrics trace_out =
        with_logging verbose directives;
        let r = E.smoke () in

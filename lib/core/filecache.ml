@@ -51,14 +51,13 @@ let make_entry ?(prefetched = false) ?(gen = 0) ~file ~off ~len agg =
     esuperseded = false;
   }
 
-(* Per-file interval index: entries keyed by offset in a balanced tree
-   (they never overlap within a file), with the file's cached byte count
-   maintained incrementally so [file_bytes] is O(1). *)
-type filerec = {
-  mutable ftree : entry Itree.t;
-  mutable fbytes : int;
-  mutable fdirty : int; (* dirty bytes of entries still in the index *)
-}
+module Map = Extmap.Make (struct
+  type t = entry
+
+  let file e = e.efile
+  let off e = e.eoff
+  let len e = e.elen
+end)
 
 (* Counter cells resolved once at cache creation (the cached-cell
    pattern): the lookup fast path's promise is "no allocation, no
@@ -83,8 +82,7 @@ type cells = {
 type t = {
   sys : Iosys.t;
   mutable policy : Policy.t;
-  files : (int, filerec) Hashtbl.t;
-  index : (Policy.key, entry) Hashtbl.t;
+  map : Map.t;
   (* Single-flight fills: one in-flight fill per (file, offset) range;
      concurrent misses block on the leader's ivar instead of fetching
      again. Whole-file fills key on offset 0; extent-granular fills key
@@ -93,15 +91,14 @@ type t = {
      along so followers can attribute their wait to the fill they
      piggybacked on. *)
   fills : (int * int, int * unit Iolite_sim.Sync.Ivar.t) Hashtbl.t;
-  sentinel : entry; (* floor-probe default: covers nothing *)
   cells : cells;
-  mutable bytes : int;
   mutable slices : int; (* total pinned slices, from cached Agg.num_slices *)
   mutable capacity : (unit -> int) option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable dirty : int; (* total dirty bytes across files *)
+  file_dirty : (int, int) Hashtbl.t; (* file -> dirty bytes, when > 0 *)
   mutable gen : int; (* dirty-generation allocator *)
   (* Called (if set) when eviction picks a dirty, not-yet-captured
      victim: the write-back layer captures the victim file's dirty
@@ -146,51 +143,33 @@ let entry_referenced_scan t e =
 
 let verify_ref_tracking t =
   let ok = ref true in
-  Hashtbl.iter
-    (fun _ e ->
-      if entry_referenced_scan t e <> (!(e.eref_cell) > 0) then ok := false)
-    t.index;
+  Map.iter t.map (fun e ->
+      if entry_referenced_scan t e <> (!(e.eref_cell) > 0) then ok := false);
   !ok
 
-let file_rec t file =
-  match Hashtbl.find_opt t.files file with
-  | Some fr -> fr
-  | None ->
-    let fr = { ftree = Itree.empty; fbytes = 0; fdirty = 0 } in
-    Hashtbl.replace t.files file fr;
-    fr
+let file_dirty_bytes t ~file =
+  match Hashtbl.find_opt t.file_dirty file with Some n -> n | None -> 0
+
+let add_dirty t ~file n =
+  t.dirty <- t.dirty + n;
+  let d = file_dirty_bytes t ~file + n in
+  if d = 0 then Hashtbl.remove t.file_dirty file
+  else Hashtbl.replace t.file_dirty file d
 
 let add_entry t e =
-  let fr = file_rec t e.efile in
-  fr.ftree <- Itree.add fr.ftree ~key:e.eoff e;
-  fr.fbytes <- fr.fbytes + e.elen;
-  if e.edirty then begin
-    fr.fdirty <- fr.fdirty + e.elen;
-    t.dirty <- t.dirty + e.elen
-  end;
-  Hashtbl.replace t.index (key e) e;
+  Map.add t.map e;
+  if e.edirty then add_dirty t ~file:e.efile e.elen;
   pin e;
-  t.bytes <- t.bytes + e.elen;
   t.slices <- t.slices + Iobuf.Agg.num_slices e.eagg;
   t.policy.Policy.on_insert (key e) ~size:e.elen
 
 let drop_entry t e =
-  (match Hashtbl.find_opt t.files e.efile with
-  | Some fr ->
-    fr.ftree <- Itree.remove fr.ftree ~key:e.eoff;
-    fr.fbytes <- fr.fbytes - e.elen;
-    if e.edirty then begin
-      fr.fdirty <- fr.fdirty - e.elen;
-      t.dirty <- t.dirty - e.elen
-    end;
-    if Itree.is_empty fr.ftree then Hashtbl.remove t.files e.efile
-  | None -> ());
-  Hashtbl.remove t.index (key e);
+  Map.remove t.map e;
+  if e.edirty then add_dirty t ~file:e.efile (-e.elen);
   t.policy.Policy.on_remove (key e);
   unpin e;
   t.slices <- t.slices - Iobuf.Agg.num_slices e.eagg;
-  Iobuf.Agg.free e.eagg;
-  t.bytes <- t.bytes - e.elen
+  Iobuf.Agg.free e.eagg
 
 (* A vetoed victim (dirty, uncapturable because its range overlaps an
    in-flight write) used to end the eviction round; instead the policy is
@@ -201,40 +180,23 @@ let max_evict_retries = 4
 let evict_one t =
   let vetoed = ref [] in
   let rec attempt tries =
-    (* The policy returns the key of its final eligible-true probe (see
-       the {!Policy.t} contract), so capturing the entry there avoids a
-       second index lookup on the chosen victim. *)
-    let victim = ref None in
-    let eligible_unref k =
-      (not (List.mem k !vetoed))
-      &&
-      match Hashtbl.find_opt t.index k with
-      | Some e ->
-        incr t.cells.cc_refcheck;
-        if !(e.eref_cell) = 0 then begin
-          victim := Some e;
-          true
-        end
-        else false
-      | None -> false
+    let open_ e = not (List.memq e !vetoed) in
+    let victim =
+      match
+        Map.victim t.map t.policy ~eligible:(fun e ->
+            open_ e
+            && begin
+                 incr t.cells.cc_refcheck;
+                 !(e.eref_cell) = 0
+               end)
+      with
+      | Some _ as v -> v
+      | None ->
+        (* All entries are referenced: fall back to the policy's choice
+           among them (Section 3.7). *)
+        Map.victim t.map t.policy ~eligible:open_
     in
-    let eligible_any k =
-      (not (List.mem k !vetoed))
-      &&
-      match Hashtbl.find_opt t.index k with
-      | Some e ->
-        victim := Some e;
-        true
-      | None -> false
-    in
-    (match t.policy.Policy.choose ~eligible:eligible_unref with
-    | Some _ -> ()
-    | None ->
-      (* All entries are referenced: fall back to the policy's choice
-         among them (Section 3.7). *)
-      victim := None;
-      ignore (t.policy.Policy.choose ~eligible:eligible_any));
-    match !victim with
+    match victim with
     | None -> 0
     | Some e ->
       (* A dirty victim whose bytes no flush holds yet would lose
@@ -256,7 +218,7 @@ let evict_one t =
            population; give up the round only when the retry budget is
            spent. *)
         incr t.cells.cc_evict_veto;
-        vetoed := key e :: !vetoed;
+        vetoed := e :: !vetoed;
         if tries < max_evict_retries then attempt (tries + 1) else 0
       end
       else begin
@@ -281,8 +243,8 @@ let evict_one t =
              ());
         Logs.debug ~src:log (fun m ->
             m "evicted file %d [%d,+%d) under %s; %d entries / %d bytes remain"
-              e.efile e.eoff e.elen t.policy.Policy.name
-              (Hashtbl.length t.index) t.bytes);
+              e.efile e.eoff e.elen t.policy.Policy.name (Map.count t.map)
+              (Map.total_bytes t.map));
         e.elen
       end
   in
@@ -294,10 +256,12 @@ let create ?(policy = Policy.lru ()) ?(register_with_pageout = true) sys () =
     {
       sys;
       policy;
-      files = Hashtbl.create 512;
-      index = Hashtbl.create 512;
+      map =
+        Map.create
+          ~sentinel:
+            (make_entry ~file:(-1) ~off:min_int ~len:0 (Iobuf.Agg.empty ()))
+          ();
       fills = Hashtbl.create 16;
-      sentinel = make_entry ~file:(-1) ~off:min_int ~len:0 (Iobuf.Agg.empty ());
       cells =
         {
           cc_probe = Metrics.counter m "cache.probe";
@@ -315,13 +279,13 @@ let create ?(policy = Policy.lru ()) ?(register_with_pageout = true) sys () =
           cc_evict_flush = Metrics.counter m "cache.evict_flush";
           cc_evict_veto = Metrics.counter m "cache.evict_veto";
         };
-      bytes = 0;
       slices = 0;
       capacity = None;
       hits = 0;
       misses = 0;
       evictions = 0;
       dirty = 0;
+      file_dirty = Hashtbl.create 16;
       gen = 0;
       evict_flush = None;
       demoter = None;
@@ -331,7 +295,7 @@ let create ?(policy = Policy.lru ()) ?(register_with_pageout = true) sys () =
     let pageout = Iosys.pageout sys in
     Iolite_mem.Pageout.register_segment pageout ~name:"filecache"
       ~is_io_cache:true
-      ~resident:(fun () -> t.bytes)
+      ~resident:(fun () -> Map.total_bytes t.map)
       ~reclaim:(fun _ -> 0);
     Iolite_mem.Pageout.set_entry_evictor pageout (fun () -> evict_one t)
   end;
@@ -339,7 +303,7 @@ let create ?(policy = Policy.lru ()) ?(register_with_pageout = true) sys () =
 
 let set_policy t policy =
   (* Re-register current entries under the new policy. *)
-  Hashtbl.iter (fun k e -> policy.Policy.on_insert k ~size:e.elen) t.index;
+  Map.iter t.map (fun e -> policy.Policy.on_insert (key e) ~size:e.elen);
   t.policy <- policy
 
 let policy_name t = t.policy.Policy.name
@@ -355,10 +319,10 @@ let enforce_capacity t =
     let continue_ = ref true in
     while !continue_ do
       let cap = cap_fn () in
-      if t.bytes <= cap then continue_ := false
+      if Map.total_bytes t.map <= cap then continue_ := false
       else begin
         let progressing = ref true in
-        while !progressing && t.bytes > cap do
+        while !progressing && Map.total_bytes t.map > cap do
           if evict_one t = 0 then begin
             progressing := false;
             continue_ := false
@@ -367,42 +331,11 @@ let enforce_capacity t =
       end
     done
 
-(* First index key whose entry can reach past [off]: the floor entry
-   when it straddles [off], else [off] itself. (Entries never overlap,
-   so at most one entry starts before [off] and ends beyond it.) *)
-let scan_start t fr ~off =
-  let e = Itree.floor_def fr.ftree ~key:off t.sentinel in
-  if e.eoff + e.elen > off then e.eoff else off
-
-(* Entries (in offset order) that together cover [off, off+len) with no
-   gaps; [None] if any byte is missing. O(log n + entries returned). *)
-let find_covering_fr t fr ~off ~len =
-  let acc = ref [] in
-  let cursor = ref off in
-  let complete = ref false in
-  Itree.iter_from fr.ftree ~key:(scan_start t fr ~off) (fun e ->
-      if e.eoff > !cursor then false (* gap *)
-      else begin
-        acc := e :: !acc;
-        cursor := e.eoff + e.elen;
-        if !cursor >= off + len then begin
-          complete := true;
-          false
-        end
-        else true
-      end);
-  if !complete then Some (List.rev !acc) else None
-
-let find_covering t ~file ~off ~len =
-  match Hashtbl.find_opt t.files file with
-  | None -> None
-  | Some fr -> find_covering_fr t fr ~off ~len
-
 let covered t ~file ~off ~len =
   len = 0
   ||
   (incr t.cells.cc_probe;
-   Option.is_some (find_covering t ~file ~off ~len))
+   Map.covered t.map ~file ~off ~len)
 
 let trace_note t event ~file ~bytes =
   let tr = Iosys.trace t.sys in
@@ -417,129 +350,100 @@ let miss t ~file ~len =
   trace_note t "miss" ~file ~bytes:len;
   None
 
+let hit t ~file ~len =
+  t.hits <- t.hits + 1;
+  incr t.cells.cc_hit;
+  trace_note t "hit" ~file ~bytes:len
+
+(* An entry serving a hit: tell the policy, and settle a readahead. *)
+let touch t e =
+  t.policy.Policy.on_access (key e) ~size:e.elen;
+  if e.eprefetch then begin
+    e.eprefetch <- false;
+    incr t.cells.cc_ra_hit
+  end
+
 let lookup t ~file ~off ~len =
   incr t.cells.cc_probe;
-  match Hashtbl.find_opt t.files file with
-  | None -> miss t ~file ~len
-  | Some fr ->
-    let e = Itree.floor_def fr.ftree ~key:off t.sentinel in
-    let e_end = e.eoff + e.elen in
-    if e_end > off && off + len <= e_end then begin
-      (* One entry covers the whole range: no walk, no recombination. *)
-      t.hits <- t.hits + 1;
-      incr t.cells.cc_hit;
-      trace_note t "hit" ~file ~bytes:len;
-      t.policy.Policy.on_access (e.efile, e.eoff) ~size:e.elen;
-      if e.eprefetch then begin
-        e.eprefetch <- false;
-        incr t.cells.cc_ra_hit
-      end;
-      if e.eoff = off && e.elen = len then begin
-        (* Exact bounds: share the entry's rope outright. *)
-        incr t.cells.cc_fastpath;
-        Some (Iobuf.Agg.dup e.eagg)
-      end
-      else Some (Iobuf.Agg.sub e.eagg ~off:(off - e.eoff) ~len)
+  let e = Map.floor t.map ~file ~off in
+  let e_end = e.eoff + e.elen in
+  if e_end > off && off + len <= e_end then begin
+    (* One entry covers the whole range: no walk, no recombination. *)
+    hit t ~file ~len;
+    touch t e;
+    if e.eoff = off && e.elen = len then begin
+      (* Exact bounds: share the entry's rope outright. *)
+      incr t.cells.cc_fastpath;
+      Some (Iobuf.Agg.dup e.eagg)
     end
-    else begin
-      match find_covering_fr t fr ~off ~len with
-      | Some entries ->
-        t.hits <- t.hits + 1;
-        incr t.cells.cc_hit;
-        trace_note t "hit" ~file ~bytes:len;
-        let parts =
-          List.map
-            (fun e ->
-              t.policy.Policy.on_access (key e) ~size:e.elen;
-              if e.eprefetch then begin
-                e.eprefetch <- false;
-                incr t.cells.cc_ra_hit
-              end;
-              let lo = max off e.eoff
-              and hi = min (off + len) (e.eoff + e.elen) in
-              Iobuf.Agg.sub e.eagg ~off:(lo - e.eoff) ~len:(hi - lo))
-            entries
-        in
-        let agg = Iobuf.Agg.concat_list parts in
-        List.iter Iobuf.Agg.free parts;
-        Some agg
-      | None -> miss t ~file ~len
-    end
+    else Some (Iobuf.Agg.sub e.eagg ~off:(off - e.eoff) ~len)
+  end
+  else if Map.covered t.map ~file ~off ~len then begin
+    hit t ~file ~len;
+    let parts =
+      List.map
+        (fun e ->
+          touch t e;
+          let lo = max off e.eoff and hi = min (off + len) (e.eoff + e.elen) in
+          Iobuf.Agg.sub e.eagg ~off:(lo - e.eoff) ~len:(hi - lo))
+        (Map.overlapping t.map ~file ~off ~len)
+    in
+    let agg = Iobuf.Agg.concat_list parts in
+    List.iter Iobuf.Agg.free parts;
+    Some agg
+  end
+  else miss t ~file ~len
+
+(* A fresh dirty generation, or 0 for clean bytes. *)
+let next_gen t dirty =
+  if dirty then begin
+    t.gen <- t.gen + 1;
+    t.gen
+  end
+  else 0
 
 (* Remove the parts of existing entries overlapping [off, off+len),
    keeping trimmed remainders (whose buffers persist — snapshot
    semantics). O(log n + overlapping entries). *)
 let carve t ~file ~off ~len =
   if len > 0 then
-    match Hashtbl.find_opt t.files file with
-    | None -> ()
-    | Some fr ->
-      let overlapping = ref [] in
-      Itree.iter_from fr.ftree ~key:(scan_start t fr ~off) (fun e ->
-          if e.eoff < off + len then begin
-            overlapping := e :: !overlapping;
-            true
-          end
-          else false);
-      List.iter
-        (fun e ->
-          (* A dirty entry being overwritten before its write-back
-             completed is superseded: a parked (uncaptured) delayed
-             write simply never reaches the disk (counted here); one
-             already captured by an in-flight cluster is counted when
-             the stale completion arrives (see {!ack_cluster}). *)
-          if e.edirty then begin
-            e.esuperseded <- true;
-            if not e.ecaptured then incr t.cells.cc_superseded
-          end;
-          let keep_left = off - e.eoff in
-          let keep_right = e.eoff + e.elen - (off + len) in
-          (* The surviving flanks of a dirty entry are still dirty (their
-             bytes were not overwritten, and if the original was captured
-             the completion will not clean them) — restamp them with a
-             fresh generation. *)
-          let flank_gen () =
-            if e.edirty then begin
-              t.gen <- t.gen + 1;
-              t.gen
-            end
-            else 0
-          in
-          (* Build remainders before dropping (sub needs the live agg). *)
-          let remainders = ref [] in
-          if keep_left > 0 then begin
-            let agg = Iobuf.Agg.sub e.eagg ~off:0 ~len:keep_left in
-            remainders :=
-              make_entry ~prefetched:e.eprefetch ~gen:(flank_gen ()) ~file
-                ~off:e.eoff ~len:keep_left agg
-              :: !remainders
-          end;
-          if keep_right > 0 then begin
-            let agg =
-              Iobuf.Agg.sub e.eagg ~off:(off + len - e.eoff) ~len:keep_right
-            in
-            remainders :=
-              make_entry ~prefetched:e.eprefetch ~gen:(flank_gen ()) ~file
-                ~off:(off + len) ~len:keep_right agg
-              :: !remainders
-          end;
-          drop_entry t e;
-          List.iter (add_entry t) !remainders)
-        (List.rev !overlapping)
+    List.iter
+      (fun e ->
+        (* A dirty entry being overwritten before its write-back
+           completed is superseded: a parked (uncaptured) delayed write
+           simply never reaches the disk (counted here); one already
+           captured by an in-flight cluster is counted when the stale
+           completion arrives (see {!ack_cluster}). *)
+        if e.edirty then begin
+          e.esuperseded <- true;
+          if not e.ecaptured then incr t.cells.cc_superseded
+        end;
+        (* The surviving flanks of a dirty entry are still dirty (their
+           bytes were not overwritten, and if the original was captured
+           the completion will not clean them) — restamp them with a
+           fresh generation. Build them before dropping (sub needs the
+           live agg); the right flank is admitted first. *)
+        let flank ~at ~len =
+          if len <= 0 then []
+          else
+            let agg = Iobuf.Agg.sub e.eagg ~off:(at - e.eoff) ~len in
+            [ make_entry ~prefetched:e.eprefetch ~gen:(next_gen t e.edirty)
+                ~file ~off:at ~len agg ]
+        in
+        let left = flank ~at:e.eoff ~len:(off - e.eoff) in
+        let right =
+          flank ~at:(off + len) ~len:(e.eoff + e.elen - (off + len))
+        in
+        drop_entry t e;
+        List.iter (add_entry t) (right @ left))
+      (Map.overlapping t.map ~file ~off ~len)
 
 let insert ?(dirty = false) t ~file ~off agg =
   let len = Iobuf.Agg.length agg in
   if len = 0 then Iobuf.Agg.free agg
   else begin
     carve t ~file ~off ~len;
-    let gen =
-      if dirty then begin
-        t.gen <- t.gen + 1;
-        t.gen
-      end
-      else 0
-    in
-    add_entry t (make_entry ~gen ~file ~off ~len agg);
+    add_entry t (make_entry ~gen:(next_gen t dirty) ~file ~off ~len agg);
     incr t.cells.cc_insert;
     trace_note t "insert" ~file ~bytes:len;
     enforce_capacity t
@@ -552,20 +456,11 @@ let backfill ?(prefetched = false) t ~file ~off agg =
     (* Gaps of [off, off+len) not covered by existing (newer) entries. *)
     let gaps = ref [] in
     let cursor = ref off in
-    (match Hashtbl.find_opt t.files file with
-    | None -> ()
-    | Some fr ->
-      Itree.iter_from fr.ftree ~key:(scan_start t fr ~off) (fun e ->
-          if e.eoff >= off + len then false
-          else begin
-            let e_end = e.eoff + e.elen in
-            if e_end > !cursor then begin
-              if e.eoff > !cursor then
-                gaps := (!cursor, e.eoff - !cursor) :: !gaps;
-              cursor := e_end
-            end;
-            true
-          end));
+    List.iter
+      (fun e ->
+        if e.eoff > !cursor then gaps := (!cursor, e.eoff - !cursor) :: !gaps;
+        cursor := e.eoff + e.elen)
+      (Map.overlapping t.map ~file ~off ~len);
     if !cursor < off + len then gaps := (!cursor, off + len - !cursor) :: !gaps;
     List.iter
       (fun (gap_off, gap_len) ->
@@ -621,33 +516,20 @@ let fill_single_flight t ~file ?(off = 0) fill =
 let fill_in_flight t ~file ?(off = 0) () = Hashtbl.mem t.fills (file, off)
 
 let invalidate_file t ~file =
-  match Hashtbl.find_opt t.files file with
-  | None -> ()
-  | Some fr -> List.iter (fun e -> drop_entry t e) (Itree.to_list fr.ftree)
+  List.iter (drop_entry t) (Map.file_extents t.map ~file)
 
-let file_bytes t ~file =
-  match Hashtbl.find_opt t.files file with
-  | None -> 0
-  | Some fr -> fr.fbytes
+let file_bytes t ~file = Map.file_bytes t.map ~file
 
 let entries t ~file =
-  match Hashtbl.find_opt t.files file with
-  | None -> []
-  | Some fr -> List.map (fun e -> (e.eoff, e.elen)) (Itree.to_list fr.ftree)
+  List.map (fun e -> (e.eoff, e.elen)) (Map.file_extents t.map ~file)
 
 (* ----------------------- delayed write-back ----------------------- *)
 
 let dirty_bytes t = t.dirty
 
-let file_dirty_bytes t ~file =
-  match Hashtbl.find_opt t.files file with
-  | None -> 0
-  | Some fr -> fr.fdirty
-
 let dirty_files t =
-  Hashtbl.fold (fun file fr acc -> if fr.fdirty > 0 then file :: acc else acc)
-    t.files []
-  |> List.sort compare
+  List.sort compare
+    (Hashtbl.fold (fun file _ acc -> file :: acc) t.file_dirty [])
 
 let set_evict_flusher t f = t.evict_flush <- Some f
 let set_demoter t f = t.demoter <- Some f
@@ -679,62 +561,61 @@ let agg_blit agg buf =
   Iobuf.Agg.fold_bytes agg ~init:() ~f:(fun () data off len ->
       Buffer.add_subbytes buf data off len)
 
-(* Walk the file's interval index in offset order and merge maximal runs
-   of adjacent dirty extents into clusters of at most [max_cluster]
-   bytes (a single extent larger than the cap forms its own cluster).
-   Captured entries are marked so a concurrent collection — or an
-   eviction — does not capture them again. [skip] vetoes whole runs
+(* Walk the file's extents in offset order and merge maximal runs of
+   adjacent dirty extents into clusters of at most one pool extent
+   ([Iobuf.Pool.max_alloc] bytes; a single larger extent forms its own
+   cluster). Captured entries are marked so a concurrent collection — or
+   an eviction — does not capture them again. [skip] vetoes whole runs
    without capturing them (they stay dirty for a later collection): the
    write-back layer skips ranges overlapping an in-flight write, since
    two outstanding writes to one range can complete in elevator order —
    not issue order — and land stale bytes last. *)
-let collect_dirty ?(max_cluster = Iobuf.Pool.max_alloc) ?skip t ~file =
-  match Hashtbl.find_opt t.files file with
-  | None -> []
-  | Some fr ->
-    let clusters = ref [] in
-    let run = ref [] in
-    let run_len = ref 0 in
-    let run_end = ref min_int in
-    let close () =
-      (match List.rev !run with
-      | [] -> ()
-      | first :: _ as entries ->
-        let vetoed =
-          match skip with
-          | Some f -> f ~off:first.eoff ~len:!run_len
-          | None -> false
-        in
-        if not vetoed then begin
-          let buf = Buffer.create !run_len in
-          List.iter (fun e -> agg_blit e.eagg buf) entries;
-          List.iter (fun e -> e.ecaptured <- true) entries;
-          clusters :=
-            {
-              cl_file = file;
-              cl_off = first.eoff;
-              cl_len = !run_len;
-              cl_extents = List.length entries;
-              cl_data = Buffer.contents buf;
-              cl_items = List.map (fun e -> (e, e.egen)) entries;
-            }
-            :: !clusters
-        end);
-      run := [];
-      run_len := 0;
-      run_end := min_int
-    in
-    Itree.iter fr.ftree (fun e ->
-        if e.edirty && not e.ecaptured then begin
-          if !run_end <> e.eoff || !run_len + e.elen > max_cluster then
-            close ();
-          run := e :: !run;
-          run_len := !run_len + e.elen;
-          run_end := e.eoff + e.elen
-        end
-        else close ());
-    close ();
-    List.rev !clusters
+let collect_dirty ?skip t ~file =
+  let clusters = ref [] in
+  let run = ref [] in
+  let run_len = ref 0 in
+  let run_end = ref min_int in
+  let close () =
+    (match List.rev !run with
+    | [] -> ()
+    | first :: _ as entries ->
+      let vetoed =
+        match skip with
+        | Some f -> f ~off:first.eoff ~len:!run_len
+        | None -> false
+      in
+      if not vetoed then begin
+        let buf = Buffer.create !run_len in
+        List.iter (fun e -> agg_blit e.eagg buf) entries;
+        List.iter (fun e -> e.ecaptured <- true) entries;
+        clusters :=
+          {
+            cl_file = file;
+            cl_off = first.eoff;
+            cl_len = !run_len;
+            cl_extents = List.length entries;
+            cl_data = Buffer.contents buf;
+            cl_items = List.map (fun e -> (e, e.egen)) entries;
+          }
+          :: !clusters
+      end);
+    run := [];
+    run_len := 0;
+    run_end := min_int
+  in
+  List.iter
+    (fun e ->
+      if e.edirty && not e.ecaptured then begin
+        if !run_end <> e.eoff || !run_len + e.elen > Iobuf.Pool.max_alloc then
+          close ();
+        run := e :: !run;
+        run_len := !run_len + e.elen;
+        run_end := e.eoff + e.elen
+      end
+      else close ())
+    (Map.file_extents t.map ~file);
+  close ();
+  List.rev !clusters
 
 (* Durable-completion acknowledgement: clear the dirty bit of every
    captured entry whose bytes the completed write actually covered — an
@@ -757,21 +638,17 @@ let ack_cluster t c =
       else begin
         incr cleaned;
         e.edirty <- false;
-        (match Hashtbl.find_opt t.index (key e) with
-        | Some e' when e' == e ->
-          (match Hashtbl.find_opt t.files e.efile with
-          | Some fr -> fr.fdirty <- fr.fdirty - e.elen
-          | None -> ());
-          t.dirty <- t.dirty - e.elen
-        | _ -> ())
+        match Map.find t.map (key e) with
+        | Some e' when e' == e -> add_dirty t ~file:e.efile (-e.elen)
+        | _ -> ()
       end;
       e.ecaptured <- false)
     c.cl_items;
   (!cleaned, !superseded)
 
-let total_bytes t = t.bytes
+let total_bytes t = Map.total_bytes t.map
 let total_slices t = t.slices
-let entry_count t = Hashtbl.length t.index
+let entry_count t = Map.count t.map
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
@@ -780,3 +657,22 @@ let reset_stats t =
   t.hits <- 0;
   t.misses <- 0;
   t.evictions <- 0
+
+let check t =
+  Map.check t.map;
+  let dirty = Hashtbl.create 16 and slices = ref 0 in
+  Map.iter t.map (fun e ->
+      slices := !slices + Iobuf.Agg.num_slices e.eagg;
+      if e.edirty then
+        Hashtbl.replace dirty e.efile
+          (e.elen + Option.value ~default:0 (Hashtbl.find_opt dirty e.efile)));
+  let sorted h =
+    List.sort compare (Hashtbl.fold (fun f n l -> (f, n) :: l) h [])
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 (sorted dirty) in
+  let per_file = sorted dirty = sorted t.file_dirty in
+  if total <> t.dirty || !slices <> t.slices || not per_file then
+    Printf.ksprintf failwith
+      "dirty %d (walk %d), slices %d (walk %d), per file %s" t.dirty total
+      t.slices !slices
+      (if per_file then "agree" else "differ")

@@ -22,10 +22,11 @@
     incrementally by buffer reference-transition watchers rather than
     re-walking each entry's slices.
 
-    Entries of a file are indexed by a balanced interval tree keyed on
-    offset, so lookup/insert/backfill are O(log n + k) in the file's
-    entry count n and overlap size k, and an exact-bounds single-entry
-    hit returns without allocating. *)
+    Entries are indexed by {!Extmap} (a balanced tree per file keyed on
+    offset, the same index the NVMM tier and the write-back
+    reservations use), so lookup/insert/backfill are O(log n + k) in the
+    file's entry count n and overlap size k, and an exact-bounds
+    single-entry hit returns without allocating. *)
 
 type t
 
@@ -128,16 +129,11 @@ val dirty_files : t -> int list
 type cluster
 
 val collect_dirty :
-  ?max_cluster:int ->
-  ?skip:(off:int -> len:int -> bool) ->
-  t ->
-  file:int ->
-  cluster list
-(** Walk the file's interval index in offset order and merge maximal
-    runs of adjacent, not-yet-captured dirty extents into clusters of
-    at most [max_cluster] bytes (default one extent,
-    [Iobuf.Pool.max_alloc]; a single larger extent forms its own
-    cluster). Captured entries stay dirty — and so count toward
+  ?skip:(off:int -> len:int -> bool) -> t -> file:int -> cluster list
+(** Walk the file's extents in offset order and merge maximal runs of
+    adjacent, not-yet-captured dirty extents into clusters of at most
+    one pool extent ([Iobuf.Pool.max_alloc] bytes; a single larger
+    extent forms its own cluster). Captured entries stay dirty — and so count toward
     {!dirty_bytes} — until {!ack_cluster}. [skip] vetoes whole runs
     {e without} capturing them, leaving them dirty for a later
     collection: the write-back layer vetoes ranges overlapping an
@@ -209,3 +205,8 @@ val verify_ref_tracking : t -> bool
 (** Slow cross-check of the O(1) reference counters against a full
     slice walk of every entry (test support). Each walk increments the
     [cache.refscan] metric, which stays at zero on production paths. *)
+
+val check : t -> unit
+(** Test support: raises [Failure] unless the index passes
+    {!Extmap.Make.check} and the total dirty bytes, per-file dirty bytes
+    and slice count agree with a walk of the entries. *)

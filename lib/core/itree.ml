@@ -1,11 +1,11 @@
-(* Offset-keyed balanced (AVL) index — the per-file interval index of
-   the unified file cache. Entries within a file are non-overlapping, so
-   interval stabbing reduces to a floor probe (greatest start offset not
-   beyond the point) plus an in-order walk of successors; both are
-   O(log n + k) on the stdlib-Map balancing invariant (sibling heights
-   differ by at most 2).
+(* Offset-keyed balanced (AVL) index — the per-file tree inside
+   [Extmap]. Entries within a file are non-overlapping, so interval
+   stabbing reduces to a floor probe (greatest start offset not beyond
+   the point) plus an in-order walk of successors; both are O(log n + k)
+   on the stdlib-Map balancing invariant (sibling heights differ by at
+   most 2).
 
-   The tree is persistent (nodes are immutable); the cache stores the
+   The tree is persistent (nodes are immutable); [Extmap] stores the
    current root in a mutable per-file record. *)
 
 type 'a t = Empty | Node of { l : 'a t; key : int; v : 'a; r : 'a t; h : int }

@@ -1,5 +1,7 @@
-(** Offset-keyed balanced (AVL) index — the per-file interval index of
-    the unified file cache (Section 3.5 at trace-replay scale).
+(** Offset-keyed balanced (AVL) index — the per-file tree inside
+    {!Extmap}, the extent index of the unified file cache, the NVMM tier
+    and the write-back reservations (Section 3.5 at trace-replay
+    scale).
 
     A persistent map from integer offsets to values with the
     stdlib-Map balancing invariant. Because cache entries within a file

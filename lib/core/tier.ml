@@ -15,7 +15,13 @@ type entry = {
   mutable zstaged : bool;
 }
 
-type filerec = { mutable ztree : entry Itree.t; mutable zbytes : int }
+module Map = Extmap.Make (struct
+  type t = entry
+
+  let file e = e.zfile
+  let off e = e.zoff
+  let len e = e.zlen
+end)
 
 type cells = {
   tc_hit : int ref;
@@ -29,28 +35,28 @@ type cells = {
 type t = {
   sys : Iosys.t;
   policy : Policy.t;
-  files : (int, filerec) Hashtbl.t;
-  index : (Policy.key, entry) Hashtbl.t;
-  sentinel : entry;
+  map : Map.t;
   cells : cells;
-  mutable bytes : int;
   mutable staged : int;
   mutable evictions : int;
   mutable capacity : (unit -> int) option;
-  bytes_per_sec : float;
   mutable charge : (float -> unit) option;
 }
 
-let create ?(policy = Policy.gds ()) ?(bytes_per_sec = 20e6) sys () =
+(* The simulated NVMM transfer rate, both directions. *)
+let bytes_per_sec = 20e6
+
+let create ?(policy = Policy.gds ()) sys () =
   let m = Iosys.metrics sys in
   {
     sys;
     policy;
-    files = Hashtbl.create 128;
-    index = Hashtbl.create 256;
-    sentinel =
-      { zfile = -1; zoff = min_int; zlen = 0; zdata = ""; zgen = 0;
-        zstaged = false };
+    map =
+      Map.create
+        ~sentinel:
+          { zfile = -1; zoff = min_int; zlen = 0; zdata = ""; zgen = 0;
+            zstaged = false }
+        ();
     cells =
       {
         tc_hit = Metrics.counter m "cache.tier.hit";
@@ -60,22 +66,20 @@ let create ?(policy = Policy.gds ()) ?(bytes_per_sec = 20e6) sys () =
         tc_stage = Metrics.counter m "cache.tier.wb_stage";
         tc_evict = Metrics.counter m "cache.tier.evict";
       };
-    bytes = 0;
     staged = 0;
     evictions = 0;
     capacity = None;
-    bytes_per_sec;
     charge = None;
   }
 
 let set_capacity t cap = t.capacity <- cap
 let set_charge t f = t.charge <- f
-let read_time t ~bytes = float_of_int bytes /. t.bytes_per_sec
-let write_time t ~bytes = float_of_int bytes /. t.bytes_per_sec
+let read_time _ ~bytes = float_of_int bytes /. bytes_per_sec
+let write_time _ ~bytes = float_of_int bytes /. bytes_per_sec
 
-let total_bytes t = t.bytes
+let total_bytes t = Map.total_bytes t.map
 let staged_bytes t = t.staged
-let entry_count t = Hashtbl.length t.index
+let entry_count t = Map.count t.map
 let evictions t = t.evictions
 
 let trace_instant t ~name ~file ~bytes =
@@ -85,94 +89,46 @@ let trace_instant t ~name ~file ~bytes =
       ~args:[ ("file", Trace.Int file); ("bytes", Trace.Int bytes) ]
       ()
 
-let file_rec t file =
-  match Hashtbl.find_opt t.files file with
-  | Some fr -> fr
-  | None ->
-    let fr = { ztree = Itree.empty; zbytes = 0 } in
-    Hashtbl.replace t.files file fr;
-    fr
-
 let add_entry t e =
-  let fr = file_rec t e.zfile in
-  fr.ztree <- Itree.add fr.ztree ~key:e.zoff e;
-  fr.zbytes <- fr.zbytes + e.zlen;
-  Hashtbl.replace t.index (e.zfile, e.zoff) e;
-  t.bytes <- t.bytes + e.zlen;
+  Map.add t.map e;
   if e.zstaged then t.staged <- t.staged + e.zlen;
   t.policy.Policy.on_insert (e.zfile, e.zoff) ~size:e.zlen
 
 let drop_entry t e =
-  (match Hashtbl.find_opt t.files e.zfile with
-  | Some fr ->
-    fr.ztree <- Itree.remove fr.ztree ~key:e.zoff;
-    fr.zbytes <- fr.zbytes - e.zlen;
-    if Itree.is_empty fr.ztree then Hashtbl.remove t.files e.zfile
-  | None -> ());
-  Hashtbl.remove t.index (e.zfile, e.zoff);
+  Map.remove t.map e;
   t.policy.Policy.on_remove (e.zfile, e.zoff);
-  t.bytes <- t.bytes - e.zlen;
   if e.zstaged then t.staged <- t.staged - e.zlen
-
-(* Entries overlapping [off, off+len), in offset order: the floor probe
-   finds the one entry that can straddle the start; successors follow
-   until they begin past the end. *)
-let overlapping t fr ~off ~len =
-  let acc = ref [] in
-  let fl = Itree.floor_def fr.ztree ~key:off t.sentinel in
-  if fl != t.sentinel && fl.zoff + fl.zlen > off && fl.zoff < off + len then
-    acc := [ fl ];
-  Itree.iter_from fr.ztree ~key:(off + 1) (fun e ->
-      if e.zoff < off + len then begin
-        acc := e :: !acc;
-        true
-      end
-      else false);
-  List.rev !acc
 
 (* Remove [off, off+len) from the overlapping entries, re-admitting any
    flanks outside the range (same bytes, same generation). [keep_staged]
    leaves pinned entries whole — the promote path must not disturb a
    write-ahead copy whose disk write is still in flight. *)
 let remove_range ?(keep_staged = false) t ~file ~off ~len =
-  match Hashtbl.find_opt t.files file with
-  | None -> ()
-  | Some fr ->
-    List.iter
-      (fun e ->
-        if not (keep_staged && e.zstaged) then begin
-          drop_entry t e;
-          if e.zoff < off then
-            add_entry t
-              {
-                e with
-                zlen = off - e.zoff;
-                zdata = String.sub e.zdata 0 (off - e.zoff);
-              };
-          let e_end = e.zoff + e.zlen in
-          if e_end > off + len then
-            add_entry t
-              {
-                e with
-                zoff = off + len;
-                zlen = e_end - (off + len);
-                zdata =
-                  String.sub e.zdata (off + len - e.zoff) (e_end - (off + len));
-              }
-        end)
-      (overlapping t fr ~off ~len)
+  List.iter
+    (fun e ->
+      if not (keep_staged && e.zstaged) then begin
+        drop_entry t e;
+        if e.zoff < off then
+          add_entry t
+            {
+              e with
+              zlen = off - e.zoff;
+              zdata = String.sub e.zdata 0 (off - e.zoff);
+            };
+        let e_end = e.zoff + e.zlen in
+        if e_end > off + len then
+          add_entry t
+            {
+              e with
+              zoff = off + len;
+              zlen = e_end - (off + len);
+              zdata =
+                String.sub e.zdata (off + len - e.zoff) (e_end - (off + len));
+            }
+      end)
+    (Map.overlapping t.map ~file ~off ~len)
 
-let covered t ~file ~off ~len =
-  len > 0
-  &&
-  match Hashtbl.find_opt t.files file with
-  | None -> false
-  | Some fr ->
-    let pos = ref off in
-    List.iter
-      (fun e -> if e.zoff <= !pos then pos := max !pos (e.zoff + e.zlen))
-      (overlapping t fr ~off ~len);
-    !pos >= off + len
+let covered t ~file ~off ~len = len > 0 && Map.covered t.map ~file ~off ~len
 
 (* Evict under the policy until within the byte budget; staged entries
    are pinned (their bytes back an in-flight disk write). *)
@@ -180,20 +136,10 @@ let enforce_capacity t =
   match t.capacity with
   | None -> ()
   | Some cap ->
-    let victim = ref None in
-    let eligible k =
-      match Hashtbl.find_opt t.index k with
-      | Some e when not e.zstaged ->
-        victim := Some e;
-        true
-      | _ -> false
-    in
     let budget = cap () in
     let progress = ref true in
-    while t.bytes > budget && !progress do
-      victim := None;
-      ignore (t.policy.Policy.choose ~eligible);
-      match !victim with
+    while total_bytes t > budget && !progress do
+      match Map.victim t.map t.policy ~eligible:(fun e -> not e.zstaged) with
       | Some e ->
         drop_entry t e;
         t.evictions <- t.evictions + 1;
@@ -205,13 +151,12 @@ let enforce_capacity t =
 let admit t ~staged ~file ~off ~gen data =
   let len = String.length data in
   if len > 0 then begin
-    let fr = file_rec t file in
     (* A staged overlap is at least as new as the incoming bytes and its
        pin must not be disturbed: veto the admission. (The staging path
        itself never overlaps a staged range — the write-back layer's
        in-flight reservation serializes clusters per range.) *)
     let staged_overlap =
-      List.exists (fun e -> e.zstaged) (overlapping t fr ~off ~len)
+      List.exists (fun e -> e.zstaged) (Map.overlapping t.map ~file ~off ~len)
     in
     if not staged_overlap then begin
       remove_range t ~file ~off ~len;
@@ -233,7 +178,7 @@ let admit t ~staged ~file ~off ~gen data =
       Logs.debug ~src:log (fun m ->
           m "%s file %d [%d,+%d) gen %d; %d entries / %d bytes resident"
             (if staged then "staged" else "demoted")
-            file off len gen (Hashtbl.length t.index) t.bytes)
+            file off len gen (entry_count t) (total_bytes t))
     end
   end
 
@@ -241,16 +186,13 @@ let demote t ~file ~off ~gen data = admit t ~staged:false ~file ~off ~gen data
 let stage t ~file ~off ~gen data = admit t ~staged:true ~file ~off ~gen data
 
 let unstage t ~file ~off ~len =
-  (match Hashtbl.find_opt t.files file with
-  | None -> ()
-  | Some fr ->
-    List.iter
-      (fun e ->
-        if e.zstaged && e.zoff >= off && e.zoff + e.zlen <= off + len then begin
-          e.zstaged <- false;
-          t.staged <- t.staged - e.zlen
-        end)
-      (overlapping t fr ~off ~len));
+  List.iter
+    (fun e ->
+      if e.zstaged && e.zoff >= off && e.zoff + e.zlen <= off + len then begin
+        e.zstaged <- false;
+        t.staged <- t.staged - e.zlen
+      end)
+    (Map.overlapping t.map ~file ~off ~len);
   enforce_capacity t
 
 let promote t ~file ~off ~len =
@@ -263,14 +205,13 @@ let promote t ~file ~off ~len =
     None
   end
   else begin
-    let fr = Hashtbl.find t.files file in
     let buf = Buffer.create len in
     List.iter
       (fun e ->
         let start = max off e.zoff in
         let stop = min (off + len) (e.zoff + e.zlen) in
         Buffer.add_substring buf e.zdata (start - e.zoff) (stop - start))
-      (overlapping t fr ~off ~len);
+      (Map.overlapping t.map ~file ~off ~len);
     (* Exclusive tiering: the promoted bytes move up — remove them here
        (staged entries excepted; their pin outlives the promotion). *)
     remove_range ~keep_staged:true t ~file ~off ~len;
@@ -279,7 +220,7 @@ let promote t ~file ~off ~len =
     trace_instant t ~name:"promote" ~file ~bytes:len;
     Logs.debug ~src:log (fun m ->
         m "promoted file %d [%d,+%d); %d entries / %d bytes remain" file off
-          len (Hashtbl.length t.index) t.bytes);
+          len (entry_count t) (total_bytes t));
     Some (Buffer.contents buf)
   end
 
@@ -288,22 +229,25 @@ let invalidate t ~file ~off ~len =
     (* Newer bytes exist above: staged copies are dropped too — the
        in-flight cluster owns its own payload, and [unstage] tolerates
        the gap. Fix the pin accounting before the generic removal. *)
-    (match Hashtbl.find_opt t.files file with
-    | None -> ()
-    | Some fr ->
-      List.iter
-        (fun e ->
-          if e.zstaged then begin
-            e.zstaged <- false;
-            t.staged <- t.staged - e.zlen
-          end)
-        (overlapping t fr ~off ~len));
+    List.iter
+      (fun e ->
+        if e.zstaged then begin
+          e.zstaged <- false;
+          t.staged <- t.staged - e.zlen
+        end)
+      (Map.overlapping t.map ~file ~off ~len);
     remove_range t ~file ~off ~len
   end
 
 let entries t ~file =
-  match Hashtbl.find_opt t.files file with
-  | None -> []
-  | Some fr ->
-    List.map (fun e -> (e.zoff, e.zdata, e.zgen, e.zstaged))
-      (Itree.to_list fr.ztree)
+  List.map
+    (fun e -> (e.zoff, e.zdata, e.zgen, e.zstaged))
+    (Map.file_extents t.map ~file)
+
+let check t =
+  Map.check t.map;
+  let staged = ref 0 in
+  Map.iter t.map (fun e -> if e.zstaged then staged := !staged + e.zlen);
+  if !staged <> t.staged then
+    Printf.ksprintf failwith "staged %d bytes counted, %d walked" t.staged
+      !staged

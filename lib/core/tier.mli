@@ -16,8 +16,8 @@
       the tier — a byte is resident in one tier at a time).
 
     Entries never overlap within a file (inserts carve what they cover,
-    like the DRAM cache) and carry the dirty-generation stamp of the
-    bytes, so the model-based tests can state the cross-tier invariant:
+    like the DRAM cache, and sit in the same {!Extmap} index) and carry
+    the dirty-generation stamp of the bytes, so the model-based tests can state the cross-tier invariant:
     promotion always observes the newest generation written.
 
     Counters ([cache.tier.{hit,miss,demote,promote,wb_stage,evict}])
@@ -26,17 +26,16 @@
 
 type t
 
-val create :
-  ?policy:Policy.t -> ?bytes_per_sec:float -> Iosys.t -> unit -> t
+val create : ?policy:Policy.t -> Iosys.t -> unit -> t
 (** [policy] ranks victims when the tier itself overflows (default
     {!Policy.gds} with uniform cost; the kernel passes a GDS whose cost
     is the disk-refetch latency, making the tier's own replacement
-    tier-aware too). [bytes_per_sec] is the simulated NVMM transfer
-    rate (default 20 MB/s — a fifth of the 1999 memory-copy rate,
-    faster than the disk's 12 MB/s streaming rate, and with no
-    positioning penalty: on the small-transfer class that dominates the
-    web workloads, where the disk's 8 ms seek is the whole story, a
-    tier hit is roughly 10x a DRAM hit and a tenth of a disk fill). *)
+    tier-aware too). The simulated NVMM transfer rate is a constant
+    20 MB/s — a fifth of the 1999 memory-copy rate, faster than the
+    disk's 12 MB/s streaming rate, and with no positioning penalty: on
+    the small-transfer class that dominates the web workloads, where
+    the disk's 8 ms seek is the whole story, a tier hit is roughly 10x a
+    DRAM hit and a tenth of a disk fill. *)
 
 val set_capacity : t -> (unit -> int) option -> unit
 (** Byte budget; evaluated at admission so it can track a live
@@ -86,8 +85,9 @@ val invalidate : t -> file:int -> off:int -> len:int -> unit
     its own payload copy, and its {!unstage} tolerates the gap). *)
 
 val covered : t -> file:int -> off:int -> len:int -> bool
-(** Whether [off, off+len) is fully resident (no removal, no
-    counters) — the tier-aware cost probe of the DRAM policy. *)
+(** Whether [off, off+len) is fully resident (no removal, no counters,
+    no allocation) — the tier-aware cost probe of the DRAM policy, run
+    on every unified-cache insert and access while the tier is armed. *)
 
 (** {2 Introspection} *)
 
@@ -99,3 +99,8 @@ val evictions : t -> int
 val entries : t -> file:int -> (int * string * int * bool) list
 (** [(off, bytes, gen, staged)] in offset order — the test oracle's
     view. *)
+
+val check : t -> unit
+(** Test support: raises [Failure] unless the index passes
+    {!Extmap.Make.check} and the staged byte count agrees with a walk of
+    the entries. *)

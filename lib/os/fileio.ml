@@ -332,7 +332,7 @@ let iol_write_body proc ~file ~off agg =
      later (superseded if rewritten first). *)
   Filecache.insert ~dirty:(len > 0) (Kernel.unified_cache kernel) ~file ~off
     agg;
-  if len > 0 then Writeback.note_write wb ~file ~off ~len;
+  if len > 0 then Writeback.note_write wb;
   Process.charge proc (Kernel.cost kernel).Costmodel.syscall
 
 let iol_write proc ~file ~off agg =

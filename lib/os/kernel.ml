@@ -21,7 +21,6 @@ type config = {
      recorded baseline, and the tier changes eviction into demotion. *)
   tier_enabled : bool;
   tier_capacity : int option; (* bytes; [None] = 10x the io budget *)
-  tier_bytes_per_sec : float;
 }
 
 let log = Iolite_util.Logging.src "kernel"
@@ -41,7 +40,6 @@ let default_config () =
     log_durable_writes = false;
     tier_enabled = false;
     tier_capacity = None;
-    tier_bytes_per_sec = 20e6;
   }
 
 (* Per-file sequential-readahead state (Fileio drives the policy). *)
@@ -129,7 +127,6 @@ let create ?config engine =
       ~flow:(Iosys.flow sys)
       ~budget:(fun () -> Physmem.io_budget (Iosys.physmem sys))
       {
-        Writeback.default_config with
         Writeback.wb_flush_interval = config.flush_interval;
         wb_hi_ratio = config.dirty_hi_ratio;
         wb_hard_ratio = config.dirty_hard_ratio;
@@ -152,7 +149,7 @@ let create ?config engine =
             (Policy.gds
                ~cost:(fun _ ~size -> Iolite_fs.Disk.refetch_time disk ~bytes:size)
                ())
-          ~bytes_per_sec:config.tier_bytes_per_sec sys ()
+          sys ()
       in
       Iolite_core.Tier.set_capacity tier
         (Some

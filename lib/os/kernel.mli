@@ -48,11 +48,8 @@ type config = {
           latency. *)
   tier_capacity : int option;
       (** Tier byte budget; [None] (default) tracks 10x the I/O
-          budget. *)
-  tier_bytes_per_sec : float;
-      (** Simulated NVMM transfer rate, default 20 MB/s (5x slower than
-          DRAM copies, faster than the disk's streaming rate,
-          byte-addressable: no positioning cost). *)
+          budget. The transfer rate is fixed at 20 MB/s
+          ({!Iolite_core.Tier.create}). *)
 }
 
 val default_config : unit -> config

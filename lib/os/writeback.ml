@@ -12,7 +12,6 @@ type config = {
   wb_flush_interval : float;
   wb_hi_ratio : float;
   wb_hard_ratio : float;
-  wb_max_cluster : int;
 }
 
 let default_config =
@@ -20,8 +19,19 @@ let default_config =
     wb_flush_interval = 0.5;
     wb_hi_ratio = 0.25;
     wb_hard_ratio = 0.5;
-    wb_max_cluster = Iolite_core.Iobuf.Pool.max_alloc;
   }
+
+(* The (file, off, len) range one clustered write holds from collection
+   to durable completion. *)
+module Inflight = Iolite_core.Extmap.Make (struct
+  type t = int * int * int
+
+  let file (f, _, _) = f
+  let off (_, o, _) = o
+  let len (_, _, l) = l
+end)
+
+let reservation c = Filecache.(cluster_file c, cluster_off c, cluster_len c)
 
 type cells = {
   wc_delayed : int ref; (* write.delayed: writes parked in the cache *)
@@ -43,12 +53,11 @@ type t = {
   cells : cells;
   mutable timer : Engine.timer option; (* the armed sync-daemon deadline *)
   mutable kicked : bool; (* an immediate flush fiber is already queued *)
-  inflight : (int, int) Hashtbl.t; (* file -> in-flight clustered writes *)
-  (* In-flight (off, len) ranges per file: dirty runs overlapping one
-     are vetoed at collection, since two outstanding writes to a range
-     can complete in elevator order and land stale bytes last. *)
-  ranges : (int, (int * int) list) Hashtbl.t;
-  mutable inflight_total : int;
+  (* One reservation per clustered write, collected but not yet
+     durable: dirty runs overlapping one are vetoed at collection, since
+     two outstanding writes to a range can complete in elevator order
+     and land stale bytes last. *)
+  inflight : Inflight.t;
   durable_cv : Sync.Condvar.t; (* fsync/sync waiters *)
   throttle_cv : Sync.Condvar.t; (* writers parked at the hard limit *)
   (* NVMM write-ahead staging (the second cache tier): each cluster
@@ -79,9 +88,7 @@ let create ~engine ~disk ~cache ~metrics ~trace ~flow ~budget cfg =
       };
     timer = None;
     kicked = false;
-    inflight = Hashtbl.create 16;
-    ranges = Hashtbl.create 16;
-    inflight_total = 0;
+    inflight = Inflight.create ~sentinel:(-1, min_int, 0) ();
     durable_cv = Sync.Condvar.create ();
     throttle_cv = Sync.Condvar.create ();
     tier = None;
@@ -92,29 +99,6 @@ let set_tier t tier = t.tier <- Some tier
 let hard_limit t = int_of_float (t.cfg.wb_hard_ratio *. float_of_int (t.budget ()))
 let hi_limit t = int_of_float (t.cfg.wb_hi_ratio *. float_of_int (t.budget ()))
 
-let bump tbl k d =
-  let v = (match Hashtbl.find_opt tbl k with Some v -> v | None -> 0) + d in
-  if v = 0 then Hashtbl.remove tbl k else Hashtbl.replace tbl k v
-
-let count tbl k = match Hashtbl.find_opt tbl k with Some v -> v | None -> 0
-
-let add_range t file r =
-  Hashtbl.replace t.ranges file
-    (r :: (match Hashtbl.find_opt t.ranges file with Some l -> l | None -> []))
-
-let remove_range t file r =
-  match Hashtbl.find_opt t.ranges file with
-  | None -> ()
-  | Some l -> (
-    match List.filter (fun r' -> r' <> r) l with
-    | [] -> Hashtbl.remove t.ranges file
-    | l' -> Hashtbl.replace t.ranges file l')
-
-let overlaps_inflight t file ~off ~len =
-  match Hashtbl.find_opt t.ranges file with
-  | None -> false
-  | Some l -> List.exists (fun (o, n) -> off < o + n && o < off + len) l
-
 (* Collection reserves each cluster's range immediately — before any
    submission, which may block on the ring — so no later collection can
    capture an overlapping run until the ack releases it. Reservations
@@ -124,14 +108,12 @@ let overlaps_inflight t file ~off ~len =
    submit of exactly these clusters. *)
 let collect t ~file =
   let clusters =
-    Filecache.collect_dirty ~max_cluster:t.cfg.wb_max_cluster
-      ~skip:(fun ~off ~len -> overlaps_inflight t file ~off ~len)
+    Filecache.collect_dirty
+      ~skip:(fun ~off ~len ->
+        Inflight.overlapping t.inflight ~file ~off ~len <> [])
       t.cache ~file
   in
-  List.iter
-    (fun c ->
-      add_range t file (Filecache.cluster_off c, Filecache.cluster_len c))
-    clusters;
+  List.iter (fun c -> Inflight.add t.inflight (reservation c)) clusters;
   clusters
 
 (* ----------------------- clustered flushing ----------------------- *)
@@ -201,8 +183,6 @@ and submit_clusters t ~reason clusters =
                   ("extents", Trace.Int extents);
                 ]
               ();
-          bump t.inflight file 1;
-          t.inflight_total <- t.inflight_total + 1;
           (* Write-ahead staging: the payload lands in the persistent
              tier (pinned) before the disk write goes out. *)
           (match t.tier with
@@ -219,9 +199,7 @@ and submit_clusters t ~reason clusters =
               (match t.tier with
               | Some tier -> Iolite_core.Tier.unstage tier ~file ~off ~len
               | None -> ());
-              bump t.inflight file (-1);
-              remove_range t file (off, len);
-              t.inflight_total <- t.inflight_total - 1;
+              Inflight.remove t.inflight (reservation c);
               decr remaining;
               if !remaining = 0 && fid > 0 then
                 Flow.finish t.flow ~id:fid
@@ -286,10 +264,7 @@ let evict_flush t ~file =
    early flush, and blocks the writer at the hard limit (the CAWL
    disk-bound regime: above the dirty threshold every writer runs at
    drain speed). *)
-let note_write t ~file ~off ~len =
-  ignore file;
-  ignore off;
-  ignore len;
+let note_write t =
   incr t.cells.wc_delayed;
   arm t;
   let dirty = Filecache.dirty_bytes t.cache in
@@ -306,7 +281,7 @@ let note_write t ~file ~off ~len =
 (* ------------------------------ syncs ------------------------------ *)
 
 (* Block the caller on this file's in-flight set only: the wait
-   predicate reads the per-file dirty count and in-flight refcount, so
+   predicate reads the file's dirty and reserved bytes, so
    other files' backlogs never delay the caller (the single-flight
    latch shape, with a condvar re-check loop instead of an ivar because
    completions arrive cluster by cluster). *)
@@ -315,7 +290,8 @@ let fsync t ~file =
   let flush () = submit_clusters t ~reason:"fsync" (collect t ~file) in
   flush ();
   while
-    Filecache.file_dirty_bytes t.cache ~file > 0 || count t.inflight file > 0
+    Filecache.file_dirty_bytes t.cache ~file > 0
+    || Inflight.file_bytes t.inflight ~file > 0
   do
     Sync.Condvar.wait t.durable_cv;
     (* Re-collect: runs vetoed by an in-flight overlap — or written
@@ -327,11 +303,13 @@ let fsync t ~file =
 let sync t =
   incr t.cells.wc_fsync;
   flush_round t ~reason:"sync";
-  while Filecache.dirty_bytes t.cache > 0 || t.inflight_total > 0 do
+  while Filecache.dirty_bytes t.cache > 0 || Inflight.count t.inflight > 0 do
     Sync.Condvar.wait t.durable_cv;
     flush_round t ~reason:"sync"
   done
 
-let quiescent t = Filecache.dirty_bytes t.cache = 0 && t.inflight_total = 0
+let quiescent t =
+  Filecache.dirty_bytes t.cache = 0 && Inflight.count t.inflight = 0
 
-let inflight_clusters t ~file = count t.inflight file
+let inflight_clusters t ~file =
+  List.length (Inflight.file_extents t.inflight ~file)

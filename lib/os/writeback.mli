@@ -33,12 +33,11 @@ type config = {
       (** dirty/[budget] fraction that starts an early flush; set [>=
           wb_hard_ratio] to disable the watermark (CAWL sweeps do) *)
   wb_hard_ratio : float;  (** dirty fraction that blocks writers *)
-  wb_max_cluster : int;  (** clustered-request size cap, bytes *)
 }
 
 val default_config : config
-(** 0.5 s interval, hi/hard ratios 0.25/0.5, extent-sized
-    ([Iobuf.Pool.max_alloc]) clusters. *)
+(** 0.5 s interval, hi/hard ratios 0.25/0.5. Clusters are capped at one
+    pool extent ({!Iolite_core.Filecache.collect_dirty}). *)
 
 val create :
   engine:Iolite_sim.Engine.t ->
@@ -61,8 +60,8 @@ val set_tier : t -> Iolite_core.Tier.t -> unit
     unstaged when the write completes — the Section 9 flush path
     doubling as the tier's write-ahead log. *)
 
-val note_write : t -> file:int -> off:int -> len:int -> unit
-(** Write notification, called after the dirty insert:
+val note_write : t -> unit
+(** Write notification, called after a non-empty dirty insert:
     arms the daemon, kicks an early flush past the high watermark, and
     blocks the caller while dirty bytes exceed the hard limit
     (counting [write.throttled]). Must run inside a simulation
@@ -75,7 +74,12 @@ val kick : ?reason:string -> t -> unit
 val fsync : t -> file:int -> unit
 (** Flush [file]'s dirty extents and block the caller until that
     file's dirty bytes and in-flight writes — only that file's — reach
-    zero. Must run inside a simulation process. *)
+    zero. Must run inside a simulation process.
+
+    In-flight writes are read from the layer's reservation set: an
+    {!Iolite_core.Extmap} holding one extent per cluster from the moment
+    it is collected until its disk write completes, so a cluster
+    collected but not yet submitted already counts. *)
 
 val sync : t -> unit
 (** Flush every file and block until the whole backlog is durable. *)
@@ -89,4 +93,5 @@ val quiescent : t -> bool
 (** No dirty bytes and no in-flight clustered writes. *)
 
 val inflight_clusters : t -> file:int -> int
-(** In-flight clustered writes of one file (test support). *)
+(** Clustered writes of one file collected and not yet durable (test
+    support). *)

@@ -1553,8 +1553,7 @@ type tier_probe = {
    The cache policy object is returned alongside: Flash re-installs the
    unified-cache policy at startup, and handing it the same GDS instance
    the kernel parameterized keeps the tier-aware refetch cost alive. *)
-let tier_kernel ~tiered ?(mem_mb = 64) ?tier_capacity
-    ?(tier_bytes_per_sec = 20e6) ~label () =
+let tier_kernel ~tiered ?(mem_mb = 64) ~label () =
   let engine = Engine.create () in
   let config =
     {
@@ -1562,8 +1561,6 @@ let tier_kernel ~tiered ?(mem_mb = 64) ?tier_capacity
       Kernel.mem_capacity = mem_mb * 1024 * 1024;
       cache_policy = Policy.gds ();
       tier_enabled = tiered;
-      tier_capacity;
-      tier_bytes_per_sec;
     }
   in
   let kernel = Kernel.create ~config engine in
@@ -1628,15 +1625,12 @@ let preload_tier kernel ~trace ~prefix_ranks =
     load ranks;
     ignore (Kernel.take_pending kernel)
 
-let tier_point ~tiered ?tier_capacity ?tier_bytes_per_sec ~trace ~log ~scale
-    mb =
+let tier_point ~tiered ~trace ~log ~scale mb =
   let target = mb * 1024 * 1024 in
   let prefix = Trace.prefix_for_dataset trace ~log ~target_bytes:target in
   let variant = if tiered then "tiered" else "dram-only" in
   let label = Printf.sprintf "%s %dMB" variant mb in
-  let _engine, kernel, policy =
-    tier_kernel ~tiered ?tier_capacity ?tier_bytes_per_sec ~label ()
-  in
+  let _engine, kernel, policy = tier_kernel ~tiered ~label () in
   Trace.register_files trace kernel ~prefix_ranks:None;
   let clients = 64 in
   let server = tier_server kernel ~policy in
@@ -1687,14 +1681,10 @@ let tier_point ~tiered ?tier_capacity ?tier_bytes_per_sec ~trace ~log ~scale
 
 let tier_ws_sizes_mb = [ 8; 16; 24; 48; 96; 150 ]
 
-let tier_sweep ?(scale = 1.0) ?(variant = `Both) ?tier_capacity
-    ?tier_bytes_per_sec () =
+let tier_sweep ?(scale = 1.0) ?(variant = `Both) () =
   let trace, log = merged_subtrace () in
   let run tiered =
-    List.map
-      (tier_point ~tiered ?tier_capacity ?tier_bytes_per_sec ~trace ~log
-         ~scale)
-      tier_ws_sizes_mb
+    List.map (tier_point ~tiered ~trace ~log ~scale) tier_ws_sizes_mb
   in
   match variant with
   | `Baseline -> run false
@@ -1756,7 +1746,7 @@ let tier_probe_run () =
     pr_stage = get "cache.tier.wb_stage";
   }
 
-let print_tier points probe =
+let print_tier points pr =
   let rows =
     List.map
       (fun p ->
@@ -1784,10 +1774,7 @@ let print_tier points probe =
         "disk reads";
       ]
     ~rows;
-  match probe with
-  | None -> ()
-  | Some pr ->
-    Printf.printf
-      "\nprobe (4KB): dram hit %.6fs | tier hit %.6fs | cold disk %.6fs | speedup %.1fx | demote=%d promote=%d wb_stage=%d\n"
-      pr.pr_dram_hit_s pr.pr_tier_hit_s pr.pr_cold_disk_s pr.pr_speedup
-      pr.pr_demote pr.pr_promote pr.pr_stage
+  Printf.printf
+    "\nprobe (4KB): dram hit %.6fs | tier hit %.6fs | cold disk %.6fs | speedup %.1fx | demote=%d promote=%d wb_stage=%d\n"
+    pr.pr_dram_hit_s pr.pr_tier_hit_s pr.pr_cold_disk_s pr.pr_speedup
+    pr.pr_demote pr.pr_promote pr.pr_stage

@@ -296,17 +296,14 @@ val tier_ws_sizes_mb : int list
 val tier_sweep :
   ?scale:float ->
   ?variant:[ `Baseline | `Tiered | `Both ] ->
-  ?tier_capacity:int ->
-  ?tier_bytes_per_sec:float ->
   unit ->
   tier_point list
 (** Fig. 10's working-set sweep replayed on a small (64 MB) machine,
     with and without the tier armed. [`Baseline] runs DRAM-only (the
     recorded reference), [`Tiered] the NVMM configuration, [`Both]
-    (default) baseline first then tiered. [tier_capacity] (bytes) and
-    [tier_bytes_per_sec] override the kernel defaults (10x the I/O
-    budget, 20 MB/s) — the CLI's sizing knobs. DRAM and tier are
-    warm-started the way {!val-fig10} warms the cache; the tier's
+    (default) baseline first then tiered. The tier runs at the kernel
+    defaults: a budget of 10x the I/O budget and 20 MB/s. DRAM and tier
+    are warm-started the way {!val-fig10} warms the cache; the tier's
     warm-up demotions are excluded from [tp_tier_demote]. *)
 
 val tier_probe_run : unit -> tier_probe
@@ -317,4 +314,4 @@ val tier_probe_run : unit -> tier_probe
     a write + [fsync] so the write-ahead staging path shows up in
     [pr_stage]. *)
 
-val print_tier : tier_point list -> tier_probe option -> unit
+val print_tier : tier_point list -> tier_probe -> unit

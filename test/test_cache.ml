@@ -429,7 +429,7 @@ let prop_cache_matches_model =
       let ok = ref true in
       List.iter
         (fun op ->
-          match op with
+          (match op with
           | Op_insert (f, off, d) ->
             Filecache.insert cache ~file:f ~off
               (Iobuf.Agg.of_string pool ~producer:app d);
@@ -459,6 +459,8 @@ let prop_cache_matches_model =
                 (fun cs -> String.init len (List.nth cs))
                 (gather 0 [])
             in
+            if Filecache.covered cache ~file:f ~off ~len <> Option.is_some expect
+            then ok := false;
             let got = Filecache.lookup cache ~file:f ~off ~len in
             (match (expect, got) with
             | None, None -> ()
@@ -466,7 +468,8 @@ let prop_cache_matches_model =
               if not (String.equal e (agg_str agg)) then ok := false;
               Iobuf.Agg.free agg
             | Some _, None | None, Some _ -> ok := false);
-            Option.iter (fun _ -> ()) expect)
+            Option.iter (fun _ -> ()) expect);
+          Filecache.check cache)
         ops;
       !ok)
 
@@ -652,7 +655,8 @@ let prop_cache_matches_list_impl =
           check (Filecache.entries cache ~file:f = Listcache.entries oracle ~file:f);
           check (Filecache.file_bytes cache ~file:f = Listcache.file_bytes oracle ~file:f)
         done;
-        check (Filecache.verify_ref_tracking cache)
+        check (Filecache.verify_ref_tracking cache);
+        Filecache.check cache
       in
       List.iter
         (fun op ->

@@ -284,28 +284,42 @@ let show_op = function
   | Invalidate (o, l) -> Printf.sprintf "invalidate(%d,%d)" o l
   | Covered (o, l) -> Printf.sprintf "covered(%d,%d)" o l
 
-let prop_tier_matches_model =
-  QCheck.Test.make ~name:"tier matches sorted-list model" ~count:400
+(* With a [capacity], the tier evicts under its policy, which the model
+   does not predict: after every step, model entries missing from the
+   tier count as evicted, must have been unstaged, and leave the model.
+   The budget holds after an admitted demotion and after an unstage
+   unless only staged entries remain; a vetoed demotion and [stage] do
+   not enforce it. *)
+let tier_prop ~name ?capacity () =
+  QCheck.Test.make ~name ~count:400
     (QCheck.make
        QCheck.Gen.(list_size (1 -- 60) op_gen)
        ~print:(fun ops -> String.concat ";" (List.map show_op ops)))
     (fun ops ->
-      let _, tier = mk_tier () in
+      let _, tier = mk_tier ?capacity () in
       let model = ref [] in
       let ok = ref true in
       let check b = if not b then ok := false in
       let file = 1 in
       List.iter
         (fun op ->
+          let evictions = Tier.evictions tier in
+          let enforced = ref false in
           (match op with
           | Demote (off, data, gen) ->
             Tier.demote tier ~file ~off ~gen data;
+            enforced :=
+              not
+                (List.exists
+                   (fun e -> e.rs && roverlaps e ~off ~len:(String.length data))
+                   !model);
             model := radmit !model ~staged:false ~off ~gen data
           | Stage (off, data, gen) ->
             Tier.stage tier ~file ~off ~gen data;
             model := radmit !model ~staged:true ~off ~gen data
           | Unstage (off, len) ->
             Tier.unstage tier ~file ~off ~len;
+            enforced := true;
             model := runstage !model ~off ~len
           | Promote (off, len) ->
             let got = Tier.promote tier ~file ~off ~len in
@@ -317,6 +331,21 @@ let prop_tier_matches_model =
             model := rinvalidate !model ~off ~len
           | Covered (off, len) ->
             check (Tier.covered tier ~file ~off ~len = rcovered !model ~off ~len));
+          let resident = Tier.entries tier ~file in
+          let kept, evicted =
+            List.partition
+              (fun e -> List.mem (e.ro, e.rd, e.rg, e.rs) resident)
+              !model
+          in
+          model := kept;
+          check (List.for_all (fun e -> not e.rs) evicted);
+          check (Tier.evictions tier - evictions = List.length evicted);
+          (match capacity with
+          | Some cap when !enforced ->
+            check
+              (Tier.total_bytes tier <= cap || List.for_all (fun e -> e.rs) kept)
+          | _ -> ());
+          Tier.check tier;
           (* The resident set matches the model byte-for-byte (bytes,
              generation stamps, pins), entries in offset order. *)
           check
@@ -363,5 +392,11 @@ let suites =
           test_capacity_eviction_spares_staged;
       ] );
     ( "tier.props",
-      [ QCheck_alcotest.to_alcotest prop_tier_matches_model ] );
+      [
+        QCheck_alcotest.to_alcotest
+          (tier_prop ~name:"tier matches sorted-list model" ());
+        QCheck_alcotest.to_alcotest
+          (tier_prop ~name:"bounded tier evicts only unstaged entries"
+             ~capacity:24 ());
+      ] );
   ]

@@ -248,6 +248,32 @@ let test_sweep_goldens () =
           ] );
     ]
 
+(* Fig 10 and the NVMM tier sweep, digested exactly (floats in hex).
+   Fig 10 is the only contract-scale run of the capacity-bounded
+   conventional cache under trace load (Flash and Apache), and the tier
+   sweep and probe are the only runs of the tier under trace load. *)
+let tier_line p =
+  Printf.sprintf "%s %d %h %d %d %d %d %d %d %d %d %d" p.E.tp_label p.E.tp_ws_mb
+    p.E.tp_mbps p.E.tp_dram_hits p.E.tp_dram_evictions p.E.tp_tier_hit
+    p.E.tp_tier_miss p.E.tp_tier_demote p.E.tp_tier_promote p.E.tp_tier_stage
+    p.E.tp_tier_evict p.E.tp_disk_reads
+
+let probe_line p =
+  Printf.sprintf "%h %h %h %h %d %d %d" p.E.pr_dram_hit_s p.E.pr_tier_hit_s
+    p.E.pr_cold_disk_s p.E.pr_speedup p.E.pr_demote p.E.pr_promote p.E.pr_stage
+
+let test_fig10_golden () =
+  Alcotest.(check string)
+    "fig10 digest at scale 0.1" "afb2a28475008e7c8332ad21f8be25b9"
+    (digest_series (E.fig10 ~scale:0.1 ()))
+
+let test_tier_goldens () =
+  Alcotest.(check string)
+    "tier sweep and probe digest" "d10725621b40c1fc6fb7ce6095ef74f6"
+    (digest_lines
+       (List.map tier_line (E.tier_sweep ~scale:0.05 ())
+       @ [ probe_line (E.tier_probe_run ()) ]))
+
 let suites =
   [
     ( "workload.trace",
@@ -275,5 +301,7 @@ let suites =
       [
         Alcotest.test_case "figure goldens" `Slow test_figure_goldens;
         Alcotest.test_case "sweep goldens" `Slow test_sweep_goldens;
+        Alcotest.test_case "fig10 golden" `Slow test_fig10_golden;
+        Alcotest.test_case "tier goldens" `Slow test_tier_goldens;
       ] );
   ]

@@ -412,8 +412,9 @@ let prop_crash_consistent =
 
 let prop_dirty_accounting =
   (* Random interleavings of dirty/clean inserts, collections and acks:
-     dirty_bytes must stay within [0, total bytes], every ack must
-     account each captured extent exactly once, and draining
+     dirty_bytes must stay within [0, total bytes] and agree, total and
+     per file, with a walk of the entries ([Filecache.check]); every ack
+     must account each captured extent exactly once, and draining
      collect+ack rounds must always reach zero. *)
   let open QCheck in
   let op_gen =
@@ -461,7 +462,8 @@ let prop_dirty_accounting =
               if cleaned + superseded <> Filecache.cluster_extents c then
                 ok := false
             | None -> ()));
-          check_bounds ())
+          check_bounds ();
+          Filecache.check cache)
         ops;
       (* Drain: ack everything in flight, then collect+ack rounds must
          reach zero dirty bytes (nothing can be collected twice while
