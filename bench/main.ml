@@ -135,6 +135,14 @@ let test_cache_hit =
          | Some a -> Iobuf.Agg.free a
          | None -> assert false))
 
+(* Fills from 16 KB on are split with the helper domain; 4 KB is not. *)
+let test_blit_content len =
+  let dst = Bytes.create len in
+  Test.make
+    ~name:(Printf.sprintf "fs: blit_content %dKB" (len / 1024))
+    (Staged.stage (fun () ->
+         Iolite_fs.Filestore.blit_content ~file:7 ~off:4096 dst ~dst_off:0 ~len))
+
 let test_zipf =
   let z = Iolite_util.Zipf.create ~n:37703 ~alpha:1.0 in
   let rng = Iolite_util.Rng.create 3L in
@@ -160,6 +168,8 @@ let micro_tests =
     test_cksum_cached;
     test_transfer_warm;
     test_cache_hit;
+    test_blit_content 4096;
+    test_blit_content 65536;
     test_zipf;
     test_sim_engine;
   ]

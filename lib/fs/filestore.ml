@@ -74,15 +74,105 @@ let[@inline] mix file_term off_term =
 
 let content_byte ~file ~off = mix (file * file_mul) (off * off_mul)
 
-let blit_content ~file ~off dst ~dst_off ~len =
-  if len < 0 || dst_off < 0 || dst_off > Bytes.length dst - len then
-    invalid_arg "Filestore.blit_content: range";
+(* The one bulk loop. The caller has checked the range. *)
+let generate ~file ~off dst ~dst_off ~len =
   let file_term = file * file_mul in
   let off_term = ref (off * off_mul) in
   for i = dst_off to dst_off + len - 1 do
     Bytes.unsafe_set dst i (mix file_term !off_term);
     off_term := !off_term + off_mul
   done
+
+(* Fills of at least [split_min] bytes are generated in two halves: the
+   caller does the lower one while a helper domain does the upper one.
+   The halves are disjoint bytes of [dst], and the caller returns only
+   after it reads [completed], which the helper bumps after its last
+   store, so every byte is in place and visible to the caller. One
+   caller owns the helper at a time ([claimed]); any other call, and
+   every call on a single-core host, runs the single loop. *)
+let split_min = 16_384
+
+(* After a job the helper polls for the next one this many times (tens
+   of microseconds) before it sleeps, so back-to-back fills such as a
+   warm start find it awake. *)
+let spin_polls = 1_000
+
+let claimed = Atomic.make false
+let posted = Atomic.make 0 (* jobs handed to the helper *)
+let completed = Atomic.make 0 (* jobs it finished *)
+let asleep = Atomic.make false
+let lock = Mutex.create ()
+let wake = Condition.create ()
+let job = ref ignore
+let failure = ref None
+let spawned = ref false
+
+(* [asleep] is set before [posted] is re-read and read after [posted] is
+   bumped, so either the helper sees the job or the caller sees it
+   asleep and signals it, which it can do only once the helper waits. *)
+let rec serve seen =
+  let rec poll n =
+    Atomic.get posted <> seen || (n > 0 && (Domain.cpu_relax (); poll (n - 1)))
+  in
+  if not (poll spin_polls) then begin
+    Mutex.lock lock;
+    Atomic.set asleep true;
+    while Atomic.get posted = seen do
+      Condition.wait wake lock
+    done;
+    Atomic.set asleep false;
+    Mutex.unlock lock
+  end;
+  (try !job () with e -> failure := Some e);
+  Atomic.set completed (seen + 1);
+  serve (seen + 1)
+
+(* Claims the helper, spawning it on first use. With one core, or if
+   the spawn fails, the claim is never released and every later call
+   runs the single loop. *)
+let claim () =
+  Atomic.compare_and_set claimed false true
+  && (!spawned
+     || Domain.recommended_domain_count () > 1
+        && (match Domain.spawn (fun () -> serve 0) with
+           | _ ->
+               spawned := true;
+               true
+           | exception _ -> false))
+
+let split ~file ~off dst ~dst_off ~len =
+  let half = len / 2 in
+  job :=
+    (fun () ->
+      generate ~file ~off:(off + half) dst ~dst_off:(dst_off + half)
+        ~len:(len - half));
+  let seq = Atomic.fetch_and_add posted 1 + 1 in
+  if Atomic.get asleep then begin
+    Mutex.lock lock;
+    Condition.signal wake;
+    Mutex.unlock lock
+  end;
+  let finish () =
+    while Atomic.get completed <> seq do
+      Domain.cpu_relax ()
+    done;
+    let e = !failure in
+    job := ignore;
+    failure := None;
+    Atomic.set claimed false;
+    e
+  in
+  match generate ~file ~off dst ~dst_off ~len:half with
+  | () -> Option.iter raise (finish ())
+  | exception e ->
+      ignore (finish ());
+      raise e
+
+let blit_content ~file ~off dst ~dst_off ~len =
+  if len < 0 || dst_off < 0 || dst_off > Bytes.length dst - len then
+    invalid_arg "Filestore.blit_content: range";
+  if len >= split_min && claim () then split ~file ~off dst ~dst_off ~len
+  else generate ~file ~off dst ~dst_off ~len
 
 let content ~file ~off ~len =
   let b = Bytes.create len in

@@ -34,7 +34,12 @@ val content_byte : file:int -> off:int -> char
 val blit_content : file:int -> off:int -> Bytes.t -> dst_off:int -> len:int -> unit
 (** [blit_content ~file ~off dst ~dst_off ~len] writes the contents of
     [off, off+len) into [dst] at [dst_off]. Raises [Invalid_argument]
-    when the destination range is out of bounds. *)
+    when the destination range is out of bounds.
+
+    A fill of 16 KB or more may have its upper half generated on a
+    helper domain while the caller generates the lower half; it returns
+    once both halves are written, and the bytes are the same either
+    way. Safe to call from any domain, several at once included. *)
 
 val content : file:int -> off:int -> len:int -> string
 (** The contents of [off, off+len) as a fresh string. *)
@@ -44,7 +49,10 @@ val fill_buffer : t -> Iolite_core.Iobuf.Buffer.t -> file:int -> off:int -> unit
     [off], charging one [Fill] touch. Nothing stops at EOF: a buffer
     reaching past the file's size gets the content function's bytes
     there, so callers size buffers to the file. Raises [Not_found] for
-    an unknown file id. *)
+    an unknown file id. Generates through {!blit_content}, so a large
+    buffer may be half filled on the helper domain, with the same bytes.
+    Callable from any domain; the buffer's own bookkeeping (the [Fill]
+    touch) is not synchronized, so calls on one system must not overlap. *)
 
 val check_string : file:int -> off:int -> string -> bool
 (** Integrity check: does the string equal the file contents at [off]? *)

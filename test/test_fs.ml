@@ -214,28 +214,59 @@ let formula_byte ~file ~off =
 
 let test_bulk_matches_formula () =
   let rng = Random.State.make [| 0xF17E |] in
-  let lens = [ 0; 1; 2; 3; 5; 7; 63; 65; 4095; 4097 ] in
-  for _ = 1 to 200 do
-    let file = Random.State.bits rng in
-    (* Offsets up to 2^40, unaligned in general. *)
-    let off = (Random.State.bits rng lsl 10) lor Random.State.int rng 1024 in
-    List.iter
-      (fun len ->
-        let want = String.init len (fun i -> formula_byte ~file ~off:(off + i)) in
-        let name = Printf.sprintf "file %d off %d len %d" file off len in
-        Alcotest.(check string) name want (Filestore.content ~file ~off ~len);
-        (* The blit writes exactly its range. *)
-        let dst = Bytes.make (len + 6) '#' in
-        Filestore.blit_content ~file ~off dst ~dst_off:3 ~len;
-        Alcotest.(check string) name ("###" ^ want ^ "###") (Bytes.to_string dst);
-        if len > 0 then
-          Alcotest.(check char) name want.[len - 1]
-            (Filestore.content_byte ~file ~off:(off + len - 1)))
-      lens
-  done;
+  (* The long fills, from 16 KB on, are generated in two halves on two
+     domains; fewer draws keep the case short. *)
+  List.iter
+    (fun (draws, lens) ->
+      for _ = 1 to draws do
+        let file = Random.State.bits rng in
+        (* Offsets up to 2^40, unaligned in general. *)
+        let off = (Random.State.bits rng lsl 10) lor Random.State.int rng 1024 in
+        List.iter
+          (fun len ->
+            let want = String.init len (fun i -> formula_byte ~file ~off:(off + i)) in
+            let name = Printf.sprintf "file %d off %d len %d" file off len in
+            Alcotest.(check string) name want (Filestore.content ~file ~off ~len);
+            (* The blit writes exactly its range. *)
+            let dst = Bytes.make (len + 6) '#' in
+            Filestore.blit_content ~file ~off dst ~dst_off:3 ~len;
+            Alcotest.(check string) name ("###" ^ want ^ "###") (Bytes.to_string dst);
+            if len > 0 then
+              Alcotest.(check char) name want.[len - 1]
+                (Filestore.content_byte ~file ~off:(off + len - 1)))
+          lens
+      done)
+    [
+      (200, [ 0; 1; 2; 3; 5; 7; 63; 65; 4095; 4097 ]);
+      (10, [ 16_383; 16_384; 16_385; 65_536; 65_537; 131_075 ]);
+    ];
   Alcotest.check_raises "range checked once, up front"
     (Invalid_argument "Filestore.blit_content: range") (fun () ->
       Filestore.blit_content ~file:1 ~off:0 (Bytes.create 8) ~dst_off:4 ~len:5)
+
+(* Three domains fill 64 KB buffers at once, each for its own files.
+   At most one of them has the helper domain at a time; the others run
+   the single loop. Every buffer must hold exactly its own file's bytes. *)
+let test_concurrent_callers () =
+  let len = 65_536 and fills = 100 in
+  let off i = i * 4099 in
+  let want =
+    Array.init (3 * fills) (fun i -> Filestore.content ~file:i ~off:(off i) ~len)
+  in
+  let caller k () =
+    let dst = Bytes.create len in
+    let wrong = ref 0 in
+    for j = 0 to fills - 1 do
+      let file = (k * fills) + j in
+      Filestore.blit_content ~file ~off:(off file) dst ~dst_off:0 ~len;
+      if Bytes.to_string dst <> want.(file) then incr wrong
+    done;
+    !wrong
+  in
+  let others = List.map (fun k -> Domain.spawn (caller k)) [ 1; 2 ] in
+  let mine = caller 0 () in
+  Alcotest.(check (list int)) "wrong fills per caller" [ 0; 0; 0 ]
+    (mine :: List.map Domain.join others)
 
 let test_check_string_blocks () =
   let file = 11 and off = 4093 in
@@ -310,6 +341,7 @@ let suites =
         Alcotest.test_case "newline density" `Quick test_content_has_newlines;
         Alcotest.test_case "fill buffer" `Quick test_fill_buffer_and_check;
         Alcotest.test_case "bulk matches formula" `Quick test_bulk_matches_formula;
+        Alcotest.test_case "concurrent callers" `Quick test_concurrent_callers;
         Alcotest.test_case "check_string by blocks" `Quick test_check_string_blocks;
         Alcotest.test_case "content goldens" `Quick test_content_goldens;
         Alcotest.test_case "iter" `Quick test_iter;

@@ -267,6 +267,19 @@ let test_fig10_golden () =
     "fig10 digest at scale 0.1" "afb2a28475008e7c8332ad21f8be25b9"
     (digest_series (E.fig10 ~scale:0.1 ()))
 
+(* Figs 11 and 12 at scale 0.1: the ablation bars (GDS/LRU x checksum
+   cache) and the RTT sweep. Every warm start in them goes through the
+   content generator. *)
+let test_fig11_golden () =
+  Alcotest.(check string)
+    "fig11 digest at scale 0.1" "2ae1b2d1a80b7a45da65b0ca2b9451c4"
+    (digest_series (E.fig11 ~scale:0.1 ()))
+
+let test_fig12_golden () =
+  Alcotest.(check string)
+    "fig12 digest at scale 0.1" "b04c1c3617394d33ae35f5159a664f64"
+    (digest_series (E.fig12 ~scale:0.1 ()))
+
 let test_tier_goldens () =
   Alcotest.(check string)
     "tier sweep and probe digest" "d10725621b40c1fc6fb7ce6095ef74f6"
@@ -302,6 +315,8 @@ let suites =
         Alcotest.test_case "figure goldens" `Slow test_figure_goldens;
         Alcotest.test_case "sweep goldens" `Slow test_sweep_goldens;
         Alcotest.test_case "fig10 golden" `Slow test_fig10_golden;
+        Alcotest.test_case "fig11 golden" `Slow test_fig11_golden;
+        Alcotest.test_case "fig12 golden" `Slow test_fig12_golden;
         Alcotest.test_case "tier goldens" `Slow test_tier_goldens;
       ] );
   ]
