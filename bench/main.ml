@@ -383,12 +383,15 @@ let run_agg ?(label = "current") ?(out = "BENCH_agg.json") () =
 (* Checksum scaling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Measures the cost of re-checksumming a shared deep aggregate — the
-   per-send operation of the network path — plus deriving per-MTU-packet
-   checksums during segmentation. The recorded runs in BENCH_cksum.json
-   are labeled: the pre-memo per-slice-cache numbers ("slice-cache
-   baseline") are the regression baseline that the rope-memo runs are
-   compared against. *)
+(* Measures checksumming a shared deep aggregate: whole-aggregate folds
+   through the identity cache ([agg_sum], which no served path calls),
+   and per-MTU-packet checksums derived during segmentation, the
+   per-send work of the network path ([pkt_derived_warm] for IO-Lite
+   sends, [pkt_memo_warm] for sendfile). The recorded runs in
+   BENCH_cksum.json are labeled. The "slice-cache baseline (pre-memo)"
+   and "rope-memo" runs predate and include the rope's subtree checksum
+   memos, which answered a warm [agg_sum] with one root read; later runs
+   fold one identity probe per slice. *)
 
 let cksum_show e =
   Printf.printf "  %-18s %8d %10d %14.2f %12.1f\n%!" e.ag_op e.ag_pieces
@@ -439,25 +442,26 @@ let run_cksum ?(label = "current") ?(out = "BENCH_cksum.json") ?(pieces = 1024)
   in
   Printf.printf "  %-18s %8s %10s %14s %12s\n" "op" "slices" "iters"
     "total (ms)" "ns/op";
-  (* Uncached full scan: the per-send cost a system with no checksum
-     reuse pays (and the Spliced/sendfile path before this PR). *)
+  (* Uncached full scan: the per-send cost of a system with no checksum
+     reuse. *)
   record
     (time_op ~op:"of_agg_cold" ~pieces ~piece_size ~iters:200 (fun () ->
          ignore (Cksum.of_agg agg)));
-  (* Cold through the cache: scan + insert for every slice. *)
+  (* Cold through a fresh cache: scan + insert for every slice. *)
   record
     (time_op ~op:"agg_sum_cold" ~pieces ~piece_size ~iters:50 (fun () ->
          let cache = Cksum.Cache.create () in
          ignore (Cksum.Cache.agg_sum cache agg)));
-  (* Warm re-checksum of the shared aggregate: the per-send cost of
-     transmitting an already-summed response body. *)
+  (* Warm re-checksum of the shared aggregate: one identity hit per
+     slice. *)
   let cache = Cksum.Cache.create () in
   ignore (Cksum.Cache.agg_sum cache agg);
   record
     (time_op ~op:"agg_sum_warm" ~pieces ~piece_size ~iters:2000 (fun () ->
          ignore (Cksum.Cache.agg_sum cache agg)));
   (* Per-packet derivation, naive: one Agg.sub + cache fold per MTU
-     packet per send (what segmentation costs without range algebra). *)
+     packet per send (what segmentation costs without deriving the sums
+     during the walk). *)
   let pkt_cache = Cksum.Cache.create () in
   let naive_packets () =
     let off = ref 0 in

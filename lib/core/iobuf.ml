@@ -601,26 +601,14 @@ module Agg = struct
 
   and kind = Leaf of Slice.t | Cat of node * node
 
-  (* Lazily-filled compositional summary slot (the checksum memo,
-     Section 4.4): a node may cache a 16-bit partial sum of its whole
-     subtree, as if the subtree started on an even byte offset. The
-     subtree's byte parity needs no slot of its own — it is [total land 1].
-
-     Validation: a leaf memo carries the buffer generation it was
-     computed under and is dead the moment the generation moves (exactly
-     the ⟨chunk, generation, offset, length⟩ keying of the checksum
-     cache, for free). An internal memo is filled only when both
-     children's summaries were themselves memoizable (every leaf below
-     sealed), and is cleared actively by [try_overwrite] along the paths
-     to every affected buffer. That active clearing is complete: for a
-     live rope the leaves pin their buffers (chunks cannot recycle), so
-     generations below a node can only move via a successful
-     [try_overwrite] on this very rope — exclusivity guarantees no other
-     aggregate can reach the affected buffers. *)
-  and memo =
-    | No_memo
-    | Leaf_memo of int * int (* summary, generation witness *)
-    | Node_memo of int
+  (* Lazily-filled checksum memo of a leaf (the sendfile path's partial
+     sums, Section 4.4): the 16-bit partial sum of the leaf's slice, as
+     if it started on an even byte offset, plus the buffer generation it
+     was computed under. The memo is dead the moment the generation moves
+     (the ⟨chunk, generation, offset, length⟩ keying of the checksum
+     cache, for free), so a [try_overwrite] that rewrites the buffer
+     invalidates it with no sweep. Internal nodes keep [No_memo]. *)
+  and memo = No_memo | Leaf_memo of int * int (* summary, generation witness *)
 
   type t = { mutable root : node option; mutable freed : bool }
 
@@ -1015,75 +1003,12 @@ module Agg = struct
     check t;
     match t.root with None -> [] | Some n -> (cset_of n).cs_pools
 
-  (* --- Compositional summaries (checksum memoization) ------------- *)
+  (* --- Leaf checksum memos (the sendfile path) --------------------- *)
 
   let leaf_memo_value n s =
     match n.memo with
     | Leaf_memo (v, gen) when (Slice.buffer s).generation = gen -> Some v
-    | Leaf_memo _ | Node_memo _ | No_memo -> None
-
-  (* Summarize [n], reusing valid memos and filling empty slots on the
-     way back up. Returns (value, memoizable): a subtree is memoizable
-     only when every leaf below is sealed (unsealed buffers can still
-     change without a generation bump). *)
-  let rec summarize n ~leaf ~combine ~on_memo =
-    match n.kind with
-    | Leaf s -> (
-      match leaf_memo_value n s with
-      | Some v ->
-        on_memo ~nslices:1;
-        (v, true)
-      | None ->
-        let v = leaf s in
-        let b = Slice.buffer s in
-        if Buffer.is_sealed b then begin
-          n.memo <- Leaf_memo (v, b.generation);
-          (v, true)
-        end
-        else (v, false))
-    | Cat (l, r) -> (
-      match n.memo with
-      | Node_memo v ->
-        on_memo ~nslices:n.nslices;
-        (v, true)
-      | No_memo | Leaf_memo _ ->
-        let lv, lok = summarize l ~leaf ~combine ~on_memo in
-        let rv, rok = summarize r ~leaf ~combine ~on_memo in
-        let v = combine ~llen:l.total lv rv in
-        let ok = lok && rok in
-        if ok then n.memo <- Node_memo v;
-        (v, ok))
-
-  let fold_summary t ~leaf ~combine ~on_memo =
-    check t;
-    match t.root with
-    | None -> None
-    | Some n -> Some (fst (summarize n ~leaf ~combine ~on_memo))
-
-  let fold_summary_range t ~off ~len ~leaf ~leaf_part ~combine ~on_memo =
-    check t;
-    if off < 0 || len < 0 || off + len > length t then
-      invalid_arg "Agg.fold_summary_range: range";
-    if len = 0 then None
-    else begin
-      let rec go n ~off ~len =
-        if off = 0 && len = n.total then
-          fst (summarize n ~leaf ~combine ~on_memo)
-        else
-          match n.kind with
-          | Leaf s -> leaf_part s ~off ~len ~whole:(leaf_memo_value n s)
-          | Cat (l, r) ->
-            if off + len <= l.total then go l ~off ~len
-            else if off >= l.total then go r ~off:(off - l.total) ~len
-            else begin
-              let llen = l.total - off in
-              let lv = go l ~off ~len:llen in
-              let rv = go r ~off:0 ~len:(len - llen) in
-              combine ~llen lv rv
-            end
-      in
-      Some (go (Option.get t.root) ~off ~len)
-    end
+    | Leaf_memo _ | No_memo -> None
 
   (* In-order leaf traversal exposing each leaf's valid memo (if any) and
      a setter that stores one under the sealed/generation rules. Used by
@@ -1103,21 +1028,6 @@ module Agg = struct
         go r
     in
     match t.root with None -> () | Some n -> go n
-
-  let memo_stats t =
-    check t;
-    let memoized = ref 0 and total = ref 0 in
-    let rec go n =
-      incr total;
-      (match n.kind with
-      | Leaf s -> if leaf_memo_value n s <> None then incr memoized
-      | Cat (l, r) ->
-        (match n.memo with Node_memo _ -> incr memoized | _ -> ());
-        go l;
-        go r)
-    in
-    (match t.root with None -> () | Some n -> go n);
-    (!memoized, !total)
 
   (* Leaf traversal that also reports whether any node on the leaf's
      path — the leaf included — is structurally shared (nrefs > 1), i.e.
@@ -1184,32 +1094,11 @@ module Agg = struct
             Bytes.blit_string data !cursor b.store.data abs n;
             cursor := !cursor + n;
             (* The contents changed: give the buffer a fresh system-wide
-               identity so stale cached checksums can never match. *)
+               identity so stale cached checksums and leaf memos can
+               never match. *)
             b.generation <-
               Vm.bump_generation (Iosys.vm sys) b.store.vc)
           affected;
-        (* Clear summary memos on every path to an affected buffer (leaf
-           memos also die via the generation witness; internal memos only
-           via this sweep). Exclusivity means no other aggregate can hold
-           nodes over these buffers, so sweeping this rope is complete. *)
-        let rec clear_memos n =
-          match n.kind with
-          | Leaf s ->
-            if List.memq (Slice.buffer s) affected_buffers then begin
-              n.memo <- No_memo;
-              true
-            end
-            else false
-          | Cat (l, r) ->
-            let cl = clear_memos l in
-            let cr = clear_memos r in
-            if cl || cr then begin
-              n.memo <- No_memo;
-              true
-            end
-            else false
-        in
-        (match t.root with None -> () | Some n -> ignore (clear_memos n));
         true
       end
     end

@@ -285,60 +285,24 @@ module Agg : sig
   val content_equal : t -> t -> bool
   (** Structural byte equality without charging (test helper). *)
 
-  (** {2 Compositional summaries (checksum memoization, Section 4.4)}
+  (** {2 Leaf checksum memos (the sendfile path, Section 4.4)}
 
-      Every rope node carries a lazily-filled memo slot for a 16-bit
-      content summary of its subtree (as if the subtree started on an
-      even byte offset; the subtree's byte parity is its length's
-      parity). Leaf memos carry the buffer generation they were computed
+      Every rope leaf carries a lazily-filled memo slot for the 16-bit
+      partial sum of its slice (as if the slice started on an even byte
+      offset). A memo carries the buffer generation it was computed
       under — exactly the checksum cache's
       ⟨chunk, generation, offset, length⟩ key — so buffer reallocation
-      invalidates them for free; internal memos are filled only over
-      fully sealed subtrees and are cleared by {!try_overwrite} along
-      the paths to every rewritten buffer. Because nodes are shared
-      structurally, a memoized subtree answers for {e every} aggregate
-      that shares it. *)
-
-  val fold_summary :
-    t ->
-    leaf:(Slice.t -> int) ->
-    combine:(llen:int -> int -> int -> int) ->
-    on_memo:(nslices:int -> unit) ->
-    int option
-  (** Summary of the whole aggregate ([None] when empty). [leaf] is
-      called only for leaves with no valid memo; [combine ~llen l r]
-      merges child summaries ([llen] = byte length of the left input);
-      [on_memo ~nslices] reports each subtree served from its memo.
-      Valid summaries are written back into empty slots, so a warm
-      re-fold touches O(log n) nodes. *)
-
-  val fold_summary_range :
-    t ->
-    off:int ->
-    len:int ->
-    leaf:(Slice.t -> int) ->
-    leaf_part:(Slice.t -> off:int -> len:int -> whole:int option -> int) ->
-    combine:(llen:int -> int -> int -> int) ->
-    on_memo:(nslices:int -> unit) ->
-    int option
-  (** Summary of the byte range [off, off+len) ([None] when [len = 0]).
-      Fully-covered subtrees go through the memo exactly like
-      {!fold_summary}; a partially-covered leaf is delegated to
-      [leaf_part], which receives the leaf's valid whole-slice memo (if
-      any) so the caller can derive the fragment by algebra instead of a
-      scan. Raises [Invalid_argument] when out of range. *)
+      and {!try_overwrite} invalidate it for free. Because leaves are
+      shared structurally, a memoized leaf answers for {e every}
+      aggregate that shares it. The memos serve only the identity-less
+      per-packet derivation; the identity-keyed checksum cache lives in
+      [Iolite_net.Cksum.Cache]. *)
 
   val iter_slices_memo :
     t -> (Slice.t -> int option -> (int -> unit) -> unit) -> unit
   (** In-order traversal of [f slice memo set]: [memo] is the leaf's
-      valid summary if one is cached, [set] stores one (a no-op for
-      unsealed buffers). For traversals that need per-leaf granularity —
-      e.g. per-packet checksum derivation — rather than subtree
-      shortcuts. *)
-
-  val memo_stats : t -> int * int
-  (** [(memoized_nodes, total_nodes)] — observability for tests and
-      benchmarks. *)
+      valid partial sum if one is cached, [set] stores one (a no-op for
+      unsealed buffers). *)
 
   (** {2 Chunk-set summaries (warm cross-domain transfer, Section 3.4)}
 

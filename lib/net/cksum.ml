@@ -103,28 +103,7 @@ let fold_slices f agg =
 
 let of_agg agg = fold_slices slice_sum_raw agg
 
-type summary = { sum : int; scanned : int; folds : int }
 type derivation = { dsums : int array; dscanned : int; dfolds : int }
-
-(* Whole-aggregate sum through the rope memo, without buffer-identity
-   caching: only subtrees with no valid memo are descended, and only
-   unmemoized leaves are scanned. A warm re-sum of a shared subtree is a
-   single memo read; the cold cost seeds every node on the way up. *)
-let of_agg_memo agg =
-  let scanned = ref 0 in
-  let folds = ref 0 in
-  let leaf s =
-    scanned := !scanned + Iobuf.Slice.len s;
-    slice_sum_raw s
-  in
-  let combine ~llen l r =
-    incr folds;
-    parity_combine ~llen l r
-  in
-  match Iobuf.Agg.fold_summary agg ~leaf ~combine ~on_memo:(fun ~nslices:_ -> ())
-  with
-  | None -> { sum = 0; scanned = 0; folds = 0 }
-  | Some sum -> { sum; scanned = !scanned; folds = !folds }
 
 (* Packet boundaries (relative offsets) of a leaf that begins when the
    current packet already holds [fill] bytes: fragments of at most
@@ -233,7 +212,7 @@ module Cache = struct
   let initial_slots = 1024
 
   type t = {
-    mutable enabled : bool;
+    enabled : bool;
     max_entries : int;
     mutable slots : int array;
     mutable refd : Bytes.t;
@@ -245,7 +224,6 @@ module Cache = struct
     mutable hits : int;
     mutable misses : int;
     mutable agg_slices : int; (* slices folded via agg_sum, O(1) per agg *)
-    mutable memo_slices : int; (* slices answered by subtree memos *)
     mutable evictions : int;
     mutable resets : int;
   }
@@ -264,13 +242,11 @@ module Cache = struct
       hits = 0;
       misses = 0;
       agg_slices = 0;
-      memo_slices = 0;
       evictions = 0;
       resets = 0;
     }
 
   let enabled t = t.enabled
-  let set_enabled t v = t.enabled <- v
 
   let hash c g o l =
     let h = (c * 0x9E3779B1) + g in
@@ -429,119 +405,16 @@ module Cache = struct
 
   let agg_sum t agg =
     t.agg_slices <- t.agg_slices + Iobuf.Agg.num_slices agg;
-    if not t.enabled then begin
-      (* Measurement mode (fig 11 no-cksum bars): every byte scanned,
-         no memo reads or writes anywhere. *)
-      let computed = ref 0 in
-      let sum =
-        fold_slices
-          (fun s ->
-            let sum, _ = slice_sum t s in
-            computed := !computed + Iobuf.Slice.len s;
-            sum)
-          agg
-      in
-      (sum, !computed)
-    end
-    else begin
-      (* Top-down memo combine: a warm shared subtree is one memo read,
-         an unmemoized leaf falls back to the identity table, and only
-         table misses touch data. *)
-      let computed = ref 0 in
-      let leaf s =
-        let sum, hit = slice_sum t s in
-        if not hit then computed := !computed + Iobuf.Slice.len s;
-        sum
-      in
-      let on_memo ~nslices =
-        t.hits <- t.hits + nslices;
-        t.memo_slices <- t.memo_slices + nslices
-      in
-      match
-        Iobuf.Agg.fold_summary agg ~leaf ~combine:parity_combine ~on_memo
-      with
-      | None -> (0, 0)
-      | Some sum -> (sum, !computed)
-    end
-
-  (* Checksum of [off, off+len) by subtree memos plus ones'-complement
-     subtraction at the boundary leaves: a partially-covered leaf probes
-     the identity table for the fragment first; on a miss, if the
-     whole-leaf memo is valid and the fragment is more than half the
-     leaf, the two complement fragments are scanned instead and the
-     fragment derived as whole ⊖ prefix ⊖ suffix (parity-adjusted). *)
-  let range_sum t agg ~off ~len =
-    let scanned = ref 0 and folds = ref 0 in
-    if not t.enabled then begin
-      let sum =
-        match
-          Iobuf.Agg.fold_summary_range agg ~off ~len
-            ~leaf:(fun s ->
-              scanned := !scanned + Iobuf.Slice.len s;
-              slice_sum_raw s)
-            ~leaf_part:(fun s ~off ~len ~whole:_ ->
-              scanned := !scanned + len;
-              slice_range_raw s ~off ~len)
-            ~combine:(fun ~llen l r ->
-              incr folds;
-              parity_combine ~llen l r)
-            ~on_memo:(fun ~nslices:_ -> ())
-        with
-        | None -> 0
-        | Some sum -> sum
-      in
-      (* Even disabled, the range fold must not memoize: scanned counts
-         every byte. (fold_summary_range fills memos for fully-covered
-         subtrees, so the disabled path scans leaf-by-leaf above.) *)
-      { sum; scanned = !scanned; folds = !folds }
-    end
-    else begin
-      let leaf s =
-        let sum, hit = slice_sum t s in
-        if not hit then scanned := !scanned + Iobuf.Slice.len s;
-        sum
-      in
-      let leaf_part s ~off ~len ~whole =
-        let slen = Iobuf.Slice.len s in
-        let _, base = Iobuf.Slice.view s in
-        let c = chunk_of s and g = generation_of s in
-        let sum = find t c g (base + off) len in
-        if sum >= 0 then sum
-        else begin
-          t.misses <- t.misses + 1;
-          let sum =
-            match whole with
-            | Some w when slen - len < len ->
-              (* Complements are smaller: scan them and subtract. *)
-              let p = slice_range_raw s ~off:0 ~len:off in
-              let f = slice_range_raw s ~off:(off + len) ~len:(slen - off - len) in
-              scanned := !scanned + (slen - len);
-              folds := !folds + 2;
-              let v = sub16 (sub16 w p) (if (off + len) land 1 = 1 then swap16 f else f) in
-              if off land 1 = 1 then swap16 v else v
-            | Some _ | None ->
-              scanned := !scanned + len;
-              slice_range_raw s ~off ~len
-          in
-          insert t c g (base + off) len sum;
-          sum
-        end
-      in
-      let combine ~llen l r =
-        incr folds;
-        parity_combine ~llen l r
-      in
-      let on_memo ~nslices =
-        t.hits <- t.hits + nslices;
-        t.memo_slices <- t.memo_slices + nslices
-      in
-      match
-        Iobuf.Agg.fold_summary_range agg ~off ~len ~leaf ~leaf_part ~combine
-          ~on_memo
-      with
-      | None -> { sum = 0; scanned = 0; folds = 0 }
-      | Some sum -> { sum; scanned = !scanned; folds = !folds }
-    end
+    let computed = ref 0 in
+    let sum =
+      fold_slices
+        (fun s ->
+          let sum, hit = slice_sum t s in
+          if not hit then computed := !computed + Iobuf.Slice.len s;
+          sum)
+        agg
+    in
+    (sum, !computed)
 
   (* Per-MTU-packet wire checksums in one in-order walk ("during
      segmentation"): each packet's payload is a run of slice fragments
@@ -596,7 +469,6 @@ module Cache = struct
   let hits t = t.hits
   let misses t = t.misses
   let slices_summed t = t.agg_slices
-  let memo_slices t = t.memo_slices
   let entry_count t = t.count
   let evictions t = t.evictions
   let resets t = t.resets
@@ -605,7 +477,6 @@ module Cache = struct
     t.hits <- 0;
     t.misses <- 0;
     t.agg_slices <- 0;
-    t.memo_slices <- 0;
     t.evictions <- 0;
     t.resets <- 0
 end

@@ -7,31 +7,19 @@
     every time the same slice is transmitted — eliminating the last
     data-touching operation when serving cached files. Generation numbers
     invalidate entries automatically when buffer storage is recycled.
+    {!Cache} is the one checksum cache: every IO-Lite send probes it once
+    per packet fragment ({!Cache.packet_sums}).
 
-    On top of the identity cache, partial sums are memoized {e in the
-    aggregate rope itself} (see {!Iolite_core.Iobuf.Agg.fold_summary}):
-    the ones'-complement sum is associative under a byte-parity swap, so
-    a warm re-checksum of a structurally shared subtree is a single memo
-    read and re-checksumming a Flash-Lite response (fresh header ⊕
-    shared body) costs one leaf scan plus an O(log n) combine. *)
+    The identity-less sendfile path cannot key sums by buffer identity
+    across sends; {!packet_sums_memo} instead keeps whole-leaf partial
+    sums in the aggregate's rope leaves (see
+    {!Iolite_core.Iobuf.Agg.iter_slices_memo}), validated by the same
+    generation numbers. *)
 
 val of_string : string -> int
 (** 16-bit ones'-complement Internet checksum of the whole string. *)
 
 val of_bytes : Bytes.t -> off:int -> len:int -> int
-
-val sum16 : int -> int -> int
-(** Fold two 16-bit partial sums (ones'-complement addition). *)
-
-val sub16 : int -> int -> int
-(** Ones'-complement subtraction: [sub16 a b] removes [b]'s
-    contribution from [a] (RFC 1624). Exact modulo 65535; the result may
-    be the 0xFFFF representative of the zero class where a direct scan
-    yields 0x0000 — compare derived sums modulo 0xFFFF. *)
-
-val swap16 : int -> int
-(** Byte-swap a 16-bit sum — folding a slice that starts at an odd
-    global offset (RFC 1071 byte-order identity). *)
 
 val finish : int -> int
 (** Ones' complement of a folded sum: the on-the-wire checksum value. *)
@@ -39,15 +27,11 @@ val finish : int -> int
 val parity_combine : llen:int -> int -> int -> int
 (** [parity_combine ~llen l r] folds partial sum [r] — of a segment
     beginning [llen] bytes into the stream — onto [l], byte-swapping [r]
-    when [llen] is odd. The combine step of the checksum algebra. *)
+    when [llen] is odd (RFC 1071 byte-order identity). *)
 
 val of_agg : Iolite_core.Iobuf.Agg.t -> int
 (** Checksum of an aggregate's contents, slice by slice (uncached
     reference implementation; no memo reads or writes). *)
-
-type summary = { sum : int; scanned : int; folds : int }
-(** A computed sum plus its cost: [scanned] data bytes actually touched
-    and [folds] combine steps performed. *)
 
 type derivation = {
   dsums : int array;  (** finished per-packet wire checksums *)
@@ -55,29 +39,27 @@ type derivation = {
   dfolds : int;  (** combine steps performed *)
 }
 
-val of_agg_memo : Iolite_core.Iobuf.Agg.t -> summary
-(** Whole-aggregate sum through the rope memo, without buffer-identity
-    caching: descends only unmemoized subtrees and seeds their memo
-    slots. Warm re-sum of a shared aggregate = one memo read. *)
-
 val packet_sums_memo : Iolite_core.Iobuf.Agg.t -> mtu:int -> derivation
 (** Per-MTU-packet checksums for the identity-less ([Spliced]/sendfile)
     path, derived in one in-order walk: a leaf contained in a single
     packet is served from (or seeds) its rope memo; a leaf split across
     packets scans all fragments but the last, which is derived from the
-    whole-leaf memo by ones'-complement subtraction. Warm cost is the
+    whole-leaf memo by ones'-complement subtraction (RFC 1624; exact
+    modulo 65535, so a derived checksum may be the 0x0000 representative
+    where a direct scan yields 0xFFFF). Warm cost is the
     interior-fragment bytes only — sendfile stops being charged full
     re-scans, but without content identity it cannot reach the
     Flash-Lite zero (Section 4.4). *)
 
-(** Per-slice checksum cache. *)
+(** Per-slice checksum cache keyed by buffer identity. *)
 module Cache : sig
   type t
 
   val create : ?enabled:bool -> ?max_entries:int -> unit -> t
+  (** A disabled cache stores nothing: every sum is computed from the
+      data (Fig 11's no-cksum bars). *)
 
   val enabled : t -> bool
-  val set_enabled : t -> bool -> unit
 
   val slice_sum : t -> Iolite_core.Iobuf.Slice.t -> int * bool
   (** [(partial_sum, was_hit)] for the slice's contents (sum assumes the
@@ -85,22 +67,10 @@ module Cache : sig
 
   val agg_sum :
     t -> Iolite_core.Iobuf.Agg.t -> int * int
-  (** Fold a whole aggregate: [(checksum_sum, bytes_computed)] where
-      [bytes_computed] counts only the bytes whose sum was {e not} served
-      from the cache — the quantity the cost model charges for. When the
-      cache is enabled the fold runs top-down through the rope memo:
-      shared warm subtrees are O(1) memo reads (counted as hits, one per
-      slice covered) and only unmemoized leaves fall back to the
-      identity table. Disabled, every byte is scanned and nothing is
-      memoized (the fig 11 no-cksum measurement mode). *)
-
-  val range_sum :
-    t -> Iolite_core.Iobuf.Agg.t -> off:int -> len:int -> summary
-  (** Checksum sum of the byte range [off, off+len), combining subtree
-      memos for fully-covered subtrees and deriving boundary-leaf
-      fragments by ones'-complement subtraction from the whole-leaf memo
-      when the fragment's complement is smaller than the fragment.
-      Fragment sums gain full buffer identity and land in the cache. *)
+  (** Fold a whole aggregate slice by slice through {!slice_sum}:
+      [(checksum_sum, bytes_computed)] where [bytes_computed] counts only
+      the bytes whose sum was {e not} served from the cache. Sends use
+      {!packet_sums} instead; no served path calls this. *)
 
   val packet_sums :
     t -> Iolite_core.Iobuf.Agg.t -> mtu:int -> derivation
@@ -116,10 +86,6 @@ module Cache : sig
   val slices_summed : t -> int
   (** Total slices folded through {!agg_sum}/{!packet_sums}, accumulated
       from the aggregates' O(1) [Agg.num_slices] (not by re-counting). *)
-
-  val memo_slices : t -> int
-  (** Of {!hits}, the slices answered by rope-memo subtree reads rather
-      than identity-table probes. *)
 
   val entry_count : t -> int
 

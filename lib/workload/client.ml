@@ -64,6 +64,13 @@ let run kernel listener config ~pick =
         end)
   done;
   Engine.run ~until:window_end engine;
+  (* A point with no completion is a stalled run, not a 0 Mb/s bar. *)
+  if !requests = 0 then
+    failwith
+      (Printf.sprintf
+         "Client.run: no response completed in the measurement window [%g, \
+          %g] s (%d clients)"
+         window_start window_end config.clients);
   {
     mbps = float_of_int (!bytes * 8) /. config.duration /. 1e6;
     requests = !requests;

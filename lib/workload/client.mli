@@ -29,4 +29,6 @@ val run :
 (** Spawns the clients, runs the engine until warmup + duration, and
     reports bandwidth measured strictly inside the window. [pick] names
     the path each request fetches. Persistent clients keep one
-    connection; non-persistent clients reconnect per request. *)
+    connection; non-persistent clients reconnect per request. Raises
+    [Failure], naming the window and the client count, when no response
+    completes inside the window. *)

@@ -132,7 +132,12 @@ let test_sendfile_ablation_ordering () =
   and sf = at_20k "Flash+sendfile"
   and flash = at_20k "Flash" in
   Alcotest.(check bool) "sendfile between Flash and Flash-Lite" true
-    (flash < sf && sf < fl)
+    (flash < sf && sf < fl);
+  (* The whole series, digested exactly: [Spliced] sends are the only
+     readers of the rope's per-leaf checksum memos. *)
+  Alcotest.(check string)
+    "sendfile ablation digest at scale 0.05" "262721f97357b4754388d61cc545a070"
+    (Test_workload.digest_series series)
 
 let test_engine_run_twice () =
   let e = Engine.create () in

@@ -147,7 +147,6 @@ let test_cksum_cache_disabled () =
 (* Subtraction-derived sums may land on the 0xFFFF representative of the
    zero class where a direct scan yields 0x0000 (RFC 1624): compare the
    residue modulo 0xFFFF. *)
-let norm_sum s = s mod 0xFFFF
 let norm_cksum c = (lnot c land 0xFFFF) mod 0xFFFF
 
 let letters n seed =
@@ -173,58 +172,40 @@ let prop_cksum_compositional =
       let view = Iobuf.Agg.sub whole ~off ~len in
       let dup = Iobuf.Agg.dup view in
       let expect = Cksum.of_string (String.sub flat off len) in
-      let s1 = (Cksum.of_agg_memo view).Cksum.sum in
-      (* Warm re-fold over shared structure must agree and touch no data. *)
-      let warm = Cksum.of_agg_memo dup in
       let cache = Cksum.Cache.create () in
       let s3, _ = Cksum.Cache.agg_sum cache view in
-      let s4, c4 = Cksum.Cache.agg_sum cache view in
-      let ok =
-        s1 = expect && warm.Cksum.sum = expect && warm.Cksum.scanned = 0
-        && s3 = expect && s4 = expect && c4 = 0
-      in
+      (* Warm re-fold over shared structure must agree and touch no data. *)
+      let s4, c4 = Cksum.Cache.agg_sum cache dup in
+      let ok = s3 = expect && s4 = expect && c4 = 0 in
       List.iter Iobuf.Agg.free (view :: dup :: whole :: aggs);
       ok)
 
+(* The rope's leaf memos die with their buffer's generation: an in-place
+   overwrite re-scans exactly the rewritten leaf. *)
 let test_memo_overwrite_invalidation () =
   let sys, d, pool = mk () in
-  let a = Iobuf.Agg.of_string pool ~producer:d (String.make 2000 'a') in
-  Alcotest.(check int) "initial sum"
-    (Cksum.of_string (String.make 2000 'a'))
-    (Cksum.of_agg_memo a).Cksum.sum;
+  (* Two 1000-byte leaves inside one packet: warm, both sums are leaf
+     memo reads. *)
+  let mtu = 4096 in
+  let parts =
+    List.map (Iobuf.Agg.of_string pool ~producer:d)
+      [ String.make 1000 'a'; String.make 1000 'c' ]
+  in
+  let a = Iobuf.Agg.concat_list parts in
+  List.iter Iobuf.Agg.free parts;
+  let wire () = [| Cksum.finish (Cksum.of_agg a) |] in
+  Alcotest.(check (array int)) "initial sum" (wire ())
+    (Cksum.packet_sums_memo a ~mtu).Cksum.dsums;
   Alcotest.(check int) "warm re-sum is scan-free" 0
-    (Cksum.of_agg_memo a).Cksum.scanned;
+    (Cksum.packet_sums_memo a ~mtu).Cksum.dscanned;
   Alcotest.(check bool) "exclusive overwrite succeeds" true
     (Iobuf.Agg.try_overwrite sys a ~off:101 (String.make 50 'b'));
-  let fresh = Cksum.of_agg a in
-  let after = Cksum.of_agg_memo a in
-  Alcotest.(check int) "memo invalidated: recomputed sum" fresh after.Cksum.sum;
-  Alcotest.(check bool) "bytes rescanned after overwrite" true
-    (after.Cksum.scanned > 0);
+  let after = Cksum.packet_sums_memo a ~mtu in
+  Alcotest.(check (array int)) "memo invalidated: recomputed sum" (wire ())
+    after.Cksum.dsums;
+  Alcotest.(check int) "only the rewritten leaf rescanned" 1000
+    after.Cksum.dscanned;
   Iobuf.Agg.free a
-
-let test_of_agg_memo_shared_body () =
-  let _, d, pool = mk () in
-  let parts = List.init 8 (fun i -> letters 1250 i) in
-  let chunks = List.map (Iobuf.Agg.of_string pool ~producer:d) parts in
-  let body = Iobuf.Agg.concat_list chunks in
-  (* Odd-length first header exercises the parity swap at the join. *)
-  let h1 = Iobuf.Agg.of_string pool ~producer:d "HTTP/1.1 200 OK\r\n\r" in
-  let r1 = Iobuf.Agg.concat h1 body in
-  let cold = Cksum.of_agg_memo r1 in
-  Alcotest.(check int) "cold scans everything" (Iobuf.Agg.length r1)
-    cold.Cksum.scanned;
-  Alcotest.(check int) "cold sum correct" (Cksum.of_agg r1) cold.Cksum.sum;
-  (* Second response sharing the body: only the fresh header is data. *)
-  let h2 = Iobuf.Agg.of_string pool ~producer:d "HTTP/1.1 200 OK!\r\n\r\n" in
-  let r2 = Iobuf.Agg.concat h2 body in
-  let warm = Cksum.of_agg_memo r2 in
-  Alcotest.(check int) "warm scans header bytes only"
-    (Iobuf.Agg.length h2) warm.Cksum.scanned;
-  Alcotest.(check int) "warm sum correct" (Cksum.of_agg r2) warm.Cksum.sum;
-  Alcotest.(check bool) "combines through memoized subtrees" true
-    (warm.Cksum.folds > 0);
-  List.iter Iobuf.Agg.free (r1 :: r2 :: h1 :: h2 :: body :: chunks)
 
 let test_second_chance_eviction () =
   let _, d, pool = mk () in
@@ -596,32 +577,6 @@ let test_packet_sums_memo_partial_scan () =
        dv.Cksum.dsums dv2.Cksum.dsums);
   List.iter Iobuf.Agg.free (a :: aggs)
 
-let test_range_sum_algebra () =
-  let _, d, pool = mk () in
-  let cache = Cksum.Cache.create () in
-  let s = letters 4096 5 in
-  let a = Iobuf.Agg.of_string pool ~producer:d s in
-  ignore (Cksum.Cache.agg_sum cache a);
-  (* Large odd-offset fragment: the complements (3 + 93 bytes) are
-     scanned and the fragment derived from the whole-leaf memo. *)
-  let r = Cksum.Cache.range_sum cache a ~off:3 ~len:4000 in
-  Alcotest.(check int) "derived range sum class"
-    (norm_sum (Cksum.of_string (String.sub s 3 4000)))
-    (norm_sum r.Cksum.sum);
-  Alcotest.(check int) "scanned only the complements" 96 r.Cksum.scanned;
-  (* The derived fragment gained buffer identity: warm repeat is free. *)
-  let r2 = Cksum.Cache.range_sum cache a ~off:3 ~len:4000 in
-  Alcotest.(check int) "warm repeat scan-free" 0 r2.Cksum.scanned;
-  Alcotest.(check int) "stable value" (norm_sum r.Cksum.sum)
-    (norm_sum r2.Cksum.sum);
-  (* Small fragment: direct scan is cheaper than the complements. *)
-  let r3 = Cksum.Cache.range_sum cache a ~off:10 ~len:100 in
-  Alcotest.(check int) "small range scans itself" 100 r3.Cksum.scanned;
-  Alcotest.(check int) "small range sum"
-    (norm_sum (Cksum.of_string (String.sub s 10 100)))
-    (norm_sum r3.Cksum.sum);
-  Iobuf.Agg.free a
-
 let test_link_wire_time () =
   let l = Link.create ~links:5 ~bits_per_sec:360e6 () in
   (* One 1500-byte packet on a 72 Mb/s interface: (1500+58)*8/72e6. *)
@@ -756,14 +711,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_cksum_compositional;
         Alcotest.test_case "overwrite invalidation" `Quick
           test_memo_overwrite_invalidation;
-        Alcotest.test_case "shared body warm fold" `Quick
-          test_of_agg_memo_shared_body;
         Alcotest.test_case "packet sums match reference" `Quick
           test_packet_sums_reference;
         Alcotest.test_case "identity-less packet sums" `Quick
           test_packet_sums_memo_partial_scan;
-        Alcotest.test_case "range sum by subtraction" `Quick
-          test_range_sum_algebra;
       ] );
     ( "net.link",
       [

@@ -113,6 +113,28 @@ let test_client_persistent_faster_small_files () =
   let np = run false and p = run true in
   Alcotest.(check bool) "keep-alive helps small files" true (p > np *. 1.3)
 
+(* A 10 s CPU charge left pending before a 1 s window stalls the server
+   past the window end, the shape of the warm-start preload leak that
+   once read 0.0 Mb/s in Fig 8. That point is an error, not a zero. *)
+let test_client_zero_completions_raise () =
+  let engine = Engine.create () in
+  let kernel = Kernel.create engine in
+  ignore (Kernel.add_file kernel ~name:"/doc" ~size:5_000);
+  let listener =
+    Flash.listener (Flash.start ~variant:Flash.Iolite kernel ~port:80)
+  in
+  Kernel.add_pending kernel 10.0;
+  let config =
+    { Client.clients = 8; rtt = 0.0; persistent = false; warmup = 0.5; duration = 1.0 }
+  in
+  Alcotest.check_raises "stalled point raises"
+    (Failure
+       "Client.run: no response completed in the measurement window [0.5, \
+        1.5] s (8 clients)")
+    (fun () ->
+      ignore
+        (Client.run kernel listener config ~pick:(fun ~client:_ ~iter:_ -> "/doc")))
+
 let test_file_path_matches_printf () =
   List.iter
     (fun rank ->
@@ -267,6 +289,19 @@ let test_fig10_golden () =
     "fig10 digest at scale 0.1" "afb2a28475008e7c8332ad21f8be25b9"
     (digest_series (E.fig10 ~scale:0.1 ()))
 
+(* Fig 8 at scale 0.1: the three traces, each served by Flash-Lite,
+   Flash and Apache after a warm start, one bandwidth per server. *)
+let test_fig8_golden () =
+  Alcotest.(check string)
+    "fig8 digest at scale 0.1" "0428c948b518f453b7a838e3b6f52fc3"
+    (digest_lines
+       (List.concat_map
+          (fun (trace, points) ->
+            List.map
+              (fun (server, mbps) -> Printf.sprintf "%s %s %h" trace server mbps)
+              points)
+          (E.fig8 ~scale:0.1 ())))
+
 (* Figs 11 and 12 at scale 0.1: the ablation bars (GDS/LRU x checksum
    cache) and the RTT sweep. Every warm start in them goes through the
    content generator. *)
@@ -304,6 +339,8 @@ let suites =
       [
         Alcotest.test_case "driver measures" `Quick test_client_driver_measures;
         Alcotest.test_case "persistent faster" `Quick test_client_persistent_faster_small_files;
+        Alcotest.test_case "zero completions raise" `Quick
+          test_client_zero_completions_raise;
       ] );
     ( "workload.warm_start",
       [
@@ -314,6 +351,7 @@ let suites =
       [
         Alcotest.test_case "figure goldens" `Slow test_figure_goldens;
         Alcotest.test_case "sweep goldens" `Slow test_sweep_goldens;
+        Alcotest.test_case "fig8 golden" `Slow test_fig8_golden;
         Alcotest.test_case "fig10 golden" `Slow test_fig10_golden;
         Alcotest.test_case "fig11 golden" `Slow test_fig11_golden;
         Alcotest.test_case "fig12 golden" `Slow test_fig12_golden;
