@@ -397,7 +397,10 @@ let cksum_show e =
   Printf.printf "  %-18s %8d %10d %14.2f %12.1f\n%!" e.ag_op e.ag_pieces
     e.ag_iters (e.ag_total_ns /. 1e6) (ns_per_op e)
 
+(* Each phase starts from a compacted heap, outside the timed region, so
+   garbage a previous phase left behind is not billed to this one. *)
 let time_op ~op ~pieces ~piece_size ~iters f =
+  Gc.compact ();
   let t0 = now_ns () in
   for _ = 1 to iters do
     f ()

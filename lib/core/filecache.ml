@@ -171,6 +171,20 @@ let drop_entry t e =
   t.slices <- t.slices - Iobuf.Agg.num_slices e.eagg;
   Iobuf.Agg.free e.eagg
 
+(* The bytes of [entries] (adjacent, in offset order, [len] in all) as
+   one string, for a demotion or a write-back cluster: each slice is
+   copied once, on the host only. The tier and the disk model the cost
+   of these moves. *)
+let snapshot entries ~len =
+  let dst = Bytes.create len in
+  ignore
+    (List.fold_left
+       (fun pos e ->
+         Iobuf.Agg.copy_out e.eagg dst ~pos;
+         pos + e.elen)
+       0 entries);
+  Bytes.unsafe_to_string dst
+
 (* A vetoed victim (dirty, uncapturable because its range overlaps an
    in-flight write) used to end the eviction round; instead the policy is
    re-consulted up to this many times with the vetoed keys excluded, so
@@ -227,11 +241,8 @@ let evict_one t =
            to the next tier down before they are freed. *)
         (match t.demoter with
         | Some demote when e.elen > 0 && not e.esuperseded ->
-          let buf = Buffer.create e.elen in
-          Iobuf.Agg.fold_bytes e.eagg ~init:() ~f:(fun () data off len ->
-              Buffer.add_subbytes buf data off len);
           demote ~file:e.efile ~off:e.eoff ~len:e.elen ~gen:e.egen
-            ~data:(Buffer.contents buf)
+            ~data:(snapshot [ e ] ~len:e.elen)
         | _ -> ());
         drop_entry t e;
         t.evictions <- t.evictions + 1;
@@ -557,10 +568,6 @@ let cluster_data c = c.cl_data
    tell these bytes from an older demotion of the same range. *)
 let cluster_gen c = List.fold_left (fun acc (_, g) -> max acc g) 0 c.cl_items
 
-let agg_blit agg buf =
-  Iobuf.Agg.fold_bytes agg ~init:() ~f:(fun () data off len ->
-      Buffer.add_subbytes buf data off len)
-
 (* Walk the file's extents in offset order and merge maximal runs of
    adjacent dirty extents into clusters of at most one pool extent
    ([Iobuf.Pool.max_alloc] bytes; a single larger extent forms its own
@@ -585,8 +592,6 @@ let collect_dirty ?skip t ~file =
         | None -> false
       in
       if not vetoed then begin
-        let buf = Buffer.create !run_len in
-        List.iter (fun e -> agg_blit e.eagg buf) entries;
         List.iter (fun e -> e.ecaptured <- true) entries;
         clusters :=
           {
@@ -594,7 +599,7 @@ let collect_dirty ?skip t ~file =
             cl_off = first.eoff;
             cl_len = !run_len;
             cl_extents = List.length entries;
-            cl_data = Buffer.contents buf;
+            cl_data = snapshot entries ~len:!run_len;
             cl_items = List.map (fun e -> (e, e.egen)) entries;
           }
           :: !clusters

@@ -884,12 +884,22 @@ module Agg = struct
     in
     walk (Option.get t.root) i
 
-  let raw_string t =
-    let buf = Stdlib.Buffer.create (length t) in
+  (* The one host copy-out: each slice blitted once into [dst], with no
+     simulated charge. The callers that model a copy charge it. *)
+  let copy_out t dst ~pos =
+    check t;
+    if pos < 0 || pos + length t > Bytes.length dst then
+      invalid_arg "Agg.copy_out: range";
+    let cursor = ref pos in
     iter_leaves t.root (fun s ->
         let data, off = Slice.view s in
-        Stdlib.Buffer.add_subbytes buf data off (Slice.len s));
-    Stdlib.Buffer.contents buf
+        Bytes.blit data off dst !cursor (Slice.len s);
+        cursor := !cursor + Slice.len s)
+
+  let raw_string t =
+    let dst = Bytes.create (length t) in
+    copy_out t dst ~pos:0;
+    Bytes.unsafe_to_string dst
 
   let to_string sys t =
     check t;
@@ -897,16 +907,8 @@ module Agg = struct
     raw_string t
 
   let blit_to_bytes sys t dst ~pos =
-    check t;
-    let total = length t in
-    if pos < 0 || pos + total > Bytes.length dst then
-      invalid_arg "Agg.blit_to_bytes: range";
-    Iosys.touch sys Iosys.Copy total;
-    let cursor = ref pos in
-    iter_leaves t.root (fun s ->
-        let data, off = Slice.view s in
-        Bytes.blit data off dst !cursor (Slice.len s);
-        cursor := !cursor + Slice.len s)
+    copy_out t dst ~pos;
+    Iosys.touch sys Iosys.Copy (length t)
 
   (* Clipped slices of [t] overlapping [off, off+len), in order. *)
   let ranged t ~off ~len =

@@ -271,6 +271,14 @@ module Agg : sig
   (** Copies out (charges [Copy]). *)
 
   val blit_to_bytes : Iosys.t -> t -> Bytes.t -> pos:int -> unit
+  (** {!copy_out}, charged as a [Copy]. *)
+
+  val copy_out : t -> Bytes.t -> pos:int -> unit
+  (** [copy_out t dst ~pos] writes [t]'s bytes into [dst] from [pos]:
+      one host copy, {e no} simulated charge. For bytes leaving the
+      simulated memory system, whose cost the destination models (a
+      demotion to the NVMM tier, a write-back cluster's disk payload).
+      Raises [Invalid_argument] when [dst] is too short. *)
 
   val try_overwrite : Iosys.t -> t -> off:int -> string -> bool
   (** The footnote-2 optimization of Section 3.1: "I/O data can be

@@ -205,13 +205,25 @@ let promote t ~file ~off ~len =
     None
   end
   else begin
-    let buf = Buffer.create len in
-    List.iter
-      (fun e ->
-        let start = max off e.zoff in
-        let stop = min (off + len) (e.zoff + e.zlen) in
-        Buffer.add_substring buf e.zdata (start - e.zoff) (stop - start))
-      (Map.overlapping t.map ~file ~off ~len);
+    let e = Map.floor t.map ~file ~off in
+    let data =
+      if e.zoff = off && e.zlen = len then
+        (* One entry is the whole range: hand its string over uncopied.
+           Strings are immutable, and the entry leaves the tier below
+           (or stays pinned, bytes unchanged, if staged). *)
+        e.zdata
+      else begin
+        let buf = Bytes.create len in
+        List.iter
+          (fun e ->
+            let start = max off e.zoff in
+            let stop = min (off + len) (e.zoff + e.zlen) in
+            Bytes.blit_string e.zdata (start - e.zoff) buf (start - off)
+              (stop - start))
+          (Map.overlapping t.map ~file ~off ~len);
+        Bytes.unsafe_to_string buf
+      end
+    in
     (* Exclusive tiering: the promoted bytes move up — remove them here
        (staged entries excepted; their pin outlives the promotion). *)
     remove_range ~keep_staged:true t ~file ~off ~len;
@@ -221,7 +233,7 @@ let promote t ~file ~off ~len =
     Logs.debug ~src:log (fun m ->
         m "promoted file %d [%d,+%d); %d entries / %d bytes remain" file off
           len (entry_count t) (total_bytes t));
-    Some (Buffer.contents buf)
+    Some data
   end
 
 let invalidate t ~file ~off ~len =

@@ -70,14 +70,16 @@ val unstage : t -> file:int -> off:int -> len:int -> unit
     having been carved or invalidated while the write was in flight. *)
 
 val promote : t -> file:int -> off:int -> len:int -> string option
-(** Probe for [off, off+len). Full coverage returns the assembled bytes
-    and {e removes} them from the tier ([cache.tier.hit] +
+(** Probe for [off, off+len). Full coverage returns the bytes and
+    {e removes} them from the tier ([cache.tier.hit] +
     [cache.tier.promote]; staged entries contribute bytes but stay
-    pinned until their disk write acks). Partial or no coverage returns
-    [None] ([cache.tier.miss]) and drops any unstaged partial overlap —
-    the caller refills the whole range from disk, and keeping a stale
-    fragment alongside the fresh disk copy would let two tiers disagree
-    about those bytes. *)
+    pinned until their disk write acks). When one entry spans exactly
+    the range, the result is that entry's stored string, not a copy;
+    otherwise one string is assembled from the covering entries.
+    Partial or no coverage returns [None] ([cache.tier.miss]) and drops
+    any unstaged partial overlap — the caller refills the whole range
+    from disk, and keeping a stale fragment alongside the fresh disk
+    copy would let two tiers disagree about those bytes. *)
 
 val invalidate : t -> file:int -> off:int -> len:int -> unit
 (** A write made [off, off+len) newer than anything resident here: drop

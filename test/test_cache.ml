@@ -738,6 +738,106 @@ let test_slice_stats () =
   | None -> Alcotest.fail "expected hit");
   ignore sys
 
+(* An aggregate of [n] buffers, each seen through a sub-slice at an odd
+   offset between '#' guards, so a copy-out that ignored slice offsets
+   or lengths would leak guard bytes. Returns the aggregate and its
+   bytes. *)
+let ragged pool app ~tag ~n =
+  let pieces =
+    List.init n (fun i ->
+        String.init (17 + (2 * i)) (fun j ->
+            Char.chr (48 + (((tag * 31) + (i * 7) + j) mod 75))))
+  in
+  let parts =
+    List.mapi
+      (fun i piece ->
+        let pad = 1 + (2 * (i mod 3)) in
+        let whole =
+          Iobuf.Agg.of_string pool ~producer:app
+            (String.make pad '#' ^ piece ^ "##")
+        in
+        let part = Iobuf.Agg.sub whole ~off:pad ~len:(String.length piece) in
+        Iobuf.Agg.free whole;
+        part)
+      pieces
+  in
+  let agg = Iobuf.Agg.concat_list parts in
+  List.iter Iobuf.Agg.free parts;
+  (agg, String.concat "" pieces)
+
+(* Overwrite recycled buffers: a payload that aliased freed buffers
+   instead of copying them would change under these bytes. *)
+let scribble pool app =
+  List.iter Iobuf.Agg.free
+    (List.init 16 (fun _ ->
+         Iobuf.Agg.of_string pool ~producer:app (String.make 64 'Z')))
+
+let test_demoter_gets_entry_bytes () =
+  let _, app, pool, cache = mk () in
+  let show (file, off, len, gen, data) =
+    Printf.sprintf "file %d [%d,+%d) gen %d %S" file off len gen data
+  in
+  let demoted = ref [] in
+  Filecache.set_demoter cache (fun ~file ~off ~len ~gen ~data ->
+      demoted := show (file, off, len, gen, data) :: !demoted);
+  let want =
+    List.map
+      (fun (file, off, n) ->
+        let agg, bytes = ragged pool app ~tag:(file + off) ~n in
+        Filecache.insert cache ~file ~off agg;
+        show (file, off, String.length bytes, 0, bytes))
+      [ (1, 0, 1); (1, 500, 4); (2, 7, 6) ]
+  in
+  (* A dirty entry leaves only once a flush has captured it, and its
+     demotion carries its dirty generation. *)
+  let dirty_agg, dirty_bytes = ragged pool app ~tag:9 ~n:3 in
+  Filecache.insert ~dirty:true cache ~file:3 ~off:11 dirty_agg;
+  let gen =
+    match Filecache.collect_dirty cache ~file:3 with
+    | [ c ] -> Filecache.cluster_gen c
+    | _ -> Alcotest.fail "expected one cluster"
+  in
+  Alcotest.(check bool) "dirty generation stamped" true (gen > 0);
+  let want =
+    show (3, 11, String.length dirty_bytes, gen, dirty_bytes) :: want
+  in
+  while Filecache.evict_one cache > 0 do
+    ()
+  done;
+  scribble pool app;
+  Alcotest.(check (list string)) "each victim's bytes, once"
+    (List.sort compare want) (List.sort compare !demoted)
+
+let test_cluster_data_concatenates () =
+  let _, app, pool, cache = mk () in
+  let put_dirty ~off ~tag ~n =
+    let agg, bytes = ragged pool app ~tag ~n in
+    Filecache.insert ~dirty:true cache ~file:4 ~off agg;
+    bytes
+  in
+  (* Three adjacent dirty entries make one run; a fourth sits past a
+     gap. *)
+  let a = put_dirty ~off:0 ~tag:1 ~n:3 in
+  let b = put_dirty ~off:(String.length a) ~tag:2 ~n:5 in
+  let c = put_dirty ~off:(String.length a + String.length b) ~tag:3 ~n:2 in
+  let run = a ^ b ^ c in
+  let lone_off = String.length run + 11 in
+  let d = put_dirty ~off:lone_off ~tag:4 ~n:4 in
+  let clusters = Filecache.collect_dirty cache ~file:4 in
+  Filecache.invalidate_file cache ~file:4;
+  scribble pool app;
+  match clusters with
+  | [ c1; c2 ] ->
+    Alcotest.(check int) "run merges three extents" 3
+      (Filecache.cluster_extents c1);
+    Alcotest.(check int) "run length" (String.length run)
+      (Filecache.cluster_len c1);
+    Alcotest.(check string) "run bytes" run (Filecache.cluster_data c1);
+    Alcotest.(check int) "lone extent offset" lone_off
+      (Filecache.cluster_off c2);
+    Alcotest.(check string) "lone extent bytes" d (Filecache.cluster_data c2)
+  | cs -> Alcotest.failf "expected two clusters, got %d" (List.length cs)
+
 let suites =
   [
     ( "core.filecache",
@@ -760,6 +860,10 @@ let suites =
         Alcotest.test_case "fastpath counters" `Quick test_fastpath_counters;
         Alcotest.test_case "eviction never scans slices" `Quick test_eviction_never_scans_slices;
         Alcotest.test_case "ref tracking transitions" `Quick test_ref_tracking_transitions;
+        Alcotest.test_case "demoter gets entry bytes" `Quick
+          test_demoter_gets_entry_bytes;
+        Alcotest.test_case "cluster data concatenates" `Quick
+          test_cluster_data_concatenates;
       ] );
     ( "core.filecache.props",
       [
