@@ -135,13 +135,25 @@ let test_cache_hit =
          | Some a -> Iobuf.Agg.free a
          | None -> assert false))
 
-(* Fills from 16 KB on are split with the helper domain; 4 KB is not. *)
+(* Fills over 16 KB share their blocks with the helper domain; 4 KB
+   runs the single loop. *)
 let test_blit_content len =
   let dst = Bytes.create len in
   Test.make
     ~name:(Printf.sprintf "fs: blit_content %dKB" (len / 1024))
     (Staged.stage (fun () ->
          Iolite_fs.Filestore.blit_content ~file:7 ~off:4096 dst ~dst_off:0 ~len))
+
+(* A disk read's path with nothing simulated in between: post the range,
+   then take it back as one 64 KB part at once, so this times the queue's
+   overhead, not the overlap. *)
+let test_prefetch_take =
+  let len = 65_536 in
+  let dst = Bytes.create len in
+  Test.make ~name:"fs: prefetch+take 64KB"
+    (Staged.stage (fun () ->
+         let p = Iolite_fs.Filestore.prefetch ~file:7 ~off:4096 ~len in
+         Iolite_fs.Filestore.take p ~pos:0 dst ~dst_off:0 ~len))
 
 let test_zipf =
   let z = Iolite_util.Zipf.create ~n:37703 ~alpha:1.0 in
@@ -170,6 +182,7 @@ let micro_tests =
     test_cache_hit;
     test_blit_content 4096;
     test_blit_content 65536;
+    test_prefetch_take;
     test_zipf;
     test_sim_engine;
   ]

@@ -36,10 +36,36 @@ val blit_content : file:int -> off:int -> Bytes.t -> dst_off:int -> len:int -> u
     [off, off+len) into [dst] at [dst_off]. Raises [Invalid_argument]
     when the destination range is out of bounds.
 
-    A fill of 16 KB or more may have its upper half generated on a
-    helper domain while the caller generates the lower half; it returns
-    once both halves are written, and the bytes are the same either
-    way. Safe to call from any domain, several at once included. *)
+    A fill of more than 16 KB is posted as a job to a helper domain, and
+    the caller and the helper claim its 16 KB blocks from a shared
+    counter. It returns once every block is written, and the bytes are
+    the same either way. Safe to call from any domain, several at once
+    included. *)
+
+type prefetch
+(** A range whose contents the helper domain generates ahead of need. *)
+
+val prefetch : file:int -> off:int -> len:int -> prefetch
+(** [prefetch ~file ~off ~len] posts the contents of [off, off+len) to
+    the helper domain, which generates them into staging blocks while
+    the caller goes on; on a one-core host nothing is posted. The range
+    is delivered in parts of {!Iolite_core.Iobuf.Pool.max_alloc} bytes,
+    each by one {!take}. A prefetch that is never taken costs the
+    helper's work and its staging blocks, which the GC reclaims. Raises
+    [Invalid_argument] when [len] is negative. *)
+
+val take : prefetch -> pos:int -> Bytes.t -> dst_off:int -> len:int -> unit
+(** [take p ~pos dst ~dst_off ~len] writes the part of [p] that starts
+    [pos] bytes into its range into [dst] at [dst_off]: [pos] is a
+    multiple of {!Iolite_core.Iobuf.Pool.max_alloc} inside the range,
+    and [len] is the part's length, that size or whatever is left of the
+    range. Parts may be taken in any order, each once. The first take
+    claims every block the helper has not started and generates those
+    itself; it waits only for blocks the helper has in progress. So
+    [Iobuf.Buffer.fill buf (take p ~pos)] fills a pool buffer with the
+    bytes {!blit_content} would write. Raises [Invalid_argument] on any
+    other [pos], [len] or destination range, or on a part taken twice.
+    Call it from one domain at a time per prefetch. *)
 
 val content : file:int -> off:int -> len:int -> string
 (** The contents of [off, off+len) as a fresh string. *)
@@ -49,8 +75,8 @@ val fill_buffer : t -> Iolite_core.Iobuf.Buffer.t -> file:int -> off:int -> unit
     [off], charging one [Fill] touch. Nothing stops at EOF: a buffer
     reaching past the file's size gets the content function's bytes
     there, so callers size buffers to the file. Raises [Not_found] for
-    an unknown file id. Generates through {!blit_content}, so a large
-    buffer may be half filled on the helper domain, with the same bytes.
+    an unknown file id. Generates through {!blit_content}, so the helper
+    domain may generate some of a large buffer, with the same bytes.
     Callable from any domain; the buffer's own bookkeeping (the [Fill]
     touch) is not synchronized, so calls on one system must not overlap. *)
 

@@ -24,11 +24,15 @@ let stat_size proc ~file =
 (* Read [off, off+bytes) of a file from disk into IO-Lite buffers
    allocated from [pool]. The kernel is the producer (trusted: no
    permission toggling); placement is DMA. Returns the caller-owned
-   aggregate. *)
+   aggregate. The host starts generating the bytes at submission, on
+   the helper domain, while the engine simulates other requests; a
+   read returns the content function's bytes whenever they are made,
+   so nothing simulated depends on when. *)
 let disk_fetch_range proc ~pool ~file ~off ~bytes =
   let kernel = Process.kernel proc in
   let sys = Kernel.sys kernel in
   let kd = Iosys.kernel sys in
+  let contents = Filestore.prefetch ~file ~off ~len:bytes in
   Iolite_fs.Disk.read (Kernel.disk kernel) ~file ~off ~bytes;
   let rec build pos acc =
     if pos >= bytes then List.rev acc
@@ -36,7 +40,7 @@ let disk_fetch_range proc ~pool ~file ~off ~bytes =
       let n = min Iobuf.Pool.max_alloc (bytes - pos) in
       let b = Iobuf.Pool.alloc ~paged:true pool ~producer:kd n in
       Iosys.with_fill_mode sys `Dma (fun () ->
-          Filestore.fill_buffer (Kernel.store kernel) b ~file ~off:(off + pos));
+          Iobuf.Buffer.fill b (Filestore.take contents ~pos));
       Iobuf.Buffer.seal b;
       build (pos + n) (Iobuf.Agg.of_buffer_owned b :: acc)
     end

@@ -214,7 +214,7 @@ let formula_byte ~file ~off =
 
 let test_bulk_matches_formula () =
   let rng = Random.State.make [| 0xF17E |] in
-  (* The long fills, from 16 KB on, are generated in two halves on two
+  (* The long fills, over 16 KB, are generated in blocks claimed by two
      domains; fewer draws keep the case short. *)
   List.iter
     (fun (draws, lens) ->
@@ -244,9 +244,106 @@ let test_bulk_matches_formula () =
     (Invalid_argument "Filestore.blit_content: range") (fun () ->
       Filestore.blit_content ~file:1 ~off:0 (Bytes.create 8) ~dst_off:4 ~len:5)
 
-(* Three domains fill 64 KB buffers at once, each for its own files.
-   At most one of them has the helper domain at a time; the others run
-   the single loop. Every buffer must hold exactly its own file's bytes. *)
+let expected ~file ~off ~len =
+  String.init len (fun i -> formula_byte ~file ~off:(off + i))
+
+let part = Iolite_core.Iobuf.Pool.max_alloc
+
+(* Takes the parts of a prefetch in the given order, each into its own
+   buffer between guard bytes, calling [between] before each take.
+   Returns the range's bytes as the parts delivered them; a part whose
+   guard bytes moved reads as '!', one not taken as '?'. *)
+let take_parts ?(between = ignore) pf ~len order =
+  let out = Bytes.make len '?' in
+  List.iter
+    (fun p ->
+      between p;
+      let pos = p * part in
+      let n = min part (len - pos) in
+      let dst = Bytes.make (n + 6) '#' in
+      Filestore.take pf ~pos dst ~dst_off:3 ~len:n;
+      if Bytes.sub_string dst 0 3 <> "###" || Bytes.sub_string dst (n + 3) 3 <> "###"
+      then Bytes.fill out pos n '!'
+      else Bytes.blit dst 3 out pos n)
+    order;
+  Bytes.to_string out
+
+let shuffle rng l =
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+
+(* A prefetched range, its parts taken in shuffled order with
+   synchronous fills in between, is byte for byte the formula's. The
+   lengths straddle one block (16 KB) and one part (64 KB); misuse of
+   [take] is refused. *)
+let test_prefetch_matches_formula () =
+  let rng = Random.State.make [| 0x5EED |] in
+  List.iter
+    (fun len ->
+      for _ = 1 to 3 do
+        let file = Random.State.bits rng in
+        let off = (Random.State.bits rng lsl 10) lor Random.State.int rng 1024 in
+        let name = Printf.sprintf "file %d off %d len %d" file off len in
+        let pf = Filestore.prefetch ~file ~off ~len in
+        let parts = List.init ((len + part - 1) / part) Fun.id in
+        (* A synchronous fill of another range between the takes. *)
+        let interleave p =
+          let flen = 16_385 + (p * 4_099) in
+          let dst = Bytes.make (flen + 6) '#' in
+          Filestore.blit_content ~file:(file + 1) ~off dst ~dst_off:3 ~len:flen;
+          Alcotest.(check string) (name ^ " sync fill")
+            ("###" ^ expected ~file:(file + 1) ~off ~len:flen ^ "###")
+            (Bytes.to_string dst)
+        in
+        let got = take_parts ~between:interleave pf ~len (shuffle rng parts) in
+        Alcotest.(check string) name (expected ~file ~off ~len) got;
+        Alcotest.check_raises (name ^ " past the end")
+          (Invalid_argument "Filestore.take: range") (fun () ->
+            Filestore.take pf ~pos:(List.length parts * part) (Bytes.create 1)
+              ~dst_off:0 ~len:1);
+        if len > 0 then begin
+          Alcotest.check_raises (name ^ " taken twice")
+            (Invalid_argument "Filestore.take: part taken twice") (fun () ->
+              Filestore.take pf ~pos:0 (Bytes.create part) ~dst_off:0
+                ~len:(min part len));
+          Alcotest.check_raises (name ^ " wrong length")
+            (Invalid_argument "Filestore.take: range") (fun () ->
+              Filestore.take pf ~pos:0 (Bytes.create (part + 1)) ~dst_off:0
+                ~len:(min part len + 1))
+        end
+      done)
+    [ 0; 1; 16_383; 16_384; 65_537; 1_048_583 ];
+  Alcotest.check_raises "unaligned part"
+    (Invalid_argument "Filestore.take: range") (fun () ->
+      Filestore.take
+        (Filestore.prefetch ~file:1 ~off:0 ~len:(2 * part))
+        ~pos:4096 (Bytes.create part) ~dst_off:0 ~len:part)
+
+(* Prefetches that are never taken must not lend their staging blocks to
+   later jobs while the helper may still write them. *)
+let test_abandoned_prefetch () =
+  for i = 0 to 7 do
+    ignore (Filestore.prefetch ~file:(1_000 + i) ~off:(i * 777) ~len:(200_000 + i))
+  done;
+  let wrong = ref [] in
+  for i = 0 to 99 do
+    let file = 2_000 + i and off = i * 4_099 and len = 65_536 + (i * 97) in
+    let want = expected ~file ~off ~len in
+    let dst = Bytes.create len in
+    Filestore.blit_content ~file ~off dst ~dst_off:0 ~len;
+    if Bytes.to_string dst <> want then wrong := Printf.sprintf "sync %d" i :: !wrong;
+    let pf = Filestore.prefetch ~file ~off ~len in
+    let parts = List.init ((len + part - 1) / part) Fun.id in
+    if take_parts pf ~len parts <> want then
+      wrong := Printf.sprintf "prefetch %d" i :: !wrong
+  done;
+  Alcotest.(check (list string)) "fills that did not match" [] !wrong
+
+(* Three domains fill 64 KB buffers at once, each for its own files. The
+   two spawned ones alternate synchronous fills with prefetches, one
+   taken at once and one a fill later, so jobs of all three queue for
+   the helper together. Every buffer must hold exactly its own file's
+   bytes. *)
 let test_concurrent_callers () =
   let len = 65_536 and fills = 100 in
   let off i = i * 4099 in
@@ -256,11 +353,30 @@ let test_concurrent_callers () =
   let caller k () =
     let dst = Bytes.create len in
     let wrong = ref 0 in
+    let pending = ref None in
+    let take_pending () =
+      Option.iter
+        (fun (file, pf) ->
+          if take_parts pf ~len [ 0 ] <> want.(file) then incr wrong)
+        !pending;
+      pending := None
+    in
     for j = 0 to fills - 1 do
       let file = (k * fills) + j in
-      Filestore.blit_content ~file ~off:(off file) dst ~dst_off:0 ~len;
-      if Bytes.to_string dst <> want.(file) then incr wrong
+      if k = 0 || j mod 3 = 0 then begin
+        Filestore.blit_content ~file ~off:(off file) dst ~dst_off:0 ~len;
+        if Bytes.to_string dst <> want.(file) then incr wrong
+      end
+      else if j mod 3 = 1 then begin
+        let pf = Filestore.prefetch ~file ~off:(off file) ~len in
+        if take_parts pf ~len [ 0 ] <> want.(file) then incr wrong
+      end
+      else begin
+        take_pending ();
+        pending := Some (file, Filestore.prefetch ~file ~off:(off file) ~len)
+      end
     done;
+    take_pending ();
     !wrong
   in
   let others = List.map (fun k -> Domain.spawn (caller k)) [ 1; 2 ] in
@@ -342,6 +458,9 @@ let suites =
         Alcotest.test_case "fill buffer" `Quick test_fill_buffer_and_check;
         Alcotest.test_case "bulk matches formula" `Quick test_bulk_matches_formula;
         Alcotest.test_case "concurrent callers" `Quick test_concurrent_callers;
+        Alcotest.test_case "prefetch matches formula" `Quick
+          test_prefetch_matches_formula;
+        Alcotest.test_case "abandoned prefetch" `Quick test_abandoned_prefetch;
         Alcotest.test_case "check_string by blocks" `Quick test_check_string_blocks;
         Alcotest.test_case "content goldens" `Quick test_content_goldens;
         Alcotest.test_case "iter" `Quick test_iter;

@@ -25,6 +25,11 @@ let agg_str agg =
       Buffer.add_subbytes buf data off (Iobuf.Slice.len sl));
   Buffer.contents buf
 
+let agg_str_free agg =
+  let s = agg_str agg in
+  Iobuf.Agg.free agg;
+  s
+
 (* --------------------------- CPU --------------------------------- *)
 
 let test_cpu_serializes_and_switches () =
@@ -384,6 +389,58 @@ let test_disk_only_on_miss () =
       Alcotest.(check int) "one disk read total" 1 reads_after_first)
 
 (* ------------------ Async pipeline: single-flight ----------------- *)
+
+(* Sixteen readers share 48 files, a third under one 64 KB part and the
+   rest over it, on a kernel whose cache is smaller than their total, so
+   reads miss, coalesce and evict throughout. The first run stops at a
+   deadline with disk reads in flight, whose contents the helper domain
+   may already be generating; host-side fills run before the engine goes
+   on. Every byte each reader gets must be its file's. *)
+let test_disk_fills_end_to_end () =
+  let config =
+    { (Kernel.default_config ()) with Kernel.mem_capacity = 16 * 1024 * 1024 }
+  in
+  let kernel = Kernel.create ~config (Engine.create ()) in
+  let files =
+    Array.init 48 (fun i ->
+        let size = if i mod 3 = 0 then 9_001 + (997 * i) else 150_001 + (4_099 * i) in
+        (Kernel.add_file kernel ~name:(Printf.sprintf "/e%d" i) ~size, size))
+  in
+  let reads_each = 12 in
+  let reads = ref 0 and bad = ref [] in
+  for r = 0 to 15 do
+    ignore
+      (Process.spawn kernel ~name:(Printf.sprintf "r%d" r) (fun proc ->
+           for k = 0 to reads_each - 1 do
+             let file, size = files.(((r * 7) + (k * 5)) mod Array.length files) in
+             let off, len =
+               if k mod 2 = 0 then (0, size) else ((size / 3) lor 1, size / 2)
+             in
+             let s = agg_str_free (Fileio.iol_read proc ~file ~off ~len) in
+             incr reads;
+             if String.length s <> len || not (Iolite_fs.Filestore.check_string ~file ~off s)
+             then bad := Printf.sprintf "file %d [%d,+%d)" file off len :: !bad
+           done))
+  done;
+  let engine = Kernel.engine kernel in
+  Engine.run ~until:0.05 engine;
+  Alcotest.(check bool) "stopped mid-run" true (!reads > 0 && !reads < 16 * reads_each);
+  Alcotest.(check bool) "disk reads in flight" true
+    (Iolite_fs.Disk.queue_depth (Kernel.disk kernel) > 0);
+  for i = 0 to 9 do
+    let len = 100_000 + i in
+    let dst = Bytes.create len in
+    Iolite_fs.Filestore.blit_content ~file:(500 + i) ~off:i dst ~dst_off:0 ~len;
+    if not (Iolite_fs.Filestore.check_string ~file:(500 + i) ~off:i (Bytes.to_string dst))
+    then bad := Printf.sprintf "host fill %d" i :: !bad
+  done;
+  Engine.run engine;
+  Alcotest.(check int) "every read completed" (16 * reads_each) !reads;
+  Alcotest.(check (list string)) "every byte matches its file" [] !bad;
+  Alcotest.(check bool) "the cache evicted" true
+    (Counter.get (Kernel.metrics kernel) "cache.eviction" > 0);
+  Alcotest.(check bool) "readers coalesced" true
+    (Counter.get (Kernel.metrics kernel) "cache.fill_coalesced" > 0)
 
 let test_single_flight_coalesces () =
   let _, kernel = mk () in
@@ -803,6 +860,8 @@ let suites =
       [
         Alcotest.test_case "single-flight coalesces" `Quick
           test_single_flight_coalesces;
+        Alcotest.test_case "disk fills end to end" `Quick
+          test_disk_fills_end_to_end;
         QCheck_alcotest.to_alcotest test_single_flight_qcheck;
         Alcotest.test_case "readahead window grow/reset" `Quick
           test_readahead_window_grow_reset;
