@@ -1011,14 +1011,13 @@ let run_tier ?(label = "current") ?(out = "BENCH_tier.json") ?(scale = 1.0) ()
   Printf.printf "\n== NVMM second tier: working-set sweep (label: %s) ==\n%!"
     label;
   let module E = Iolite_workload.Experiments in
-  Printf.printf "  dram-only baseline...\n%!";
-  let baseline = E.tier_sweep ~scale ~variant:`Baseline () in
-  Gc.full_major ();
-  Printf.printf "  tiered sweep...\n%!";
-  let tiered = E.tier_sweep ~scale ~variant:`Tiered () in
+  let points = E.tier_sweep ~scale () in
   Gc.full_major ();
   let probe = E.tier_probe_run () in
-  E.print_tier (baseline @ tiered) probe;
+  E.print_tier points probe;
+  let baseline, tiered =
+    List.partition (fun p -> p.E.tp_label = "dram-only") points
+  in
   let units =
     "Mb/s of simulated time (mbps); simulated seconds (probe *_s); counts \
      otherwise"

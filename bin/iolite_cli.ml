@@ -111,8 +111,8 @@ let cmds =
       (fun ~scale () -> E.fig11 ~scale ());
     series_cmd "fig12" "Fig 12: throughput versus WAN delay" "RTT ms"
       (fun ~scale () -> E.fig12 ~scale ());
-    unit_cmd "fig13" "Fig 13: application runtimes" (fun scale ->
-        E.print_fig13 ~scale ());
+    unit_cmd "fig13" "Fig 13: application runtimes" (fun _scale ->
+        E.print_fig13 ());
     series_cmd "sendfile" "Extension: the sendfile ablation" "KB"
       (fun ~scale () -> E.ablation_sendfile ~scale ());
     series_cmd "cgi11" "Extension: CGI 1.1 vs FastCGI" "KB" (fun ~scale () ->
@@ -236,9 +236,9 @@ let cmds =
     (let run verbose directives metrics trace_out scale =
        with_logging verbose directives;
        with_observability ~metrics ~trace_out (fun () ->
-           let baseline = E.tier_sweep ~scale ~variant:`Baseline () in
-           let tiered = E.tier_sweep ~scale ~variant:`Tiered () in
-           E.print_tier (baseline @ tiered) (E.tier_probe_run ()))
+           (* Sweep first, so its metrics blocks precede the probe's. *)
+           let points = E.tier_sweep ~scale () in
+           E.print_tier points (E.tier_probe_run ()))
      in
      Cmdliner.Cmd.v
        (Cmdliner.Cmd.info "tier"

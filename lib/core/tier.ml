@@ -73,6 +73,7 @@ let create ?(policy = Policy.gds ()) sys () =
   }
 
 let set_capacity t cap = t.capacity <- cap
+let capacity t = Option.map (fun f -> f ()) t.capacity
 let set_charge t f = t.charge <- f
 let read_time _ ~bytes = float_of_int bytes /. bytes_per_sec
 let write_time _ ~bytes = float_of_int bytes /. bytes_per_sec

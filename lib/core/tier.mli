@@ -41,6 +41,9 @@ val set_capacity : t -> (unit -> int) option -> unit
 (** Byte budget; evaluated at admission so it can track a live
     memory-pressure signal. [None] (default) = unbounded. *)
 
+val capacity : t -> int option
+(** The byte budget as of now; [None] = unbounded. *)
+
 val set_charge : t -> (float -> unit) option -> unit
 (** Sink for the simulated seconds each tier write (demote/stage)
     costs; the kernel points this at its pending-CPU accumulator. *)

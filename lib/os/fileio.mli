@@ -20,6 +20,10 @@ exception No_such_file of int
 val stat_size : Process.t -> file:int -> int
 (** File size; charges a metadata lookup. *)
 
+val admission_limit : Kernel.t -> int
+(** The largest file the caches admit: 1/8 of the current I/O budget.
+    Bigger files are served uncached. *)
+
 (** {2 IO-Lite API} *)
 
 val iol_read :

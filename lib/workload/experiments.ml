@@ -13,87 +13,74 @@ type series = { label : string; points : point list }
 let paper_sizes =
   [ 500; 1024; 2048; 3072; 5120; 7168; 10240; 15360; 20480; 51200; 102400; 153600; 204800 ]
 
-type server_kind = Flash_lite | Flash_conv | Apache_srv
+type server_kind = Flash_lite | Flash_conv | Flash_sendfile | Apache_srv
 
 let kind_label = function
   | Flash_lite -> "Flash-Lite"
   | Flash_conv -> "Flash"
+  | Flash_sendfile -> "Flash+sendfile"
   | Apache_srv -> "Apache"
 
 (* ------------------------------------------------------------------ *)
-(* Observability wiring: when a trace sink is installed every kernel    *)
-(* the harness builds is armed and registered; when metrics reporting   *)
-(* is on, each experiment point dumps its registry and latency summary. *)
+(* The testbed: every experiment builds its kernels with [make_kernel], *)
+(* which arms tracing and registers the kernel when a trace sink is     *)
+(* installed, and ends each point with [report], which dumps the        *)
+(* kernel's registry (and its server's latency) when metrics are on.    *)
 (* ------------------------------------------------------------------ *)
 
 let obs_metrics = ref false
 let obs_sink : Iolite_obs.Trace.Sink.t option ref = ref None
-let kernel_seq = ref 0
 
 let set_observability ?(metrics = false) ?sink () =
   obs_metrics := metrics;
-  obs_sink := sink;
-  kernel_seq := 0
+  obs_sink := sink
 
-let make_kernel ?(cksum = true) ?(policy = `Gds) ?label () =
-  let engine = Engine.create () in
-  let base = Kernel.default_config () in
-  let config =
-    {
-      base with
-      Kernel.cksum_cache_enabled = cksum;
-      Kernel.cache_policy =
-        (match policy with `Gds -> Policy.gds () | `Lru -> Policy.lru ());
-    }
-  in
-  let kernel = Kernel.create ~config engine in
-  (match !obs_sink with
-  | Some sink ->
-    Kernel.enable_tracing kernel;
-    incr kernel_seq;
-    let label =
-      match label with
-      | Some l -> l
-      | None -> Printf.sprintf "kernel-%d" !kernel_seq
-    in
-    Iolite_obs.Trace.Sink.absorb sink ~label (Kernel.trace kernel)
-  | None -> ());
-  (engine, kernel)
+(* The paper's server machine: the kernel defaults with the unified
+   cache under GDS. *)
+let testbed_config () =
+  { (Kernel.default_config ()) with Kernel.cache_policy = Policy.gds () }
+
+let make_kernel ?(config = testbed_config ()) ~label () =
+  let kernel = Kernel.create ~config (Engine.create ()) in
+  Option.iter
+    (fun sink ->
+      Kernel.enable_tracing kernel;
+      Iolite_obs.Trace.Sink.absorb sink ~label (Kernel.trace kernel))
+    !obs_sink;
+  kernel
 
 type server = {
   srv_listener : Iolite_os.Sock.listener;
   srv_latency : unit -> Iolite_util.Stats.summary option;
 }
 
-let start_server ?cgi_doc_size ?(workers = 64) ?(policy = `Gds) kind kernel =
+(* Flash-Lite installs the kernel's own cache-policy instance: with the
+   tier armed, the kernel gave that instance the tier-aware refetch
+   cost. *)
+let start_server ?cgi_doc_size ?cgi_mode ?(workers = 64) kind kernel =
+  let flash variant =
+    let f =
+      Flash.start ~variant ~policy:(Kernel.config kernel).Kernel.cache_policy
+        ?cgi_doc_size ?cgi_mode kernel ~port:80
+    in
+    {
+      srv_listener = Flash.listener f;
+      srv_latency = (fun () -> Flash.latency_stats f);
+    }
+  in
   match kind with
-  | Flash_lite ->
-    let p = match policy with `Gds -> Policy.gds () | `Lru -> Policy.lru () in
-    let f =
-      Flash.start ~variant:Flash.Iolite ~policy:p ?cgi_doc_size kernel ~port:80
-    in
-    {
-      srv_listener = Flash.listener f;
-      srv_latency = (fun () -> Flash.latency_stats f);
-    }
-  | Flash_conv ->
-    let f =
-      Flash.start ~variant:Flash.Conventional ?cgi_doc_size kernel ~port:80
-    in
-    {
-      srv_listener = Flash.listener f;
-      srv_latency = (fun () -> Flash.latency_stats f);
-    }
+  | Flash_lite -> flash Flash.Iolite
+  | Flash_conv -> flash Flash.Conventional
+  | Flash_sendfile -> flash Flash.Sendfile
   | Apache_srv ->
     let a = Apache.start ~workers ?cgi_doc_size kernel ~port:80 in
     { srv_listener = Apache.listener a; srv_latency = (fun () -> None) }
 
-let report_point ~label kernel server =
+let report ~label ?server kernel =
   if !obs_metrics then begin
-    Printf.printf "\n-- metrics: %s --\n%s"
-      label
+    Printf.printf "\n-- metrics: %s --\n%s" label
       (Iolite_obs.Metrics.render (Kernel.metrics kernel));
-    (match server.srv_latency () with
+    (match Option.bind server (fun s -> s.srv_latency ()) with
     | Some s ->
       Printf.printf
         "   request latency: p50=%.4fs p90=%.4fs p99=%.4fs mean=%.4fs (n=%d)\n"
@@ -107,144 +94,73 @@ let report_point ~label kernel server =
 (* Figs. 3-6: single-file and CGI bandwidth sweeps                     *)
 (* ------------------------------------------------------------------ *)
 
-let single_file_point ~kind ~size ~persistent ~scale =
-  let _engine, kernel =
-    make_kernel ~label:(Printf.sprintf "%s %dB" (kind_label kind) size) ()
-  in
-  ignore (Kernel.add_file kernel ~name:"/doc" ~size);
-  let server = start_server kind kernel in
-  let listener = server.srv_listener in
-  let config =
-    {
-      Client.default with
-      Client.clients = 40;
-      persistent;
-      warmup = 1.0;
-      duration = Float.max 1.0 (8.0 *. scale);
-    }
-  in
-  let r = Client.run kernel listener config ~pick:(fun ~client:_ ~iter:_ -> "/doc") in
-  report_point ~label:(Printf.sprintf "%s %dB" (kind_label kind) size) kernel
-    server;
-  r.Client.mbps
-
-let cgi_point ~kind ~size ~persistent ~scale =
-  let _engine, kernel =
-    make_kernel ~label:(Printf.sprintf "%s cgi %dB" (kind_label kind) size) ()
-  in
-  let server = start_server ~cgi_doc_size:size kind kernel in
-  let listener = server.srv_listener in
-  let config =
-    {
-      Client.default with
-      Client.clients = 40;
-      persistent;
-      warmup = 1.0;
-      duration = Float.max 1.0 (8.0 *. scale);
-    }
-  in
-  let r = Client.run kernel listener config ~pick:(fun ~client:_ ~iter:_ -> "/cgi") in
-  report_point
-    ~label:(Printf.sprintf "%s cgi %dB" (kind_label kind) size)
-    kernel server;
-  r.Client.mbps
-
-let sweep ~point ~persistent ~scale =
+(* One series per server, one point per paper size: 40 clients fetch a
+   document of that size, the file /doc or, with [cgi], the response of
+   the server's CGI application (FastCGI unless [cgi_mode] says
+   otherwise) at /cgi. *)
+let size_sweep ~cgi ~persistent ~scale servers =
+  let path = if cgi then "/cgi" else "/doc" in
   List.map
-    (fun kind ->
+    (fun (name, kind, cgi_mode) ->
       {
-        label = kind_label kind;
+        label = name;
         points =
           List.map
             (fun size ->
-              {
-                x = float_of_int size /. 1024.0;
-                mbps = point ~kind ~size ~persistent ~scale;
-              })
+              let label =
+                Printf.sprintf "%s%s %dB" name (if cgi then " cgi" else "") size
+              in
+              let kernel = make_kernel ~label () in
+              if not cgi then ignore (Kernel.add_file kernel ~name:"/doc" ~size);
+              let cgi_doc_size = if cgi then Some size else None in
+              let server = start_server ?cgi_doc_size ?cgi_mode kind kernel in
+              let config =
+                {
+                  Client.default with
+                  persistent;
+                  warmup = 1.0;
+                  duration = Float.max 1.0 (8.0 *. scale);
+                }
+              in
+              let r =
+                Client.run kernel server.srv_listener config
+                  ~pick:(fun ~client:_ ~iter:_ -> path)
+              in
+              report ~label ~server kernel;
+              { x = float_of_int size /. 1024.0; mbps = r.Client.mbps })
             paper_sizes;
       })
-    [ Flash_lite; Flash_conv; Apache_srv ]
+    servers
 
-let fig3 ?(scale = 1.0) () = sweep ~point:single_file_point ~persistent:false ~scale
-let fig4 ?(scale = 1.0) () = sweep ~point:single_file_point ~persistent:true ~scale
-let fig5 ?(scale = 1.0) () = sweep ~point:cgi_point ~persistent:false ~scale
-let fig6 ?(scale = 1.0) () = sweep ~point:cgi_point ~persistent:true ~scale
+let named kinds = List.map (fun kind -> (kind_label kind, kind, None)) kinds
+let paper_servers = named [ Flash_lite; Flash_conv; Apache_srv ]
+
+let fig3 ?(scale = 1.0) () =
+  size_sweep ~cgi:false ~persistent:false ~scale paper_servers
+
+let fig4 ?(scale = 1.0) () =
+  size_sweep ~cgi:false ~persistent:true ~scale paper_servers
+
+let fig5 ?(scale = 1.0) () =
+  size_sweep ~cgi:true ~persistent:false ~scale paper_servers
+
+let fig6 ?(scale = 1.0) () =
+  size_sweep ~cgi:true ~persistent:true ~scale paper_servers
 
 (* Extension: the sendfile ablation. *)
 let ablation_sendfile ?(scale = 1.0) () =
-  let point ~variant ~label:_ ~size =
-    let _engine, kernel = make_kernel () in
-    ignore (Kernel.add_file kernel ~name:"/doc" ~size);
-    let listener = Flash.listener (Flash.start ~variant kernel ~port:80) in
-    let config =
-      {
-        Client.default with
-        Client.clients = 40;
-        persistent = false;
-        warmup = 1.0;
-        duration = Float.max 1.0 (8.0 *. scale);
-      }
-    in
-    (Client.run kernel listener config ~pick:(fun ~client:_ ~iter:_ -> "/doc"))
-      .Client.mbps
-  in
-  List.map
-    (fun (label, variant) ->
-      {
-        label;
-        points =
-          List.map
-            (fun size ->
-              {
-                x = float_of_int size /. 1024.0;
-                mbps = point ~variant ~label ~size;
-              })
-            paper_sizes;
-      })
-    [
-      ("Flash-Lite", Flash.Iolite);
-      ("Flash+sendfile", Flash.Sendfile);
-      ("Flash", Flash.Conventional);
-    ]
+  size_sweep ~cgi:false ~persistent:false ~scale
+    (named [ Flash_lite; Flash_sendfile; Flash_conv ])
 
 (* Extension: CGI 1.1 vs FastCGI. *)
 let ablation_cgi11 ?(scale = 1.0) () =
-  let point ~variant ~cgi_mode ~size =
-    let _engine, kernel = make_kernel () in
-    let listener =
-      Flash.listener
-        (Flash.start ~variant ~cgi_doc_size:size ~cgi_mode kernel ~port:80)
-    in
-    let config =
-      {
-        Client.default with
-        Client.clients = 40;
-        persistent = false;
-        warmup = 1.0;
-        duration = Float.max 1.0 (8.0 *. scale);
-      }
-    in
-    (Client.run kernel listener config ~pick:(fun ~client:_ ~iter:_ -> "/cgi"))
-      .Client.mbps
-  in
-  List.map
-    (fun (label, variant, cgi_mode) ->
-      {
-        label;
-        points =
-          List.map
-            (fun size ->
-              {
-                x = float_of_int size /. 1024.0;
-                mbps = point ~variant ~cgi_mode ~size;
-              })
-            paper_sizes;
-      })
+  let module Cgi = Iolite_httpd.Cgi in
+  size_sweep ~cgi:true ~persistent:false ~scale
     [
-      ("Flash-Lite FastCGI", Flash.Iolite, Iolite_httpd.Cgi.Fastcgi);
-      ("Flash FastCGI", Flash.Conventional, Iolite_httpd.Cgi.Fastcgi);
-      ("Flash-Lite CGI1.1", Flash.Iolite, Iolite_httpd.Cgi.Cgi11);
-      ("Flash CGI1.1", Flash.Conventional, Iolite_httpd.Cgi.Cgi11);
+      ("Flash-Lite FastCGI", Flash_lite, Some Cgi.Fastcgi);
+      ("Flash FastCGI", Flash_conv, Some Cgi.Fastcgi);
+      ("Flash-Lite CGI1.1", Flash_lite, Some Cgi.Cgi11);
+      ("Flash CGI1.1", Flash_conv, Some Cgi.Cgi11);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -287,30 +203,34 @@ let fig7 () =
     [ Trace.ece; Trace.cs; Trace.merged ]
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 8: full trace replay                                           *)
+(* The trace testbed (Figs. 8, 10-12 and the tier sweep)               *)
 (* ------------------------------------------------------------------ *)
 
 (* Warm-start: the paper measures hour-long steady-state runs; fetching
    ~110 MB through the simulated disk would consume the whole (much
    shorter) measurement window. Pre-populate the file cache with the
-   most popular documents, without disk latency, up to the memory
-   budget; the run then starts from (approximately) steady state and
-   the policies evolve it from there. The loading's VM work is set-up,
-   not measured traffic: its pending CPU charge is dropped, as
-   [preload_tier] does, so the first measured syscall starts clean. *)
+   most popular documents the kernel would admit, without disk latency,
+   up to 90% of the I/O budget; then, when the NVMM tier is armed,
+   demote the popular files that did not fit (or were not admitted)
+   upstairs straight into the tier, up to 90% of its capacity. The run
+   starts from (approximately) steady state and the policies evolve it
+   from there. Contents come from the defining content function, so
+   promoted bytes pass integrity checks. The loading's VM work and the
+   demotions' NVMM writes are set-up, not measured traffic: their
+   pending CPU charge is dropped, so the first measured syscall starts
+   clean. *)
 let preload_cache kernel ~conv ~trace ~prefix_ranks =
   let module Filecache = Iolite_core.Filecache in
+  let module Filestore = Iolite_fs.Filestore in
   let module Iobuf = Iolite_core.Iobuf in
   let module Iosys = Iolite_core.Iosys in
+  let module Tier = Iolite_core.Tier in
   let sys = Kernel.sys kernel in
   let cache =
     if conv then Kernel.conv_cache kernel else Kernel.unified_cache kernel
   in
   let pool = if conv then Kernel.page_pool kernel else Kernel.file_pool kernel in
   let store = Kernel.store kernel in
-  let budget =
-    Iolite_mem.Physmem.io_budget (Iosys.physmem sys) * 9 / 10
-  in
   let kd = Iosys.kernel sys in
   (* Ranks eligible for preloading, most popular first. *)
   let ranks =
@@ -320,24 +240,28 @@ let preload_cache kernel ~conv ~trace ~prefix_ranks =
       List.sort compare l
     | None -> List.init (Trace.file_count trace) Fun.id
   in
-  let rec load = function
-    | [] -> ()
-    | rank :: rest ->
-      if Filecache.total_bytes cache < budget then begin
-        load_one rank;
-        load rest
-      end
-  and load_one rank =
-    let path = Trace.file_path ~rank in
-    (match Iolite_fs.Filestore.lookup store path with
-    | None -> ()
-    | Some file ->
-      let size = Iolite_fs.Filestore.size store file in
-      (* Match the kernel's cache admission limit. *)
-      if
-        size > 0
-        && size <= budget / 8
-        && not (Filecache.covered cache ~file ~off:0 ~len:size)
+  (* Offer each registered, non-empty file to [load] until [full]. *)
+  let walk ~full load =
+    let rec go = function
+      | rank :: rest when not (full ()) ->
+        (match Filestore.lookup store (Trace.file_path ~rank) with
+        | Some file ->
+          let size = Filestore.size store file in
+          if size > 0 then load file size
+        | None -> ());
+        go rest
+      | _ -> ()
+    in
+    go ranks
+  in
+  let budget =
+    Iolite_mem.Physmem.io_budget (Iosys.physmem sys) * 9 / 10
+  in
+  let limit = Iolite_os.Fileio.admission_limit kernel in
+  walk
+    ~full:(fun () -> Filecache.total_bytes cache >= budget)
+    (fun file size ->
+      if size <= limit && not (Filecache.covered cache ~file ~off:0 ~len:size)
       then begin
         let rec build pos acc =
           if pos >= size then List.rev acc
@@ -345,7 +269,7 @@ let preload_cache kernel ~conv ~trace ~prefix_ranks =
             let n = min Iobuf.Pool.max_alloc (size - pos) in
             let b = Iobuf.Pool.alloc ~paged:true pool ~producer:kd n in
             Iosys.with_fill_mode sys `Dma (fun () ->
-                Iolite_fs.Filestore.fill_buffer store b ~file ~off:pos);
+                Filestore.fill_buffer store b ~file ~off:pos);
             Iobuf.Buffer.seal b;
             build (pos + n) (Iobuf.Agg.of_buffer_owned b :: acc)
           end
@@ -354,49 +278,69 @@ let preload_cache kernel ~conv ~trace ~prefix_ranks =
         let agg = Iobuf.Agg.concat_list parts in
         List.iter Iobuf.Agg.free parts;
         Filecache.insert cache ~file ~off:0 agg
-      end)
-  in
-  load ranks;
+      end);
+  Option.iter
+    (fun tier ->
+      let budget =
+        match Tier.capacity tier with Some c -> c * 9 / 10 | None -> max_int
+      in
+      walk
+        ~full:(fun () -> Tier.total_bytes tier >= budget)
+        (fun file size ->
+          if
+            (not (Filecache.covered cache ~file ~off:0 ~len:size))
+            && not (Tier.covered tier ~file ~off:0 ~len:size)
+          then
+            Tier.demote tier ~file ~off:0 ~gen:0
+              (Filestore.content ~file ~off:0 ~len:size)))
+    (Kernel.tier kernel);
   ignore (Kernel.take_pending kernel)
 
-let replay_point ~kind ~trace ~log ~prefix ~scale ~sampling =
-  let _engine, kernel = make_kernel () in
+(* The distinct ranks the log's first [prefix] requests name. *)
+let prefix_ranks ~log ~prefix =
+  let set = Hashtbl.create 4096 in
+  for i = 0 to prefix - 1 do
+    Hashtbl.replace set log.(i) ()
+  done;
+  set
+
+(* Register every file of [trace], start [kind], then warm the caches
+   from [prefix_ranks] (every rank when [None]). *)
+let trace_testbed ?config ?workers ~label ~trace ~prefix_ranks kind =
+  let kernel = make_kernel ?config ~label () in
   Trace.register_files trace kernel ~prefix_ranks:None;
-  let clients = 64 in
-  let server = start_server ~workers:clients kind kernel in
-  let listener = server.srv_listener in
-  preload_cache kernel
-    ~conv:(match kind with Flash_lite -> false | Flash_conv | Apache_srv -> true)
-    ~trace ~prefix_ranks:None;
-  let cursor = ref 0 in
-  let rng = Rng.create 0xC11E47L in
-  let pick ~client:_ ~iter:_ =
-    let rank =
-      match sampling with
-      | `Shared_log ->
-        (* The paper's replay: clients share the log and issue the next
-           unsent request. *)
-        let i = !cursor in
-        cursor := (!cursor + 1) mod prefix;
-        log.(i)
-      | `Random ->
-        (* SpecWeb-style: random picks from the subtrace (Section 5.5). *)
-        log.(Rng.int rng prefix)
-    in
-    Trace.file_path ~rank
-  in
+  let server = start_server ?workers kind kernel in
+  preload_cache kernel ~conv:(kind <> Flash_lite) ~trace ~prefix_ranks;
+  (kernel, server)
+
+(* Replay [pick] against a testbed: [clients] on non-persistent
+   connections with round-trip [rtt], a warm-up of [warm] x [scale] and
+   a window of 20 x [scale] simulated seconds, each at least [floor].
+   Returns the window's bandwidth. *)
+let replay ~label ?(clients = 64) ?(rtt = 0.0) ?(floor = 2.0) ?(warm = 8.0)
+    ~scale ~pick (kernel, server) =
   let config =
     {
-      Client.default with
       Client.clients;
+      rtt;
       persistent = false;
-      warmup = Float.max 2.0 (8.0 *. scale);
-      duration = Float.max 2.0 (20.0 *. scale);
+      warmup = Float.max floor (warm *. scale);
+      duration = Float.max floor (20.0 *. scale);
     }
   in
-  let r = Client.run kernel listener config ~pick in
-  report_point ~label:(kind_label kind) kernel server;
+  let r = Client.run kernel server.srv_listener config ~pick in
+  report ~label ~server kernel;
   r.Client.mbps
+
+(* SpecWeb-style sampling: uniform picks from the log's first [prefix]
+   requests (Section 5.5). *)
+let sample_prefix ~seed ~log ~prefix =
+  let rng = Rng.create seed in
+  fun ~client:_ ~iter:_ -> Trace.file_path ~rank:log.(Rng.int rng prefix)
+
+(* ------------------------------------------------------------------ *)
+(* Fig. 8: full trace replay                                           *)
+(* ------------------------------------------------------------------ *)
 
 let fig8 ?(scale = 1.0) () =
   List.map
@@ -407,9 +351,18 @@ let fig8 ?(scale = 1.0) () =
       ( spec.Trace.sname,
         List.map
           (fun kind ->
-            ( kind_label kind,
-              replay_point ~kind ~trace ~log ~prefix:log_len ~scale
-                ~sampling:`Shared_log ))
+            let label = kind_label kind in
+            (* The paper's replay: clients share the log and issue the
+               next unsent request. *)
+            let cursor = ref 0 in
+            let pick ~client:_ ~iter:_ =
+              let i = !cursor in
+              cursor := (i + 1) mod log_len;
+              Trace.file_path ~rank:log.(i)
+            in
+            ( label,
+              replay ~label ~scale ~pick
+                (trace_testbed ~label ~trace ~prefix_ranks:None kind) ))
           [ Flash_lite; Flash_conv; Apache_srv ] ))
     [ Trace.ece; Trace.cs; Trace.merged ]
 
@@ -437,53 +390,25 @@ let fig9 () =
 
 let dataset_sizes_mb = [ 15; 30; 60; 90; 120; 150 ]
 
-let subtrace_point ~kernel_of ~label ~trace ~log ~scale =
+(* One series of the data-set sweep: a fresh testbed per size, each
+   kernel built from its own [config ()]. *)
+let dataset_sweep ~trace ~log ~scale (name, kind, config) =
   {
-    label;
+    label = name;
     points =
       List.map
         (fun mb ->
-          let target = mb * 1024 * 1024 in
-          let prefix = Trace.prefix_for_dataset trace ~log ~target_bytes:target in
-          let kind, kernel = kernel_of () in
-          Trace.register_files trace kernel ~prefix_ranks:None;
-          let clients = 64 in
-          let server =
-            match kind with
-            | `Std k -> start_server ~workers:clients k kernel
-            | `Flash_lite_policy p -> start_server ~policy:p Flash_lite kernel
+          let prefix =
+            Trace.prefix_for_dataset trace ~log ~target_bytes:(mb * 1024 * 1024)
           in
-          let listener = server.srv_listener in
-          let in_prefix = Hashtbl.create 4096 in
-          for i = 0 to prefix - 1 do
-            Hashtbl.replace in_prefix log.(i) ()
-          done;
-          let conv =
-            match kind with
-            | `Std Flash_lite | `Flash_lite_policy _ -> false
-            | `Std (Flash_conv | Apache_srv) -> true
+          let label = Printf.sprintf "%s %dMB" name mb in
+          let bed =
+            trace_testbed ~config:(config ()) ~label ~trace
+              ~prefix_ranks:(Some (prefix_ranks ~log ~prefix))
+              kind
           in
-          preload_cache kernel ~conv ~trace ~prefix_ranks:(Some in_prefix);
-          let cursor = ref 0 in
-          ignore cursor;
-          let rng = Rng.create 0x5BEC99L in
-          let pick ~client:_ ~iter:_ =
-            Trace.file_path ~rank:log.(Rng.int rng prefix)
-          in
-          let config =
-            {
-              Client.default with
-              Client.clients;
-              persistent = false;
-              warmup = Float.max 2.0 (8.0 *. scale);
-              duration = Float.max 2.0 (20.0 *. scale);
-            }
-          in
-          let r = Client.run kernel listener config ~pick in
-          report_point
-            ~label:(Printf.sprintf "%s %dMB" label mb)
-            kernel server;
-          { x = float_of_int mb; mbps = r.Client.mbps })
+          let pick = sample_prefix ~seed:0x5BEC99L ~log ~prefix in
+          { x = float_of_int mb; mbps = replay ~label ~scale ~pick bed })
         dataset_sizes_mb;
   }
 
@@ -491,41 +416,31 @@ let fig10 ?(scale = 1.0) () =
   let trace, log = merged_subtrace () in
   List.map
     (fun kind ->
-      subtrace_point
-        ~kernel_of:(fun () ->
-          let _e, k = make_kernel () in
-          (`Std kind, k))
-        ~label:(kind_label kind) ~trace ~log ~scale)
+      dataset_sweep ~trace ~log ~scale (kind_label kind, kind, testbed_config))
     [ Flash_lite; Flash_conv; Apache_srv ]
 
 let fig11 ?(scale = 1.0) () =
   let trace, log = merged_subtrace () in
-  let variants =
-    [
-      ("Flash-Lite (GDS)", `Gds, true);
-      ("Flash-Lite LRU", `Lru, true);
-      ("Flash-Lite no-cksum", `Gds, false);
-      ("Flash-Lite LRU no-cksum", `Lru, false);
-    ]
+  let flash_lite (label, gds, cksum) =
+    ( label,
+      Flash_lite,
+      fun () ->
+        {
+          (Kernel.default_config ()) with
+          Kernel.cksum_cache_enabled = cksum;
+          cache_policy = (if gds then Policy.gds () else Policy.lru ());
+        } )
   in
-  let fl =
-    List.map
-      (fun (label, policy, cksum) ->
-        subtrace_point
-          ~kernel_of:(fun () ->
-            let _e, k = make_kernel ~cksum ~policy () in
-            (`Flash_lite_policy policy, k))
-          ~label ~trace ~log ~scale)
-      variants
-  in
-  let flash =
-    subtrace_point
-      ~kernel_of:(fun () ->
-        let _e, k = make_kernel () in
-        (`Std Flash_conv, k))
-      ~label:"Flash" ~trace ~log ~scale
-  in
-  fl @ [ flash ]
+  List.map
+    (dataset_sweep ~trace ~log ~scale)
+    (List.map flash_lite
+       [
+         ("Flash-Lite (GDS)", true, true);
+         ("Flash-Lite LRU", false, true);
+         ("Flash-Lite no-cksum", true, false);
+         ("Flash-Lite LRU no-cksum", false, false);
+       ]
+    @ [ ("Flash", Flash_conv, testbed_config) ])
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 12: WAN delays                                                 *)
@@ -533,8 +448,10 @@ let fig11 ?(scale = 1.0) () =
 
 let fig12 ?(scale = 1.0) () =
   let trace, log = merged_subtrace () in
-  let target = 120 * 1024 * 1024 in
-  let prefix = Trace.prefix_for_dataset trace ~log ~target_bytes:target in
+  let prefix =
+    Trace.prefix_for_dataset trace ~log ~target_bytes:(120 * 1024 * 1024)
+  in
+  let ranks = prefix_ranks ~log ~prefix in
   let delays_ms = [ 0.0; 5.0; 50.0; 100.0; 150.0 ] in
   let clients_for delay = 64 + int_of_float (delay /. 150.0 *. float_of_int (900 - 64)) in
   List.map
@@ -545,47 +462,23 @@ let fig12 ?(scale = 1.0) () =
           List.map
             (fun delay_ms ->
               let clients = clients_for delay_ms in
-              let _e, kernel = make_kernel () in
-              Trace.register_files trace kernel ~prefix_ranks:None;
-              let server =
-                match kind with
-                | Apache_srv ->
-                  (* Apache 1.3's process pool; extra processes are the
-                     memory cost the paper highlights. *)
-                  start_server
-                    ~workers:(min clients 256)
-                    kind kernel
-                | Flash_lite | Flash_conv -> start_server kind kernel
+              let label =
+                Printf.sprintf "%s rtt=%.0fms" (kind_label kind) delay_ms
               in
-              let listener = server.srv_listener in
-              let in_prefix = Hashtbl.create 4096 in
-              for i = 0 to prefix - 1 do
-                Hashtbl.replace in_prefix log.(i) ()
-              done;
-              preload_cache kernel
-                ~conv:
-                  (match kind with
-                  | Flash_lite -> false
-                  | Flash_conv | Apache_srv -> true)
-                ~trace ~prefix_ranks:(Some in_prefix);
-              let rng = Rng.create 0x44E11AL in
-              let pick ~client:_ ~iter:_ =
-                Trace.file_path ~rank:log.(Rng.int rng prefix)
+              (* [workers] sizes Apache 1.3's process pool (Flash has
+                 none); extra processes are the memory cost the paper
+                 highlights. *)
+              let bed =
+                trace_testbed ~workers:(min clients 256) ~label ~trace
+                  ~prefix_ranks:(Some ranks) kind
               in
-              let config =
-                {
-                  Client.clients;
-                  rtt = delay_ms /. 1000.0;
-                  persistent = false;
-                  warmup = Float.max 3.0 (10.0 *. scale);
-                  duration = Float.max 3.0 (20.0 *. scale);
-                }
-              in
-              let r = Client.run kernel listener config ~pick in
-              report_point
-                ~label:(Printf.sprintf "%s rtt=%.0fms" (kind_label kind) delay_ms)
-                kernel server;
-              { x = delay_ms; mbps = r.Client.mbps })
+              let pick = sample_prefix ~seed:0x44E11AL ~log ~prefix in
+              {
+                x = delay_ms;
+                mbps =
+                  replay ~label ~clients ~rtt:(delay_ms /. 1000.0) ~floor:3.0
+                    ~warm:10.0 ~scale ~pick bed;
+              })
             delays_ms;
       })
     [ Flash_lite; Flash_conv; Apache_srv ]
@@ -613,12 +506,11 @@ module Apps = struct
   let wc_file_size = 1792 * 1024 (* the paper's 1.75 MB file *)
 
   (* Run [body] in a fresh kernel; returns (elapsed, value). *)
-  let timed ?(warm_file = None) body =
-    let engine, kernel = make_kernel () in
+  let timed ~label ?warm_file body =
+    let kernel = make_kernel ~label () in
+    let engine = Kernel.engine kernel in
     let file =
-      match warm_file with
-      | Some size -> Some (Kernel.add_file kernel ~name:"/data" ~size)
-      | None -> None
+      Option.map (fun size -> Kernel.add_file kernel ~name:"/data" ~size) warm_file
     in
     (* Warm the unified cache so the runs measure I/O structure, not the
        initial disk fetch (the paper reads cached files). *)
@@ -635,10 +527,12 @@ module Apps = struct
     let result = ref None in
     Engine.spawn engine (fun () -> result := Some (body kernel file));
     Engine.run engine;
+    report ~label kernel;
     (Engine.now engine -. t0, Option.get !result)
 
-  let wc ~iolite =
-    timed ~warm_file:(Some wc_file_size) (fun kernel file ->
+  let wc ~label ~iolite =
+    timed ~label ~warm_file:wc_file_size
+      (fun kernel file ->
         let file = Option.get file in
         let out = Ivar.create () in
         ignore
@@ -648,8 +542,9 @@ module Apps = struct
                   else Wc.run_posix proc ~file)));
         Ivar.read out)
 
-  let cat_grep ~iolite =
-    timed ~warm_file:(Some wc_file_size) (fun kernel file ->
+  let cat_grep ~label ~iolite =
+    timed ~label ~warm_file:wc_file_size
+      (fun kernel file ->
         let file = Option.get file in
         let out = Ivar.create () in
         ignore
@@ -666,8 +561,8 @@ module Apps = struct
                Ivar.fill out (Grep.run_pipe grep_proc pipe ~pattern:"the" ~iolite)));
         Ivar.read out)
 
-  let permute_wc ~iolite =
-    timed (fun kernel _ ->
+  let permute_wc ~label ~iolite =
+    timed ~label (fun kernel _ ->
         let out = Ivar.create () in
         let wc_proc = Process.make kernel ~name:"wc" in
         let perm_proc = Process.make kernel ~name:"permute" in
@@ -689,48 +584,26 @@ module Apps = struct
             Process.exit wc_proc);
         Ivar.read out)
 
-  let gcc ~iolite =
-    let _engine, kernel = make_kernel () in
+  let gcc ~label ~iolite =
+    let kernel = make_kernel ~label () in
     let elapsed = Gccpipe.run_blocking kernel Gccpipe.default_spec ~iolite in
+    report ~label kernel;
     (elapsed, ())
 end
 
-let fig13 ?(scale = 1.0) () =
-  ignore scale;
-  let wc_posix_t, wc_posix = Apps.wc ~iolite:false in
-  let wc_iolite_t, wc_iolite = Apps.wc ~iolite:true in
-  let grep_posix_t, grep_posix = Apps.cat_grep ~iolite:false in
-  let grep_iolite_t, grep_iolite = Apps.cat_grep ~iolite:true in
-  let perm_posix_t, perm_posix = Apps.permute_wc ~iolite:false in
-  let perm_iolite_t, perm_iolite = Apps.permute_wc ~iolite:true in
-  let gcc_posix_t, () = Apps.gcc ~iolite:false in
-  let gcc_iolite_t, () = Apps.gcc ~iolite:true in
-  [
-    {
-      app = "wc";
-      posix_s = wc_posix_t;
-      iolite_s = wc_iolite_t;
-      verified = wc_posix = wc_iolite;
-    };
-    {
-      app = "cat|grep";
-      posix_s = grep_posix_t;
-      iolite_s = grep_iolite_t;
-      verified = grep_posix = grep_iolite;
-    };
-    {
-      app = "permute|wc";
-      posix_s = perm_posix_t;
-      iolite_s = perm_iolite_t;
-      verified = perm_posix = perm_iolite;
-    };
-    {
-      app = "gcc";
-      posix_s = gcc_posix_t;
-      iolite_s = gcc_iolite_t;
-      verified = true;
-    };
-  ]
+(* [app] once unmodified and once converted to IO-Lite; the two runs
+   must produce the same output. *)
+let run_app app run =
+  let posix_s, posix = run ~label:(app ^ " unmodified") ~iolite:false in
+  let iolite_s, iolite = run ~label:(app ^ " IO-Lite") ~iolite:true in
+  { app; posix_s; iolite_s; verified = posix = iolite }
+
+let fig13 () =
+  let wc = run_app "wc" Apps.wc in
+  let cat_grep = run_app "cat|grep" Apps.cat_grep in
+  let permute_wc = run_app "permute|wc" Apps.permute_wc in
+  let gcc = run_app "gcc" Apps.gcc in
+  [ wc; cat_grep; permute_wc; gcc ]
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -780,7 +653,7 @@ let print_fig9 () =
   Printf.printf "\n== Fig 9: 150MB subtrace characteristics ==\n";
   Table.print ~header:[ "metric"; "value" ] ~rows:(fig9 ())
 
-let print_fig13 ?scale () =
+let print_fig13 () =
   Printf.printf "\n== Fig 13: application runtimes ==\n";
   let rows =
     List.map
@@ -792,7 +665,7 @@ let print_fig13 ?scale () =
           Printf.sprintf "%.0f%%" (100.0 *. (1.0 -. (r.iolite_s /. r.posix_s)));
           (if r.verified then "yes" else "NO");
         ])
-      (fig13 ?scale ())
+      (fig13 ())
   in
   Table.print
     ~header:[ "application"; "unmodified"; "IO-Lite"; "reduction"; "output verified" ]
@@ -827,7 +700,7 @@ let run_all ?(scale = 1.0) () =
         ~x_label:"dataset MB" (fig11 ~scale ()));
   phase (fun () ->
       print_series ~title:"Fig 12: WAN delay" ~x_label:"RTT ms" (fig12 ~scale ()));
-  phase (fun () -> print_fig13 ~scale ());
+  phase (fun () -> print_fig13 ());
   phase (fun () ->
       print_series ~title:"Extension: sendfile ablation" ~x_label:"KB"
         (ablation_sendfile ~scale ()));
@@ -849,13 +722,9 @@ type smoke_result = {
   sm_requests : int;
 }
 
-let smoke ?(tracing = true) () =
-  let saved_metrics = !obs_metrics and saved_sink = !obs_sink in
-  set_observability ();
-  let _engine, kernel = make_kernel () in
-  obs_metrics := saved_metrics;
-  obs_sink := saved_sink;
-  if tracing then Kernel.enable_tracing kernel;
+let smoke () =
+  let kernel = make_kernel ~label:"smoke" () in
+  Kernel.enable_tracing kernel;
   List.iteri
     (fun i size ->
       ignore (Kernel.add_file kernel ~name:(Printf.sprintf "/doc%d" i) ~size))
@@ -917,8 +786,9 @@ type c1m_point = {
 let c1m ?(requests = 50_000) ~conns () =
   let module Http = Iolite_httpd.Http in
   let module Sock = Iolite_os.Sock in
-  let engine = Engine.create () in
-  let kernel = Kernel.create engine in
+  let label = Printf.sprintf "c1m %d conns" conns in
+  let kernel = make_kernel ~label () in
+  let engine = Kernel.engine kernel in
   let nfiles = 64 in
   let sizes = [| 512; 1024; 2048; 4096; 8192; 16384 |] in
   for i = 0 to nfiles - 1 do
@@ -1001,6 +871,7 @@ let c1m ?(requests = 50_000) ~conns () =
                 (Unix.gettimeofday () -. ct0) *. 1e9 /. float_of_int ops;
               Array.iter Sock.close arr)));
   Engine.run engine;
+  report ~label kernel;
   let d = Iolite_obs.Metrics.diff ~before:!s1 ~after:!s2 in
   let dval key =
     match List.assoc_opt key d with Some v -> v | None -> 0
@@ -1083,15 +954,19 @@ type async_point = {
 let seq_file_size = 1_792 * 1024
 
 let async_point ?(scale = 1.0) ~pressure () =
+  let scenario = if pressure then "pressure" else "warm" in
   let mem_mb = if pressure then 24 else 128 in
-  let engine = Engine.create () in
-  let config =
-    {
-      (Kernel.default_config ()) with
-      Kernel.mem_capacity = mem_mb * 1024 * 1024;
-    }
+  let label = "async " ^ scenario in
+  let kernel =
+    make_kernel ~label
+      ~config:
+        {
+          (Kernel.default_config ()) with
+          Kernel.mem_capacity = mem_mb * 1024 * 1024;
+        }
+      ()
   in
-  let kernel = Kernel.create ~config engine in
+  let engine = Kernel.engine kernel in
   (* Arm wait-state attribution (no trace buffer): each foreground job
      below runs under a fresh flow id, so its latency decomposes into
      {queue, disk_service, coalesced_wait, vm_stall, cpu} and the
@@ -1211,6 +1086,7 @@ let async_point ?(scale = 1.0) ~pressure () =
            loop ()))
   done;
   Engine.run engine;
+  report ~label kernel;
   let busy1 = !busy1 and now1 = !now1 in
   let p50, p90, p99 =
     match !latencies with
@@ -1222,7 +1098,7 @@ let async_point ?(scale = 1.0) ~pressure () =
   let m = Kernel.metrics kernel in
   let disk = Kernel.disk kernel in
   {
-    as_scenario = (if pressure then "pressure" else "warm");
+    as_scenario = scenario;
     as_mem_mb = mem_mb;
     as_requests = List.length !latencies;
     as_p50 = p50;
@@ -1369,32 +1245,15 @@ let write_metrics kernel ~label ~flush_interval ~burst ~x ~writes ~bytes
     wp_mbps = float_of_int bytes /. 1048576.0 /. Float.max 1e-9 write_s;
   }
 
-(* The write points build kernels with custom write-back configs
-   (bypassing [make_kernel]), so they wire the shared trace sink and
-   per-point metrics printing themselves. *)
-let write_obs_start ~label kernel =
-  match !obs_sink with
-  | Some sink ->
-    Kernel.enable_tracing kernel;
-    incr kernel_seq;
-    Iolite_obs.Trace.Sink.absorb sink ~label (Kernel.trace kernel)
-  | None -> ()
-
-let write_obs_finish ~label kernel =
-  if !obs_metrics then
-    Printf.printf "\n-- metrics: %s --\n%s%!" label
-      (Iolite_obs.Metrics.render (Kernel.metrics kernel))
-
 (* The clustering headline: 2 MB of small sequential writes plus a
    rewrite of the first eighth (issued before any flush, so the parked
    extents are superseded in place), then fsync. Write-back merges
    adjacent dirty extents into extent-sized clusters; writes per disk
    operation is the figure (write-through would pay one each). *)
 let write_seq_point () =
-  let engine = Engine.create () in
-  let kernel = Kernel.create engine in
   let label = "write delayed" in
-  write_obs_start ~label kernel;
+  let kernel = make_kernel ~config:(Kernel.default_config ()) ~label () in
+  let engine = Kernel.engine kernel in
   let size = 2 * 1024 * 1024 in
   let chunk = 4096 in
   let file = Kernel.add_file kernel ~name:"/wlog.dat" ~size in
@@ -1420,7 +1279,7 @@ let write_seq_point () =
          Iolite_os.Fileio.fsync proc ~file;
          write_s := !write_s +. (Engine.now engine -. t0)));
   Engine.run engine;
-  write_obs_finish ~label kernel;
+  report ~label kernel;
   write_metrics kernel ~label:"delayed"
     ~flush_interval:(Kernel.config kernel).Kernel.flush_interval ~burst:0
     ~x:0.0 ~writes:!writes ~bytes:!bytes ~write_s:!write_s
@@ -1432,7 +1291,6 @@ let write_seq_point () =
    throughput collapses to disk speed. The knee's position in
    [x = burst / hard] moves with the flush interval. *)
 let write_cawl_point ~flush_interval ~burst () =
-  let engine = Engine.create () in
   let config =
     {
       (Kernel.default_config ()) with
@@ -1442,9 +1300,9 @@ let write_cawl_point ~flush_interval ~burst () =
       dirty_hard_ratio = 0.05;
     }
   in
-  let kernel = Kernel.create ~config engine in
   let label = Printf.sprintf "cawl F=%.1fs %dKB" flush_interval (burst / 1024) in
-  write_obs_start ~label kernel;
+  let kernel = make_kernel ~config ~label () in
+  let engine = Kernel.engine kernel in
   let hard =
     int_of_float
       (config.Kernel.dirty_hard_ratio
@@ -1472,7 +1330,7 @@ let write_cawl_point ~flush_interval ~burst () =
              Iolite_sim.Engine.Proc.sleep (period -. elapsed)
          done));
   Engine.run engine;
-  write_obs_finish ~label kernel;
+  report ~label kernel;
   write_metrics kernel
     ~label:(Printf.sprintf "F=%.1fs" flush_interval)
     ~flush_interval ~burst
@@ -1548,99 +1406,25 @@ type tier_probe = {
   pr_stage : int;
 }
 
-(* The tier points build kernels with custom configs (small DRAM, tier
-   armed), so they wire observability themselves, like the write points.
-   The cache policy object is returned alongside: Flash re-installs the
-   unified-cache policy at startup, and handing it the same GDS instance
-   the kernel parameterized keeps the tier-aware refetch cost alive. *)
-let tier_kernel ~tiered ?(mem_mb = 64) ~label () =
-  let engine = Engine.create () in
-  let config =
-    {
-      (Kernel.default_config ()) with
-      Kernel.mem_capacity = mem_mb * 1024 * 1024;
-      cache_policy = Policy.gds ();
-      tier_enabled = tiered;
-    }
-  in
-  let kernel = Kernel.create ~config engine in
-  write_obs_start ~label kernel;
-  (engine, kernel, config.Kernel.cache_policy)
-
-let tier_server kernel ~policy =
-  let f = Flash.start ~variant:Flash.Iolite ~policy kernel ~port:80 in
+(* A small machine under GDS, the tier armed when [tiered]. *)
+let tier_config ~mem_mb ~tiered () =
   {
-    srv_listener = Flash.listener f;
-    srv_latency = (fun () -> Flash.latency_stats f);
+    (testbed_config ()) with
+    Kernel.mem_capacity = mem_mb * 1024 * 1024;
+    tier_enabled = tiered;
   }
 
-(* Warm-start the tier the way [preload_cache] warms DRAM: the popular
-   files that did not fit (or were not admitted) upstairs are demoted
-   straight in, up to 90% of the tier budget. Contents come from the
-   defining content function, so promoted bytes pass integrity checks.
-   The direct demotions charge NVMM write time to the kernel's pending
-   accumulator; drain it so the first measured request starts clean. *)
-let preload_tier kernel ~trace ~prefix_ranks =
-  match Kernel.tier kernel with
-  | None -> ()
-  | Some tier ->
-    let module Filecache = Iolite_core.Filecache in
-    let module Tier = Iolite_core.Tier in
-    let cache = Kernel.unified_cache kernel in
-    let store = Kernel.store kernel in
-    let budget =
-      (match (Kernel.config kernel).Kernel.tier_capacity with
-      | Some c -> c
-      | None ->
-        10
-        * Iolite_mem.Physmem.io_budget
-            (Iolite_core.Iosys.physmem (Kernel.sys kernel)))
-      * 9 / 10
-    in
-    let ranks =
-      match prefix_ranks with
-      | Some set ->
-        let l = Hashtbl.fold (fun r () acc -> r :: acc) set [] in
-        List.sort compare l
-      | None -> List.init (Trace.file_count trace) Fun.id
-    in
-    let rec load = function
-      | [] -> ()
-      | rank :: rest ->
-        if Tier.total_bytes tier < budget then begin
-          (match Iolite_fs.Filestore.lookup store (Trace.file_path ~rank) with
-          | None -> ()
-          | Some file ->
-            let size = Iolite_fs.Filestore.size store file in
-            if
-              size > 0
-              && not (Filecache.covered cache ~file ~off:0 ~len:size)
-              && not (Tier.covered tier ~file ~off:0 ~len:size)
-            then
-              Tier.demote tier ~file ~off:0 ~gen:0
-                (Iolite_fs.Filestore.content ~file ~off:0 ~len:size));
-          load rest
-        end
-    in
-    load ranks;
-    ignore (Kernel.take_pending kernel)
-
 let tier_point ~tiered ~trace ~log ~scale mb =
-  let target = mb * 1024 * 1024 in
-  let prefix = Trace.prefix_for_dataset trace ~log ~target_bytes:target in
+  let prefix =
+    Trace.prefix_for_dataset trace ~log ~target_bytes:(mb * 1024 * 1024)
+  in
   let variant = if tiered then "tiered" else "dram-only" in
   let label = Printf.sprintf "%s %dMB" variant mb in
-  let _engine, kernel, policy = tier_kernel ~tiered ~label () in
-  Trace.register_files trace kernel ~prefix_ranks:None;
-  let clients = 64 in
-  let server = tier_server kernel ~policy in
-  let listener = server.srv_listener in
-  let in_prefix = Hashtbl.create 4096 in
-  for i = 0 to prefix - 1 do
-    Hashtbl.replace in_prefix log.(i) ()
-  done;
-  preload_cache kernel ~conv:false ~trace ~prefix_ranks:(Some in_prefix);
-  if tiered then preload_tier kernel ~trace ~prefix_ranks:(Some in_prefix);
+  let ((kernel, _) as bed) =
+    trace_testbed ~config:(tier_config ~mem_mb:64 ~tiered ()) ~label ~trace
+      ~prefix_ranks:(Some (prefix_ranks ~log ~prefix))
+      Flash_lite
+  in
   let m = Kernel.metrics kernel in
   let get k = Iolite_obs.Metrics.get m k in
   let module F = Iolite_core.Filecache in
@@ -1650,24 +1434,12 @@ let tier_point ~tiered ~trace ~log ~scale mb =
   let demote0 = get "cache.tier.demote" in
   let hits0 = F.hits uc and evictions0 = F.evictions uc in
   let reads0 = Iolite_fs.Disk.reads disk in
-  let rng = Rng.create 0x5BEC99L in
-  let pick ~client:_ ~iter:_ = Trace.file_path ~rank:log.(Rng.int rng prefix) in
-  let config =
-    {
-      Client.default with
-      Client.clients;
-      persistent = false;
-      warmup = Float.max 2.0 (8.0 *. scale);
-      duration = Float.max 2.0 (20.0 *. scale);
-    }
-  in
-  let r = Client.run kernel listener config ~pick in
-  report_point ~label kernel server;
-  write_obs_finish ~label kernel;
+  let pick = sample_prefix ~seed:0x5BEC99L ~log ~prefix in
+  let mbps = replay ~label ~scale ~pick bed in
   {
     tp_label = variant;
     tp_ws_mb = mb;
-    tp_mbps = r.Client.mbps;
+    tp_mbps = mbps;
     tp_dram_hits = F.hits uc - hits0;
     tp_dram_evictions = F.evictions uc - evictions0;
     tp_tier_hit = get "cache.tier.hit";
@@ -1681,15 +1453,12 @@ let tier_point ~tiered ~trace ~log ~scale mb =
 
 let tier_ws_sizes_mb = [ 8; 16; 24; 48; 96; 150 ]
 
-let tier_sweep ?(scale = 1.0) ?(variant = `Both) () =
+let tier_sweep ?(scale = 1.0) () =
   let trace, log = merged_subtrace () in
-  let run tiered =
-    List.map (tier_point ~tiered ~trace ~log ~scale) tier_ws_sizes_mb
-  in
-  match variant with
-  | `Baseline -> run false
-  | `Tiered -> run true
-  | `Both -> run false @ run true
+  List.concat_map
+    (fun tiered ->
+      List.map (tier_point ~tiered ~trace ~log ~scale) tier_ws_sizes_mb)
+    [ false; true ]
 
 (* The latency exhibit: one small file read cold (disk: positioning +
    transfer), warm (DRAM hit), and from the tier (demotion forced by
@@ -1698,9 +1467,11 @@ let tier_sweep ?(scale = 1.0) ?(variant = `Both) () =
    that is exactly the cost the byte-addressable tier deletes. *)
 let tier_probe_run () =
   let size = 4096 in
-  let engine, kernel, _policy =
-    tier_kernel ~tiered:true ~mem_mb:16 ~label:"tier probe" ()
+  let label = "tier probe" in
+  let kernel =
+    make_kernel ~config:(tier_config ~mem_mb:16 ~tiered:true ()) ~label ()
   in
+  let engine = Kernel.engine kernel in
   let file = Kernel.add_file kernel ~name:"/probe.dat" ~size in
   let tier =
     match Kernel.tier kernel with Some t -> t | None -> assert false
@@ -1733,9 +1504,9 @@ let tier_probe_run () =
            (Iolite_fs.Filestore.content ~file ~off:0 ~len:2048);
          Iolite_os.Fileio.fsync proc ~file));
   Engine.run engine;
+  report ~label kernel;
   let m = Kernel.metrics kernel in
   let get k = Iolite_obs.Metrics.get m k in
-  write_obs_finish ~label:"tier probe" kernel;
   {
     pr_dram_hit_s = !warm;
     pr_tier_hit_s = !thit;

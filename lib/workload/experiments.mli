@@ -66,7 +66,9 @@ type app_result = {
   verified : bool;  (** both variants produced identical output/counts *)
 }
 
-val fig13 : ?scale:float -> unit -> app_result list
+val fig13 : unit -> app_result list
+(** Each application once per variant, on its own kernel; the runs are
+    fixed-size, so there is no [scale]. *)
 
 (** {2 Extension: the sendfile ablation (Section 6.7)} *)
 
@@ -89,7 +91,7 @@ val print_series : title:string -> x_label:string -> series list -> unit
 val print_fig7 : unit -> unit
 val print_fig8 : ?scale:float -> unit -> unit
 val print_fig9 : unit -> unit
-val print_fig13 : ?scale:float -> unit -> unit
+val print_fig13 : unit -> unit
 
 val run_all : ?scale:float -> unit -> unit
 (** Every figure, in order, printed to stdout. *)
@@ -102,19 +104,26 @@ val preload_cache :
   unit
 (** The trace figures' warm start: fill the unified cache (the
     conventional one with [conv]) with the most popular registered files
-    of [trace] — only ranks in [prefix_ranks] when given — up to 90% of
-    the I/O budget, without disk latency. The loading's VM work leaves
-    no CPU charge pending for the measured run. *)
+    of [trace] — only ranks in [prefix_ranks] when given — that fit the
+    kernel's admission limit ({!Iolite_os.Fileio.admission_limit}), up
+    to 90% of the I/O budget, without disk latency. When the kernel has
+    the NVMM tier armed, the same ranks not cached upstairs are then
+    demoted into the tier, up to 90% of its capacity. The loading's VM
+    work and NVMM writes leave no CPU charge pending for the measured
+    run. *)
 
 (** {2 Observability} *)
 
 val set_observability :
   ?metrics:bool -> ?sink:Iolite_obs.Trace.Sink.t -> unit -> unit
 (** Configure the harness for subsequent runs: with [metrics] every
-    experiment point prints its kernel's registry and request-latency
-    summary after measuring; with [sink] every kernel is created with
-    tracing armed and registered in the sink (write it out after the
-    runs). Defaults reset both. *)
+    experiment point (figure, sweep, C1M, async, write and tier points,
+    and the tier probe; not {!smoke}) prints one block, headed
+    [-- metrics: <label> --], with its kernel's registry and, when a
+    server measured it, the request-latency summary; with [sink] every
+    kernel the harness builds is created with tracing armed and
+    registered in the sink under its point's label (write it out after
+    the runs). Defaults reset both. *)
 
 type smoke_result = {
   sm_trace_json : string;  (** Chrome trace-event JSON of the run *)
@@ -126,11 +135,13 @@ type smoke_result = {
   sm_requests : int;
 }
 
-val smoke : ?tracing:bool -> unit -> smoke_result
+val smoke : unit -> smoke_result
 (** A small, fully deterministic Flash-Lite run (static files + FastCGI,
-    persistent connections, two measurement phases) with tracing armed:
-    the CI smoke test, the trace-determinism test, and [iolite smoke]
-    all run this. Two calls produce byte-identical [sm_trace_json]. *)
+    persistent connections, two measurement phases) with tracing always
+    armed: the CI smoke test, the trace-determinism test, and
+    [iolite smoke] all run this. Two calls produce byte-identical
+    [sm_trace_json]. Its kernel, labelled ["smoke"], registers with an
+    installed sink but prints no metrics block. *)
 
 (** {2 C1M: connection-scale scaffolding (timer wheel + size classes +
     shards)} *)
@@ -293,17 +304,13 @@ val tier_ws_sizes_mb : int list
 (** [8; 16; 24; 48; 96; 150] against a 64 MB machine: the
     cache-absorbing regime, the DRAM knee, and the tier-bound tail. *)
 
-val tier_sweep :
-  ?scale:float ->
-  ?variant:[ `Baseline | `Tiered | `Both ] ->
-  unit ->
-  tier_point list
-(** Fig. 10's working-set sweep replayed on a small (64 MB) machine,
-    with and without the tier armed. [`Baseline] runs DRAM-only (the
-    recorded reference), [`Tiered] the NVMM configuration, [`Both]
-    (default) baseline first then tiered. The tier runs at the kernel
-    defaults: a budget of 10x the I/O budget and 20 MB/s. DRAM and tier
-    are warm-started the way {!val-fig10} warms the cache; the tier's
+val tier_sweep : ?scale:float -> unit -> tier_point list
+(** Fig. 10's working-set sweep replayed on a small (64 MB) machine:
+    every size DRAM-only ([tp_label = "dram-only"], the recorded
+    reference) first, then every size with the tier armed
+    ([tp_label = "tiered"]). The tier runs at the kernel defaults: a
+    budget of 10x the I/O budget and 20 MB/s. DRAM and tier are
+    warm-started by {!preload_cache}, as in {!val-fig10}; the tier's
     warm-up demotions are excluded from [tp_tier_demote]. *)
 
 val tier_probe_run : unit -> tier_probe

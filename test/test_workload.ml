@@ -190,8 +190,52 @@ let digest_apps apps =
                  a.E.verified)
              apps)))
 
+(* Anchor predicates: what the figures mean, asserted on the values
+   the goldens digest, so a re-recorded digest cannot drop them
+   silently. [values] come in the order the paper ranks them; each must
+   be at least the next, or above it with [strict]. *)
+let check_ranked ~strict what values =
+  let rec go = function
+    | (a, va) :: ((b, vb) :: _ as rest) ->
+      if not (if strict then va > vb else va >= vb) then
+        Alcotest.failf "%s: %s %.2f not %s %s %.2f" what a va
+          (if strict then "above" else "at least")
+          b vb;
+      go rest
+    | _ -> ()
+  in
+  go values
+
+(* The same ranking of the series [names] at every point whose x is at
+   least [from]. *)
+let check_ranked_series ~strict ?(from = neg_infinity) what series names =
+  let points name =
+    match List.find_opt (fun s -> s.E.label = name) series with
+    | Some s -> List.map (fun p -> (p.E.x, p.E.mbps)) s.E.points
+    | None -> Alcotest.failf "%s: missing series %s" what name
+  in
+  let columns = List.map points names in
+  List.iteri
+    (fun i (x, _) ->
+      if x >= from then
+        check_ranked ~strict
+          (Printf.sprintf "%s at %g" what x)
+          (List.map2 (fun name col -> (name, snd (List.nth col i))) names columns))
+    (List.hd columns)
+
+let paper_servers = [ "Flash-Lite"; "Flash"; "Apache" ]
+
 let test_figure_goldens () =
   let scale = 0.1 in
+  let figs =
+    [
+      ("fig3", E.fig3 ~scale ());
+      ("fig4", E.fig4 ~scale ());
+      ("fig5", E.fig5 ~scale ());
+      ("fig6", E.fig6 ~scale ());
+    ]
+  in
+  let apps = E.fig13 () in
   Alcotest.(check (list (pair string string)))
     "figure digests at scale 0.1"
     [
@@ -201,13 +245,19 @@ let test_figure_goldens () =
       ("fig6", "2f92e45ad8df393304f579c3bf98cb79");
       ("fig13", "4e3533e3f237fdcb3bdfaca14fe86536");
     ]
-    [
-      ("fig3", digest_series (E.fig3 ~scale ()));
-      ("fig4", digest_series (E.fig4 ~scale ()));
-      ("fig5", digest_series (E.fig5 ~scale ()));
-      ("fig6", digest_series (E.fig6 ~scale ()));
-      ("fig13", digest_apps (E.fig13 ~scale ()));
-    ]
+    (List.map (fun (name, s) -> (name, digest_series s)) figs
+    @ [ ("fig13", digest_apps apps) ]);
+  List.iter
+    (fun (name, s) ->
+      check_ranked_series ~strict:false ~from:20.0 name s paper_servers)
+    figs;
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) ("fig13 " ^ a.E.app ^ " output verified") true
+        a.E.verified;
+      check_ranked ~strict:true ("fig13 " ^ a.E.app ^ " runtime")
+        [ ("unmodified", a.E.posix_s); ("IO-Lite", a.E.iolite_s) ])
+    apps
 
 (* The sweeps that carried a baseline column, digested exactly (floats
    in hex). They are the only runs of the async pipeline under memory
@@ -241,6 +291,10 @@ let write_line p =
 
 let test_sweep_goldens () =
   let c = E.c1m ~requests:5_000 ~conns:1_000 () in
+  let warm = E.async_point ~scale:0.2 ~pressure:false () in
+  let pressure = E.async_point ~scale:0.2 ~pressure:true () in
+  let seq = E.write_seq_point () in
+  let cawl = E.write_cawl_sweep () in
   Alcotest.(check (list (pair string string)))
     "sweep digests"
     [
@@ -251,15 +305,10 @@ let test_sweep_goldens () =
       ("c1m", "ffc19dd86d1e494c3a21e10815c7f0f7");
     ]
     [
-      ( "async warm",
-        digest_lines (async_lines (E.async_point ~scale:0.2 ~pressure:false ()))
-      );
-      ( "async pressure",
-        digest_lines (async_lines (E.async_point ~scale:0.2 ~pressure:true ()))
-      );
-      ("write seq", digest_lines [ write_line (E.write_seq_point ()) ]);
-      ( "write cawl",
-        digest_lines (List.map write_line (E.write_cawl_sweep ())) );
+      ("async warm", digest_lines (async_lines warm));
+      ("async pressure", digest_lines (async_lines pressure));
+      ("write seq", digest_lines [ write_line seq ]);
+      ("write cawl", digest_lines (List.map write_line cawl));
       ( "c1m",
         digest_lines
           [
@@ -268,7 +317,36 @@ let test_sweep_goldens () =
               c.E.c1m_fresh_warm c.E.c1m_recycled_warm c.E.c1m_peak_timers
               c.E.c1m_idle_closed;
           ] );
-    ]
+    ];
+  (* The async pipeline coalesces, reads ahead and batches at both
+     memory sizes, and attributes every measured request's wait. *)
+  List.iter
+    (fun p ->
+      let what k = Printf.sprintf "async %s %s" p.E.as_scenario k in
+      List.iter
+        (fun (k, v) -> Alcotest.(check bool) (what k ^ " > 0") true (v > 0))
+        [
+          ("coalesced", p.E.as_coalesced);
+          ("readahead hits", p.E.as_ra_hit);
+          ("batched", p.E.as_batched);
+        ];
+      Alcotest.(check int) (what "attributed") p.E.as_requests
+        p.E.as_attr_completed;
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) (what "tail record >= 95% covered") true
+            (Iolite_obs.Attrib.covered r >= 0.95))
+        p.E.as_tail)
+    [ warm; pressure ];
+  Alcotest.(check bool) "write-back clusters" true (seq.E.wp_clustered > 0);
+  Alcotest.(check bool) "rewrite supersedes" true (seq.E.wp_superseded > 0);
+  Alcotest.(check bool) "a CAWL point below the knee" true
+    (List.exists (fun p -> p.E.wp_throttled = 0) cawl);
+  Alcotest.(check bool) "a CAWL point past the knee" true
+    (List.exists (fun p -> p.E.wp_throttled > 0) cawl);
+  Alcotest.(check int) "c1m: no fresh chunks once warm" 0 c.E.c1m_fresh_warm;
+  Alcotest.(check bool) "c1m: one idle timer per connection" true
+    (c.E.c1m_peak_timers >= c.E.c1m_conns)
 
 (* Fig 10 and the NVMM tier sweep, digested exactly (floats in hex).
    Fig 10 is the only contract-scale run of the capacity-bounded
@@ -285,13 +363,16 @@ let probe_line p =
     p.E.pr_cold_disk_s p.E.pr_speedup p.E.pr_demote p.E.pr_promote p.E.pr_stage
 
 let test_fig10_golden () =
+  let series = E.fig10 ~scale:0.1 () in
   Alcotest.(check string)
     "fig10 digest at scale 0.1" "afb2a28475008e7c8332ad21f8be25b9"
-    (digest_series (E.fig10 ~scale:0.1 ()))
+    (digest_series series);
+  check_ranked_series ~strict:true "fig10" series paper_servers
 
 (* Fig 8 at scale 0.1: the three traces, each served by Flash-Lite,
    Flash and Apache after a warm start, one bandwidth per server. *)
 let test_fig8_golden () =
+  let bars = E.fig8 ~scale:0.1 () in
   Alcotest.(check string)
     "fig8 digest at scale 0.1" "0428c948b518f453b7a838e3b6f52fc3"
     (digest_lines
@@ -300,27 +381,85 @@ let test_fig8_golden () =
             List.map
               (fun (server, mbps) -> Printf.sprintf "%s %s %h" trace server mbps)
               points)
-          (E.fig8 ~scale:0.1 ())))
+          bars));
+  List.iter
+    (fun (trace, points) ->
+      check_ranked ~strict:true ("fig8 " ^ trace)
+        (List.map (fun server -> (server, List.assoc server points)) paper_servers))
+    bars
 
 (* Figs 11 and 12 at scale 0.1: the ablation bars (GDS/LRU x checksum
    cache) and the RTT sweep. Every warm start in them goes through the
    content generator. *)
 let test_fig11_golden () =
+  let series = E.fig11 ~scale:0.1 () in
   Alcotest.(check string)
     "fig11 digest at scale 0.1" "2ae1b2d1a80b7a45da65b0ca2b9451c4"
-    (digest_series (E.fig11 ~scale:0.1 ()))
+    (digest_series series);
+  (* The checksum cache never costs bandwidth, under either policy. *)
+  check_ranked_series ~strict:false "fig11 GDS" series
+    [ "Flash-Lite (GDS)"; "Flash-Lite no-cksum" ];
+  check_ranked_series ~strict:false "fig11 LRU" series
+    [ "Flash-Lite LRU"; "Flash-Lite LRU no-cksum" ]
 
 let test_fig12_golden () =
+  let series = E.fig12 ~scale:0.1 () in
   Alcotest.(check string)
     "fig12 digest at scale 0.1" "b04c1c3617394d33ae35f5159a664f64"
-    (digest_series (E.fig12 ~scale:0.1 ()))
+    (digest_series series);
+  check_ranked_series ~strict:true "fig12" series paper_servers
 
 let test_tier_goldens () =
+  let points = E.tier_sweep ~scale:0.05 () in
+  let pr = E.tier_probe_run () in
   Alcotest.(check string)
     "tier sweep and probe digest" "d10725621b40c1fc6fb7ce6095ef74f6"
-    (digest_lines
-       (List.map tier_line (E.tier_sweep ~scale:0.05 ())
-       @ [ probe_line (E.tier_probe_run ()) ]))
+    (digest_lines (List.map tier_line points @ [ probe_line pr ]));
+  let dram, tiered = List.partition (fun p -> p.E.tp_label = "dram-only") points in
+  List.iter
+    (fun p ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "dram-only %dMB: no tier hits or demotions" p.E.tp_ws_mb)
+        (0, 0)
+        (p.E.tp_tier_hit, p.E.tp_tier_demote))
+    dram;
+  let sum f l = List.fold_left (fun acc p -> acc + f p) 0 l in
+  Alcotest.(check bool) "tiered points demote" true
+    (sum (fun p -> p.E.tp_tier_demote) tiered > 0);
+  Alcotest.(check bool) "tiered points promote" true
+    (sum (fun p -> p.E.tp_tier_promote) tiered > 0);
+  Alcotest.(check bool) "the tier cuts disk reads" true
+    (sum (fun p -> p.E.tp_disk_reads) tiered
+    < sum (fun p -> p.E.tp_disk_reads) dram);
+  check_ranked ~strict:true "probe latency classes"
+    [
+      ("cold disk", pr.E.pr_cold_disk_s);
+      ("tier hit", pr.E.pr_tier_hit_s);
+      ("dram hit", pr.E.pr_dram_hit_s);
+      ("zero", 0.0);
+    ];
+  Alcotest.(check bool) "probe: tier hit >= 5x faster than disk" true
+    (pr.E.pr_speedup >= 5.0);
+  List.iter
+    (fun (k, v) -> Alcotest.(check bool) ("probe " ^ k ^ " > 0") true (v > 0))
+    [
+      ("demote", pr.E.pr_demote);
+      ("promote", pr.E.pr_promote);
+      ("stage", pr.E.pr_stage);
+    ]
+
+(* Every kernel the harness builds reaches an installed sink, the
+   points that configure their own machine included. *)
+let test_harness_kernels_reach_sink () =
+  let sink = Iolite_obs.Trace.Sink.create () in
+  E.set_observability ~sink ();
+  Fun.protect ~finally:(fun () -> E.set_observability ()) (fun () ->
+      ignore (E.tier_probe_run ());
+      ignore (E.write_seq_point ());
+      ignore (E.c1m ~requests:2_000 ~conns:100 ());
+      ignore (E.async_point ~scale:0.2 ~pressure:false ());
+      Alcotest.(check int) "one trace per kernel" 4
+        (Iolite_obs.Trace.Sink.count sink))
 
 let suites =
   [
@@ -346,6 +485,11 @@ let suites =
       [
         Alcotest.test_case "preload leaves nothing pending" `Quick
           test_preload_leaves_nothing_pending;
+      ] );
+    ( "workload.harness",
+      [
+        Alcotest.test_case "every kernel reaches the sink" `Quick
+          test_harness_kernels_reach_sink;
       ] );
     ( "workload.figures",
       [
