@@ -1,50 +1,33 @@
-(* The full benchmark harness.
-
-   Two sections:
-   - Bechamel micro-benchmarks of the IO-Lite primitives (real wall-clock
-     cost of the library's own operations);
-   - the paper-reproduction harness: every figure of the evaluation
-     (Figs. 3-13), printed as tables + ASCII plots in simulated-testbed
-     units (Mb/s on the 1999 cost model).
+(* The host-clock benchmark harness: what the simulator's own
+   primitives cost in real time on the machine running it. Every
+   simulated experiment (the paper's figures and the async, write-back,
+   NVMM-tier and C1M sweeps) runs through iolite-cli instead, and the
+   workload.figures goldens check it.
 
    Usage:
-     dune exec bench/main.exe                 # micro + all figures (scale 0.5)
-     dune exec bench/main.exe -- micro        # micro-benchmarks only
-     dune exec bench/main.exe -- figures 1.0  # figures at a given scale
-     dune exec bench/main.exe -- figures 0.5 --metrics --trace out.json
-         # figures with per-point metric registries printed and every
-         # kernel's trace collected into one Chrome trace-event file
-     dune exec bench/main.exe -- obs [label] [out.json]
-         # observability overhead: asserts the disabled-tracer guard adds
-         # no measurable per-event cost (history in ./BENCH_obs.json)
+     dune exec bench/main.exe                 # micro-benchmarks
+     dune exec bench/main.exe -- micro        # the same
+     dune exec bench/main.exe -- agg [label] [out.json]
+         # deep-aggregate scaling: repeated 1 KB appends up to ~MBs,
+         # splits at random offsets, byte gets at random indices
+         # (default ./BENCH_agg.json)
+     dune exec bench/main.exe -- cksum [label] [out.json] [pieces]
+         # checksum scaling over a shared deep aggregate
+         # (default ./BENCH_cksum.json)
+     dune exec bench/main.exe -- transfer [label] [out.json] [pieces]
+         # cross-domain transfer scaling, cold and warm
+         # (default ./BENCH_transfer.json)
      dune exec bench/main.exe -- cache [label] [out.json] [entries]
          # unified-file-cache scaling: lookup/carve/evict against files
-         # holding 1k/10k entries (default ./BENCH_cache.json, appended)
-     dune exec bench/main.exe -- agg [label] [out.json]
-         # deep-aggregate scaling section: repeated 1 KB appends up to ~MBs,
-         # splits at random offsets, byte gets at random indices. Prints a
-         # table and writes machine-readable JSON (default ./BENCH_agg.json).
-         # If the output file already holds a run history, the new run is
-         # appended to its "runs" array, so the checked-in BENCH_agg.json
-         # accumulates the perf trajectory across PRs.
-     dune exec bench/main.exe -- async [label] [out.json] [scale]
-         # async disk pipeline, warm and memory-pressure scenarios —
-         # request-latency percentiles, disk utilization,
-         # batching/coalescing/readahead counters, and a cold
-         # sequential-read time (default ./BENCH_async.json).
-     dune exec bench/main.exe -- write [label] [out.json] [crash_runs]
-         # delayed write-back: writes per clustered disk write op on the
-         # sequential headline, the CAWL burst sweep at two flush
-         # intervals, and the crash-at-any-point consistency harness
-         # (default ./BENCH_write.json, 1000 crash points).
-     dune exec bench/main.exe -- tier [label] [out.json] [scale]
-         # NVMM second cache tier: Fig. 10-style working-set sweeps on a
-         # small (64MB) machine, DRAM-only baseline first then the
-         # tiered configuration, plus the single-request latency probe
-         # (DRAM hit / warm tier hit / cold disk fill). Appends one
-         # "dram-baseline" run and one "tiered" run with the demotion /
-         # promotion / staging traffic decomposed per working-set point
-         # (default ./BENCH_tier.json).
+         # holding 1k/10k entries (default ./BENCH_cache.json)
+     dune exec bench/main.exe -- obs [label] [out.json]
+         # observability overhead: asserts the disabled-tracer guard adds
+         # no measurable per-event cost (default ./BENCH_obs.json)
+
+   Each section but micro prints a table and appends one labeled run of
+   host nanoseconds to its JSON history file, so the checked-in
+   BENCH_*.json files accumulate the perf trajectory across changes. An
+   unknown section prints the usage on stderr and exits 2.
 *)
 
 open Bechamel
@@ -56,6 +39,7 @@ module Filecache = Iolite_core.Filecache
 module Cksum = Iolite_net.Cksum
 module Vm = Iolite_mem.Vm
 module Pdomain = Iolite_mem.Pdomain
+module Trace = Iolite_obs.Trace
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmark fixtures                                            *)
@@ -296,72 +280,54 @@ let bench_get agg ~iters rng =
     ag_total_ns = dt;
   }
 
-let agg_json_of_run ~label entries =
+let json_of_run ~label entries =
   let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
+  Printf.bprintf b "    {\n      \"label\": %s,\n      \"entries\": [\n"
+    (Trace.json_string label);
   List.iteri
     (fun i e ->
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"op\": %S, \"pieces\": %d, \"piece_size\": %d, \
-            \"iters\": %d, \"total_ns\": %.0f, \"ns_per_op\": %.1f}%s\n"
-           e.ag_op e.ag_pieces e.ag_piece_size e.ag_iters e.ag_total_ns
-           (ns_per_op e)
-           (if i = List.length entries - 1 then "" else ",")))
+      Printf.bprintf b
+        "        {\"op\": %s, \"pieces\": %d, \"piece_size\": %d, \
+         \"iters\": %d, \"total_ns\": %.0f, \"ns_per_op\": %.1f}%s\n"
+        (Trace.json_string e.ag_op) e.ag_pieces e.ag_piece_size e.ag_iters
+        e.ag_total_ns (ns_per_op e)
+        (if i = List.length entries - 1 then "" else ","))
     entries;
   Stdlib.Buffer.add_string b "      ]\n    }";
   Stdlib.Buffer.contents b
 
-(* Append one labeled run to a JSON history file (shared by every
-   section): the checked-in BENCH_*.json files accumulate the perf
-   trajectory across PRs instead of being clobbered per run. [units]
-   names the clock behind the file's numbers; it is written only when
-   the file is created. *)
-let append_json_text ~benchmark ~units ~out ~run_json =
-  let fresh =
-    Printf.sprintf
-      "{\n  \"benchmark\": %S,\n  \"units\": %S,\n  \"runs\": [\n%s\n  ]\n}\n"
-      benchmark units run_json
-  in
-  let tail_marker = "\n  ]\n}\n" in
-  let existing =
-    match open_in out with
-    | exception Sys_error _ -> None
-    | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Some s
-  in
-  let content, verb =
-    match existing with
-    | Some s
-      when String.length s > String.length tail_marker
-           && String.sub s
-                (String.length s - String.length tail_marker)
-                (String.length tail_marker)
-              = tail_marker ->
-      ( String.sub s 0 (String.length s - String.length tail_marker)
-        ^ ",\n" ^ run_json ^ tail_marker,
-        "appended run to" )
-    | Some _ ->
-      Printf.printf "  (existing %s not in the expected shape; rewriting)\n"
-        out;
-      (fresh, "wrote")
-    | None -> (fresh, "wrote")
-  in
-  try
-    let oc = open_out out in
-    output_string oc content;
-    close_out oc;
-    Printf.printf "  %s %s\n%!" verb out
-  with Sys_error e -> Printf.printf "  could not write %s: %s\n%!" out e
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
+(* Append one labeled run to a JSON history file, creating the file if
+   it does not exist. An existing file that does not end the way this
+   function writes it is left untouched: the run is refused, never
+   written over the history. *)
 let append_json_run ~benchmark ~out ~label entries =
-  append_json_text ~benchmark ~units:"nanoseconds (wall-clock)" ~out
-    ~run_json:(agg_json_of_run ~label entries)
+  let run_json = json_of_run ~label entries in
+  let tail_marker = "\n  ]\n}\n" in
+  let content, verb =
+    if not (Sys.file_exists out) then
+      ( Printf.sprintf "{\n  \"benchmark\": %s,\n  \"units\": %s,\n  \
+                        \"runs\": [\n%s%s"
+          (Trace.json_string benchmark)
+          (Trace.json_string "nanoseconds (wall-clock)")
+          run_json tail_marker,
+        "wrote" )
+    else
+      match In_channel.with_open_bin out In_channel.input_all with
+      | exception Sys_error e -> fail "could not read %s: %s" out e
+      | s when String.ends_with ~suffix:tail_marker s ->
+        ( String.sub s 0 (String.length s - String.length tail_marker)
+          ^ ",\n" ^ run_json ^ tail_marker,
+          "appended run to" )
+      | _ ->
+        fail "%s does not end like a run history; left it untouched" out
+  in
+  match Out_channel.with_open_bin out (fun oc -> output_string oc content) with
+  | () -> Printf.printf "  %s %s\n%!" verb out
+  | exception Sys_error e -> fail "could not write %s: %s" out e
 
-let run_agg ?(label = "current") ?(out = "BENCH_agg.json") () =
+let run_agg ~label ~out =
   Printf.printf "\n== Deep-aggregate scaling (label: %s) ==\n" label;
   let _, d, pool = fixture () in
   let rng = Iolite_util.Rng.create 42L in
@@ -427,8 +393,7 @@ let time_op ~op ~pieces ~piece_size ~iters f =
     ag_total_ns = dt;
   }
 
-let run_cksum ?(label = "current") ?(out = "BENCH_cksum.json") ?(pieces = 1024)
-    () =
+let run_cksum ~label ~out ?(pieces = 1024) () =
   Printf.printf "\n== Checksum scaling (label: %s, %d slices) ==\n" label
     pieces;
   let _, d, pool = fixture () in
@@ -522,8 +487,7 @@ let run_cksum ?(label = "current") ?(out = "BENCH_cksum.json") ?(pieces = 1024)
    regression baseline the memoized chunk-set/grant-epoch runs are
    compared against. *)
 
-let run_transfer ?(label = "current") ?(out = "BENCH_transfer.json")
-    ?(pieces = 1024) () =
+let run_transfer ~label ~out ?(pieces = 1024) () =
   Printf.printf "\n== Cross-domain transfer (label: %s, %d slices) ==\n" label
     pieces;
   let sys = Iosys.create ~capacity:(256 * 1024 * 1024) () in
@@ -590,7 +554,7 @@ let run_transfer ?(label = "current") ?(out = "BENCH_transfer.json")
    ("list-baseline") walked offset-sorted per-file lists and are the
    regression baseline the interval-index runs are compared against. *)
 
-let run_cache ?(label = "current") ?(out = "BENCH_cache.json") ?scales () =
+let run_cache ~label ~out ?scales () =
   let scales = match scales with Some l -> l | None -> [ 1000; 10_000 ] in
   Printf.printf "\n== Unified file cache scaling (label: %s) ==\n" label;
   let entries = ref [] in
@@ -665,13 +629,11 @@ let run_cache ?(label = "current") ?(out = "BENCH_cache.json") ?scales () =
    recorded runs in BENCH_obs.json track that the disabled-path delta
    stays in the noise across PRs. *)
 
-module Trace = Iolite_obs.Trace
-
 let obs_show e =
   Printf.printf "  %-18s %10d %14.2f %12.2f\n%!" e.ag_op e.ag_iters
     (e.ag_total_ns /. 1e6) (ns_per_op e)
 
-let run_obs ?(label = "current") ?(out = "BENCH_obs.json") () =
+let run_obs ~label ~out =
   Printf.printf "\n== Observability overhead (label: %s) ==\n" label;
   let iters = 5_000_000 in
   let sink = ref 0 in
@@ -769,376 +731,29 @@ let run_obs ?(label = "current") ?(out = "BENCH_obs.json") () =
       delta;
   append_json_run ~benchmark:"obs" ~out ~label (List.rev !entries)
 
-(* ------------------------------------------------------------------ *)
-(* C1M connection-scale sweep                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Holds 10^3..10^6 concurrent persistent connections against Flash-Lite
-   (timer-wheel idle timers, 16-way sharded tables) and measures
-   per-request wall cost, request latency percentiles, warm-phase
-   fresh-chunk allocations, and timer cancel+insert cost at full
-   population. Flat wall ns/req and timer ns/op across three decades of
-   population is the acceptance criterion. *)
-
-let scale_json_of_run ~label points =
-  let module E = Iolite_workload.Experiments in
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i p ->
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"conns\": %d, \"requests\": %d, \
-            \"sim_rps\": %.0f, \"wall_ns_per_req\": %.1f, \"p50_s\": %.6f, \
-            \"p90_s\": %.6f, \"p99_s\": %.6f, \"fresh_warm\": %d, \
-            \"recycled_warm\": %d, \"timer_ns_per_op\": %.1f, \
-            \"peak_timers\": %d, \"idle_closed\": %d}%s\n"
-           p.E.c1m_conns p.E.c1m_requests p.E.c1m_sim_rps
-           p.E.c1m_wall_ns_per_req p.E.c1m_p50 p.E.c1m_p90 p.E.c1m_p99
-           p.E.c1m_fresh_warm p.E.c1m_recycled_warm p.E.c1m_timer_ns_per_op
-           p.E.c1m_peak_timers p.E.c1m_idle_closed
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Stdlib.Buffer.add_string b "      ]\n    }";
-  Stdlib.Buffer.contents b
-
-let run_scale ?(label = "current") ?(out = "BENCH_scale.json")
-    ?(conns = [ 1_000; 10_000; 100_000; 1_000_000 ]) () =
-  Printf.printf "\n== C1M connection-scale sweep (label: %s) ==\n%!" label;
-  let module E = Iolite_workload.Experiments in
-  let points =
-    List.map
-      (fun n ->
-        Printf.printf "  running %d conns...\n%!" n;
-        let p = E.c1m ~conns:n () in
-        (* each point retires a whole simulated machine *)
-        Gc.full_major ();
-        p)
-      conns
-  in
-  E.print_c1m points;
-  append_json_text ~benchmark:"c1m-scale"
-    ~units:
-      "host nanoseconds (wall_ns_per_req, timer_ns_per_op); simulated \
-       seconds (p50_s, p90_s, p99_s); requests per simulated second \
-       (sim_rps); counts otherwise"
-    ~out
-    ~run_json:(scale_json_of_run ~label points)
-
-(* ------------------------------------------------------------------ *)
-(* Async disk pipeline                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Tail latency of the async pipeline (queued ring + elevator,
-   readahead, single-flight fills, batched pageout writes) at 128MB and
-   under memory pressure at 24MB, plus a cold sequential-read headline.
-   The history's "legacy" entries are the pre-async system, recorded
-   for comparison. *)
-
-let async_json_of_run ~label points =
-  let module E = Iolite_workload.Experiments in
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i p ->
-      let attr k =
-        match List.assoc_opt k p.E.as_attr_totals with
-        | Some v -> v
-        | None -> 0.0
-      in
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"scenario\": %S, \"mem_mb\": %d, \
-            \"requests\": %d, \"p50_s\": %.6f, \"p90_s\": %.6f, \"p99_s\": \
-            %.6f, \"disk_util\": %.4f, \"disk_reads\": %d, \"disk_writes\": \
-            %d, \"batches\": %d, \"batched\": %d, \"fill_coalesced\": %d, \
-            \"readahead_issued\": %d, \"readahead_hit\": %d, \"swap_writes\": \
-            %d, \"seq_read_s\": %.6f, \"attr_completed\": %d, \
-            \"attr_wall_s\": %.6f, \"attr_queue_s\": %.6f, \
-            \"attr_disk_service_s\": %.6f, \"attr_coalesced_wait_s\": %.6f, \
-            \"attr_vm_stall_s\": %.6f, \"attr_cpu_s\": %.6f, \
-            \"tail_covered_min\": %.4f}%s\n"
-           p.E.as_scenario p.E.as_mem_mb p.E.as_requests
-           p.E.as_p50 p.E.as_p90 p.E.as_p99 p.E.as_disk_util p.E.as_disk_reads
-           p.E.as_disk_writes p.E.as_batches p.E.as_batched p.E.as_coalesced
-           p.E.as_ra_issued p.E.as_ra_hit p.E.as_swap_writes p.E.as_seq_read_s
-           p.E.as_attr_completed (attr "wall") (attr "queue")
-           (attr "disk_service") (attr "coalesced_wait") (attr "vm_stall")
-           (attr "cpu")
-           (List.fold_left
-              (fun acc r -> Float.min acc (Iolite_obs.Attrib.covered r))
-              1.0 p.E.as_tail)
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Stdlib.Buffer.add_string b "      ]\n    }";
-  Stdlib.Buffer.contents b
-
-let run_async ?(label = "current") ?(out = "BENCH_async.json") ?(scale = 1.0)
-    () =
-  Printf.printf
-    "\n== Async disk pipeline: tail latency under pressure (label: %s) ==\n%!"
-    label;
-  let module E = Iolite_workload.Experiments in
-  let points = E.async_sweep ~scale () in
-  E.print_async points;
-  E.print_async_tail points;
-  append_json_text ~benchmark:"async-disk"
-    ~units:
-      "simulated seconds (*_s); fractions (disk_util, tail_covered_min); \
-       counts otherwise"
-    ~out
-    ~run_json:(async_json_of_run ~label points)
-
-(* ------------------------------------------------------------------ *)
-(* Delayed write-back                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Three exhibits: the clustering headline (the sync daemon merging
-   adjacent dirty extents — writes per disk write op, where the
-   history's write-through "eager" entries paid one op per write), the
-   CAWL sweep (write throughput vs. burst size over the dirty hard
-   limit under two flush intervals: memory speed below the knee, drain
-   speed above, the knee's position set by the interval), and the
-   crash-at-any-point harness (randomized crash points replayed against
-   the durable-write log; the per-offset oracle must accept every
-   recovered byte and fsync'd data must survive). *)
-
-let write_json_of_run ~label ~crash points =
-  let module E = Iolite_workload.Experiments in
-  let module C = Iolite_workload.Crash in
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i p ->
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"point\": %S, \"flush_interval\": %.2f, \"burst\": %d, \
-            \"x\": %.3f, \"writes\": %d, \"bytes\": %d, \"disk_writes\": %d, \
-            \"disk_bytes\": %d, \"cluster_writes\": %d, \"clustered\": %d, \
-            \"flushes\": %d, \"superseded\": %d, \"throttled\": %d, \
-            \"write_s\": %.6f, \"mbps\": %.2f}%s\n"
-           p.E.wp_label p.E.wp_flush_interval p.E.wp_burst p.E.wp_x
-           p.E.wp_writes p.E.wp_bytes p.E.wp_disk_writes p.E.wp_disk_bytes
-           p.E.wp_cluster_writes p.E.wp_clustered p.E.wp_flushes
-           p.E.wp_superseded p.E.wp_throttled p.E.wp_write_s p.E.wp_mbps
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  let writes_per_op =
-    match List.find_opt (fun p -> p.E.wp_label = "delayed") points with
-    | Some d when d.E.wp_disk_writes > 0 ->
-      float_of_int d.E.wp_writes /. float_of_int d.E.wp_disk_writes
-    | _ -> 0.0
-  in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf
-       "      ],\n      \"writes_per_disk_op\": %.1f,\n      \
-        \"crash\": {\"points\": %d, \"failures\": %d, \"durable_min\": %d, \
-        \"durable_max\": %d}\n    }"
-       writes_per_op crash.C.r_points
-       (List.length crash.C.r_failures)
-       crash.C.r_durable_min crash.C.r_durable_max);
-  Stdlib.Buffer.contents b
-
-let run_write ?(label = "current") ?(out = "BENCH_write.json")
-    ?(crash_runs = 1000) () =
-  Printf.printf
-    "\n== Delayed write-back: clustering + CAWL (label: %s) ==\n%!" label;
-  let module E = Iolite_workload.Experiments in
-  let module C = Iolite_workload.Crash in
-  let points = E.write_seq_point () :: E.write_cawl_sweep () in
-  E.print_write points;
-  Printf.printf "\n  crash harness: %d randomized crash points...\n%!"
-    crash_runs;
-  let crash = C.run_many ~runs:crash_runs () in
-  C.print crash;
-  append_json_text ~benchmark:"write-back"
-    ~units:
-      "simulated seconds (write_s); MB/s of simulated time (mbps); counts \
-       and bytes otherwise"
-    ~out
-    ~run_json:(write_json_of_run ~label ~crash points)
-
-(* ------------------------------------------------------------------ *)
-(* NVMM second cache tier                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Fig. 10 revisited on a small machine: working-set sweeps well past
-   the DRAM budget, once DRAM-only (the recorded baseline — the capacity
-   knee sits at the io budget) and once with the tier armed (the knee
-   moves out to the tier budget; misses past DRAM promote at NVMM speed
-   instead of paying disk positioning). The probe records the three
-   latency classes for one small file — DRAM hit, warm tier hit, cold
-   disk fill — whose ordering and spread CI asserts. *)
-
-let tier_json_of_run ~label ?probe points =
-  let module E = Iolite_workload.Experiments in
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i p ->
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"variant\": %S, \"ws_mb\": %d, \"mbps\": %.2f, \
-            \"dram_hits\": %d, \"dram_evictions\": %d, \"tier_hit\": %d, \
-            \"tier_miss\": %d, \"tier_demote\": %d, \"tier_promote\": %d, \
-            \"tier_wb_stage\": %d, \"tier_evict\": %d, \"disk_reads\": \
-            %d}%s\n"
-           p.E.tp_label p.E.tp_ws_mb p.E.tp_mbps p.E.tp_dram_hits
-           p.E.tp_dram_evictions p.E.tp_tier_hit p.E.tp_tier_miss
-           p.E.tp_tier_demote p.E.tp_tier_promote p.E.tp_tier_stage
-           p.E.tp_tier_evict p.E.tp_disk_reads
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  (match probe with
-  | None -> Stdlib.Buffer.add_string b "      ]\n    }"
-  | Some pr ->
-    Stdlib.Buffer.add_string b
-      (Printf.sprintf
-         "      ],\n      \"probe\": {\"dram_hit_s\": %.6f, \
-          \"warm_tier_hit_s\": %.6f, \"cold_disk_fill_s\": %.6f, \
-          \"speedup\": %.2f, \"demote\": %d, \"promote\": %d, \
-          \"wb_stage\": %d}\n    }"
-         pr.E.pr_dram_hit_s pr.E.pr_tier_hit_s pr.E.pr_cold_disk_s
-         pr.E.pr_speedup pr.E.pr_demote pr.E.pr_promote pr.E.pr_stage));
-  Stdlib.Buffer.contents b
-
-let run_tier ?(label = "current") ?(out = "BENCH_tier.json") ?(scale = 1.0) ()
-    =
-  Printf.printf "\n== NVMM second tier: working-set sweep (label: %s) ==\n%!"
-    label;
-  let module E = Iolite_workload.Experiments in
-  let points = E.tier_sweep ~scale () in
-  Gc.full_major ();
-  let probe = E.tier_probe_run () in
-  E.print_tier points probe;
-  let baseline, tiered =
-    List.partition (fun p -> p.E.tp_label = "dram-only") points
-  in
-  let units =
-    "Mb/s of simulated time (mbps); simulated seconds (probe *_s); counts \
-     otherwise"
-  in
-  append_json_text ~benchmark:"nvmm-tier" ~units ~out
-    ~run_json:(tier_json_of_run ~label:(label ^ " dram-baseline") baseline);
-  append_json_text ~benchmark:"nvmm-tier" ~units ~out
-    ~run_json:(tier_json_of_run ~label:(label ^ " tiered") ~probe tiered)
-
-(* ------------------------------------------------------------------ *)
-(* Paper figures                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let run_figures ?(metrics = false) ?trace_out scale =
-  Printf.printf
-    "\n== Paper reproduction: Figs. 3-13 (simulated 1999 testbed; scale %.2f) ==\n"
-    scale;
-  let module E = Iolite_workload.Experiments in
-  let sink =
-    match trace_out with
-    | None -> None
-    | Some _ -> Some (Trace.Sink.create ())
-  in
-  E.set_observability ~metrics ?sink ();
-  Fun.protect
-    ~finally:(fun () ->
-      (match (sink, trace_out) with
-      | Some s, Some path ->
-        Trace.Sink.write s path;
-        Printf.printf "  wrote %d trace events to %s\n%!"
-          (Trace.Sink.count s) path
-      | _ -> ());
-      E.set_observability ())
-    (fun () -> E.run_all ~scale ())
-
+(* [SECTION LABEL OUT N]: the run's label, the history file it is
+   appended to (BENCH_<section>.json by default) and the section's size
+   knob. *)
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "micro" :: _ -> run_micro ()
-  | _ :: "agg" :: rest ->
+  match List.tl (Array.to_list Sys.argv) with
+  | [] | "micro" :: _ -> run_micro ()
+  | section :: rest -> (
     let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_agg.json" in
-    run_agg ~label ~out ()
-  | _ :: "cksum" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_cksum.json" in
-    let pieces =
-      match rest with _ :: _ :: p :: _ -> int_of_string p | _ -> 1024
+    let out =
+      match rest with _ :: o :: _ -> o | _ -> "BENCH_" ^ section ^ ".json"
     in
-    run_cksum ~label ~out ~pieces ()
-  | _ :: "transfer" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_transfer.json" in
-    let pieces =
-      match rest with _ :: _ :: p :: _ -> int_of_string p | _ -> 1024
-    in
-    run_transfer ~label ~out ~pieces ()
-  | _ :: "cache" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_cache.json" in
-    let scales =
-      match rest with _ :: _ :: n :: _ -> Some [ int_of_string n ] | _ -> None
-    in
-    run_cache ~label ~out ?scales ()
-  | _ :: "obs" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_obs.json" in
-    run_obs ~label ~out ()
-  | _ :: "scale" :: rest ->
-    (* scale [LABEL] [OUT] [CONNS,CONNS,...] *)
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_scale.json" in
-    let conns =
-      match rest with
-      | _ :: _ :: c :: _ ->
-        Some (List.map int_of_string (String.split_on_char ',' c))
-      | _ -> None
-    in
-    run_scale ~label ~out ?conns ()
-  | _ :: "async" :: rest ->
-    (* async [LABEL] [OUT] [SCALE] *)
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_async.json" in
-    let scale =
-      match rest with _ :: _ :: s :: _ -> float_of_string s | _ -> 1.0
-    in
-    run_async ~label ~out ~scale ()
-  | _ :: "write" :: rest ->
-    (* write [LABEL] [OUT] [CRASH_RUNS] *)
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_write.json" in
-    let crash_runs =
+    let n () =
       match rest with _ :: _ :: n :: _ -> Some (int_of_string n) | _ -> None
     in
-    run_write ~label ~out ?crash_runs ()
-  | _ :: "tier" :: rest ->
-    (* tier [LABEL] [OUT] [SCALE] *)
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_tier.json" in
-    let scale =
-      match rest with _ :: _ :: s :: _ -> float_of_string s | _ -> 1.0
-    in
-    run_tier ~label ~out ~scale ()
-  | _ :: "figures" :: rest ->
-    (* figures [SCALE] [--metrics] [--trace FILE] *)
-    let scale = ref 0.5 in
-    let metrics = ref false in
-    let trace_out = ref None in
-    let rec parse = function
-      | [] -> ()
-      | "--metrics" :: tl ->
-        metrics := true;
-        parse tl
-      | "--trace" :: file :: tl ->
-        trace_out := Some file;
-        parse tl
-      | s :: tl ->
-        scale := float_of_string s;
-        parse tl
-    in
-    parse rest;
-    run_figures ~metrics:!metrics ?trace_out:!trace_out !scale
-  | _ ->
-    run_micro ();
-    run_figures 0.5
+    match section with
+    | "agg" -> run_agg ~label ~out
+    | "cksum" -> run_cksum ~label ~out ?pieces:(n ()) ()
+    | "transfer" -> run_transfer ~label ~out ?pieces:(n ()) ()
+    | "cache" ->
+      run_cache ~label ~out ?scales:(Option.map (fun n -> [ n ]) (n ())) ()
+    | "obs" -> run_obs ~label ~out
+    | _ ->
+      prerr_endline
+        "usage: main.exe [micro | (agg|cksum|transfer|cache|obs) [LABEL] \
+         [OUT.json] [N]]";
+      exit 2)

@@ -209,7 +209,8 @@ let cmds =
              ~doc:
                "Also run the crash-at-any-point consistency harness over \
                 $(docv) randomized crash points (the recorded \
-                BENCH_write.json uses 1000) and report oracle failures.")
+                BENCH_write.json uses 1000) and report oracle failures; \
+                exit 1 if there are any.")
      in
      let run verbose directives metrics trace_out crash_points =
        with_logging verbose directives;
@@ -219,7 +220,9 @@ let cmds =
          let module C = Iolite_workload.Crash in
          Printf.printf "\ncrash harness: %d randomized crash points...\n%!"
            crash_points;
-         C.print (C.run_many ~runs:crash_points ())
+         let r = C.run_many ~runs:crash_points () in
+         C.print r;
+         if r.C.r_failures <> [] then exit 1
        end
      in
      Cmdliner.Cmd.v

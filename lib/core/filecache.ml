@@ -658,11 +658,6 @@ let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0
-
 let check t =
   Map.check t.map;
   let dirty = Hashtbl.create 16 and slices = ref 0 in

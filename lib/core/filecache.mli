@@ -195,7 +195,6 @@ val misses : t -> int
 (** [misses] counts [lookup] calls that returned [None]. *)
 
 val evictions : t -> int
-val reset_stats : t -> unit
 
 val entries : t -> file:int -> (int * int) list
 (** [(offset, length)] of each cached entry of [file], ascending by

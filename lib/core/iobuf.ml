@@ -87,7 +87,6 @@ module Buffer = struct
 
   let length b = b.blen
   let generation (b : t) = b.generation
-  let pool_name b = b.bpool.pname
   let is_sealed b = b.sealed
   let refcount b = b.refs
   let chunk b = b.store.vc
@@ -494,11 +493,6 @@ module Pool = struct
     Array.fold_left
       (fun acc cls -> acc + List.length cls.cls_free)
       0 p.classes
-
-  let class_slot_sizes p =
-    Array.to_list p.classes
-    |> List.filter_map (fun cls ->
-           if cls.cls_used then Some cls.cls_slot else None)
 
   let reclaim p n = release_until p n
 
@@ -997,10 +991,6 @@ module Agg = struct
     | None -> ()
     | Some n -> Array.iter f (cset_of n).cs_chunks
 
-  let distinct_chunk_count t =
-    check t;
-    match t.root with None -> 0 | Some n -> Array.length (cset_of n).cs_chunks
-
   let pools t =
     check t;
     match t.root with None -> [] | Some n -> (cset_of n).cs_pools
@@ -1109,15 +1099,4 @@ module Agg = struct
     check a;
     check b;
     length a = length b && String.equal (raw_string a) (raw_string b)
-
-  let pp_shape fmt t =
-    if t.freed then Format.fprintf fmt "<freed>"
-    else begin
-      Format.fprintf fmt "agg[%d:" (length t);
-      iter_leaves t.root (fun s ->
-          let u, len = Slice.uid s in
-          Format.fprintf fmt " c%d.g%d@%d+%d" u.Buffer.chunk u.Buffer.generation
-            u.Buffer.offset len);
-      Format.fprintf fmt "]"
-    end
 end

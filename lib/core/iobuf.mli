@@ -36,7 +36,6 @@ module Buffer : sig
   (** The [generation] field of {!uid}, read without building the
       record. *)
 
-  val pool_name : t -> string
   val is_sealed : t -> bool
   val refcount : t -> int
   val chunk : t -> Vm.chunk
@@ -156,10 +155,7 @@ module Pool : sig
   val chunk_count : t -> int
 
   val free_chunk_count : t -> int
-  (** Drained chunks queued on size-class free lists, pool-wide. *)
-
-  val class_slot_sizes : t -> int list
-  (** Slot sizes (bytes) of the size classes this pool has ever used.
+  (** Drained chunks queued on size-class free lists, pool-wide.
 
       Allocation is size-classed: each power-of-two class (64 B .. one
       chunk) owns a cursor chunk that bump-allocates uniform slots, and
@@ -327,11 +323,7 @@ module Agg : sig
       chunk-id order — O(distinct chunks) on a summarized rope,
       independent of the slice count. *)
 
-  val distinct_chunk_count : t -> int
-
   val pools : t -> Pool.t list
   (** The distinct pools the aggregate's buffers were allocated from
       (unordered, physical identity). *)
-
-  val pp_shape : Format.formatter -> t -> unit
 end

@@ -296,7 +296,6 @@ let set_write_log t on =
   end
 
 let write_log t = List.rev t.wlog
-let durable_writes t = t.wseq
 let positioning_s t = t.positioning_s
 let bytes_per_sec t = t.bytes_per_sec
 

@@ -111,6 +111,3 @@ val set_write_log : t -> bool -> unit
 
 val write_log : t -> write_record list
 (** Completed writes, oldest first. *)
-
-val durable_writes : t -> int
-(** Number of writes logged so far. *)

@@ -200,8 +200,6 @@ let serve t server_proc =
 let doc_size t = t.dsize
 let requests_served t = t.served
 
-let shutdown t = Sync.Mailbox.send t.requests Quit
-
 let crash t =
   if not t.dead then begin
     t.dead <- true;

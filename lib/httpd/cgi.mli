@@ -45,9 +45,6 @@ val serve : t -> Process.t -> Iolite_core.Iobuf.Agg.t option
 val doc_size : t -> int
 val requests_served : t -> int
 
-val shutdown : t -> unit
-(** Terminate the application after the current request. *)
-
 val crash : t -> unit
 (** Fault injection: the application aborts immediately (closing its
     pipe mid-stream if a document is in flight). *)

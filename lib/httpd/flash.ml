@@ -324,10 +324,6 @@ let cksum_stats t =
   let scanned = Metrics.get m "net.cksum_bytes" in
   (total, scanned, total - scanned)
 
-let transfer_stats t =
-  let m = Kernel.metrics t.kernel in
-  (Metrics.get m "transfer.warm_hits", Metrics.get m "transfer.cold_walks")
-
 let latency_hist t =
   Array.fold_left
     (fun acc h -> Hist.merge acc h)

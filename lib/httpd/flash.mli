@@ -61,12 +61,6 @@ val cksum_stats : t -> int * int * int
     scanned, and the difference — the checksum-cache contribution to the
     Fig. 11 ablation, re-derivable from counters. *)
 
-val transfer_stats : t -> int * int
-(** [(warm_hits, cold_walks)] cross-domain transfer decisions on this
-    server's kernel: transfers resolved by the grant-epoch comparison
-    alone versus those that had to walk the aggregate's chunks. A
-    steady-state IO-Lite server should be almost entirely warm. *)
-
 val latency_hist : t -> Iolite_util.Stats.Hist.t
 (** The request-latency histogram (seconds, request arrival to last
     byte drained), merged across the per-connection-id shards at call

@@ -13,7 +13,5 @@ val pages_per_chunk : int
 val pages_of_bytes : int -> int
 (** Number of pages needed to hold [n] bytes (rounds up; 0 for 0). *)
 
-val chunks_of_bytes : int -> int
-
 val round_to_pages : int -> int
 (** [n] rounded up to a multiple of the page size. *)

@@ -34,7 +34,6 @@ type t = {
   mutable total_io_selected : int;
   mutable total_evicted : int;
   mutable total_swap_writes : int;
-  mutable total_swap_bytes : int;
 }
 
 let create ?trace ?attrib ~physmem ~seed () =
@@ -53,7 +52,6 @@ let create ?trace ?attrib ~physmem ~seed () =
     total_io_selected = 0;
     total_evicted = 0;
     total_swap_writes = 0;
-    total_swap_bytes = 0;
   }
 
 (* Registration order is observation order (the weighted pick walks it),
@@ -104,8 +102,7 @@ let run_round t ~needed =
       incr outstanding;
       if sw.swap_out ~bytes:got ~on_done:(fun () -> decr outstanding) then begin
         submitted := true;
-        t.total_swap_writes <- t.total_swap_writes + 1;
-        t.total_swap_bytes <- t.total_swap_bytes + got
+        t.total_swap_writes <- t.total_swap_writes + 1
       end
       else decr outstanding
   in
@@ -189,4 +186,3 @@ let pages_selected t = t.total_selected
 let io_pages_selected t = t.total_io_selected
 let entries_evicted t = t.total_evicted
 let swap_writes t = t.total_swap_writes
-let swap_bytes t = t.total_swap_bytes

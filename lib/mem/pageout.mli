@@ -95,5 +95,3 @@ val entries_evicted : t -> int
 
 val swap_writes : t -> int
 (** Victim writes submitted (lifetime). *)
-
-val swap_bytes : t -> int

@@ -12,7 +12,6 @@ let trusted t = t.trusted
 
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
-let pp fmt t = Format.fprintf fmt "%s#%d%s" t.name t.id (if t.trusted then "!" else "")
 
 module Set = Set.Make (struct
   type nonrec t = t

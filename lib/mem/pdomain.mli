@@ -16,6 +16,5 @@ val trusted : t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t

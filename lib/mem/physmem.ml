@@ -1,11 +1,5 @@
 type account = Kernel | Process | Net_wired | Io_data
 
-let account_name = function
-  | Kernel -> "kernel"
-  | Process -> "process"
-  | Net_wired -> "net_wired"
-  | Io_data -> "io_data"
-
 type t = {
   capacity : int;
   mutable kernel : int;
@@ -83,13 +77,3 @@ let free_pageable t n =
   if n < 0 then invalid_arg "Physmem.free_pageable: negative size";
   if t.io_data < n then invalid_arg "Physmem.free_pageable: underflow";
   t.io_data <- t.io_data - n
-
-let stats t =
-  [
-    ("capacity", t.capacity);
-    ("kernel", t.kernel);
-    ("process", t.process);
-    ("net_wired", t.net_wired);
-    ("io_data", t.io_data);
-    ("free", free_bytes t);
-  ]

@@ -14,8 +14,6 @@ type account =
   | Net_wired  (** copied network send buffers (mbuf clusters) *)
   | Io_data  (** pageable pages holding I/O data (file cache / IO-Lite) *)
 
-val account_name : account -> string
-
 type t
 
 val create : capacity:int -> t
@@ -53,6 +51,3 @@ val set_low_memory_hook : t -> (needed:int -> int) -> unit
 (** The hook is called with the number of bytes that must be freed and
     returns the number actually freed. It is re-invoked (bounded) while
     progress is being made. *)
-
-val stats : t -> (string * int) list
-(** Usage per account, for reports. *)

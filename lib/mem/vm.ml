@@ -104,7 +104,6 @@ let alloc_chunk t ~label ~acl =
   }
 
 let chunk_id c = c.id
-let chunk_label c = c.label
 let chunk_acl c = c.acl
 let chunk_resident c = c.resident_pages > 0
 let resident_pages c = c.resident_pages
@@ -230,5 +229,3 @@ let check_readable t domain c =
     t.pager ~pages:Page.pages_per_chunk;
     ensure_resident t c
   end
-
-let mapped_domains _t c = c.domains

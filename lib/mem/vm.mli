@@ -71,7 +71,6 @@ val destroy_chunk : t -> chunk -> unit
 (** Frees the chunk's memory and tears down all its mappings. *)
 
 val chunk_id : chunk -> int
-val chunk_label : chunk -> string
 val chunk_acl : chunk -> acl
 val chunk_resident : chunk -> bool
 (** At least one page resident. *)
@@ -145,5 +144,3 @@ val check_readable : t -> Pdomain.t -> chunk -> unit
 (** Raises [Protection_fault] when the domain has no read access; also
     simulates the page fault for non-resident chunks (charging
     [Page_fault] + [Page_alloc] and making the chunk resident). *)
-
-val mapped_domains : t -> chunk -> Pdomain.t list

@@ -472,11 +472,4 @@ module Cache = struct
   let entry_count t = t.count
   let evictions t = t.evictions
   let resets t = t.resets
-
-  let reset_stats t =
-    t.hits <- 0;
-    t.misses <- 0;
-    t.agg_slices <- 0;
-    t.evictions <- 0;
-    t.resets <- 0
 end

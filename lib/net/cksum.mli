@@ -94,6 +94,4 @@ module Cache : sig
 
   val resets : t -> int
   (** Full-table fallback resets (expected to stay 0). *)
-
-  val reset_stats : t -> unit
 end

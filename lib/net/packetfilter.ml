@@ -33,7 +33,6 @@ let create () =
   }
 
 let attach_flow t flow = t.flow <- Some (flow : Iolite_obs.Flow.t)
-let detach_flow t = t.flow <- None
 
 let shard t ~port = t.shards.(port land (n_shards - 1))
 

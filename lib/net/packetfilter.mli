@@ -35,8 +35,6 @@ val attach_flow : t -> Iolite_obs.Flow.t -> unit
     the earliest point a request is identifiable, so causal traces
     anchor their [ph:"s"] flow event on the id allocated here. *)
 
-val detach_flow : t -> unit
-
 val demux : t -> port:int -> verdict * int
 (** [classify] plus request-id allocation: returns the verdict and a
     fresh flow id (0 when no allocator is attached — the unobserved

@@ -1,12 +1,5 @@
 type cause = Queue | Disk_service | Coalesced_wait | Vm_stall | Cpu
 
-let cause_label = function
-  | Queue -> "queue"
-  | Disk_service -> "disk_service"
-  | Coalesced_wait -> "coalesced_wait"
-  | Vm_stall -> "vm_stall"
-  | Cpu -> "cpu"
-
 type record = {
   ar_id : int;
   ar_tag : string;
@@ -20,12 +13,14 @@ type record = {
   mutable ar_coalesced_on : int; (* leader flow id of the last coalesced wait *)
 }
 
+(* Size of the slowest-request reservoir. *)
+let retain = 16
+
 type t = {
   mutable enabled : bool;
   mutable clock : unit -> float;
   mutable ctx : unit -> int;
   active : (int, record) Hashtbl.t;
-  mutable retain : int;
   mutable slowest : record list; (* sorted slowest-first, length <= retain *)
   mutable completed : int;
   (* Aggregates over every completed request, not just the retained
@@ -44,7 +39,6 @@ let create () =
     clock = (fun () -> 0.0);
     ctx = (fun () -> 0);
     active = Hashtbl.create 64;
-    retain = 16;
     slowest = [];
     completed = 0;
     tot_wall = 0.0;
@@ -62,13 +56,8 @@ let enable t ~clock ~ctx =
   t.ctx <- ctx;
   t.enabled <- true
 
-let disable t = t.enabled <- false
 let now t = t.clock ()
 let here t = t.ctx ()
-
-let set_retain t k =
-  if k < 0 then invalid_arg "Attrib.set_retain";
-  t.retain <- k
 
 let clear t =
   Hashtbl.reset t.active;
@@ -149,8 +138,7 @@ let end_request t ~ctx =
       t.tot_coalesced <- t.tot_coalesced +. r.ar_coalesced;
       t.tot_vm <- t.tot_vm +. r.ar_vm;
       t.tot_cpu <- t.tot_cpu +. r.ar_cpu;
-      if t.retain > 0 then
-        t.slowest <- truncate t.retain (insert_sorted r t.slowest)
+      t.slowest <- truncate retain (insert_sorted r t.slowest)
 
 let note ?(leader = 0) t ~ctx cause dt =
   if t.enabled && ctx > 0 && dt > 0.0 then

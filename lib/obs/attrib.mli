@@ -6,7 +6,7 @@
     interval against the request's flow context, tagged with one of
     five causes. At request end the intervals collapse into a
     [{queue, disk_service, coalesced_wait, vm_stall, cpu}]
-    decomposition of the request's wall time; the slowest K land in a
+    decomposition of the request's wall time; the slowest 16 land in a
     bounded, deterministic reservoir for the tail profiler.
 
     Like the tracer, an [Attrib.t] starts disabled and every recording
@@ -18,8 +18,6 @@
 type t
 
 type cause = Queue | Disk_service | Coalesced_wait | Vm_stall | Cpu
-
-val cause_label : cause -> string
 
 (** A completed request's decomposition. Immutable by convention once
     it leaves the reservoir. *)
@@ -45,8 +43,6 @@ val enable : t -> clock:(unit -> float) -> ctx:(unit -> int) -> unit
     (the OS layer passes the engine's fiber-local context) — recording
     sites in layers that cannot see the engine read it via {!here}. *)
 
-val disable : t -> unit
-
 val enabled : t -> bool
 (** The one-branch guard recording sites use. *)
 
@@ -55,9 +51,6 @@ val now : t -> float
 
 val here : t -> int
 (** The running fiber's flow context (0 outside any request). *)
-
-val set_retain : t -> int -> unit
-(** Reservoir size K (default 16; 0 disables retention). *)
 
 val clear : t -> unit
 
@@ -69,7 +62,7 @@ val begin_request : t -> ctx:int -> tag:string -> unit
 
 val end_request : t -> ctx:int -> unit
 (** Close it: stamp the end time, fold into the aggregates, and admit
-    into the slowest-K reservoir (sorted by wall time descending, ties
+    into the slowest-16 reservoir (sorted by wall time descending, ties
     by lower id — deterministic under any completion interleaving). *)
 
 val note : ?leader:int -> t -> ctx:int -> cause -> float -> unit

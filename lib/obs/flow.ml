@@ -12,15 +12,11 @@ let fresh t =
   t.next <- t.next + 1;
   t.next
 
-let last_id t = t.next
-
 (* Context conventions (see [Engine.ctx]): a request's flow id is
    carried fiber-locally as a positive int; 0 means "no request";
    negative means detached — stitchable into the flow (abs value) but
    not charged wait attribution. *)
 let detach id = -abs id
-let id_of_ctx c = abs c
-let[@inline] charged c = c > 0
 
 let start t ~id ?args () = Trace.flow_start t.tr ~id ?args ()
 let step t ~id ?args () = Trace.flow_step t.tr ~id ?args ()

@@ -26,17 +26,8 @@ val enabled : t -> bool
 val fresh : t -> int
 (** Allocate the next request id (1, 2, ...; per kernel, deterministic). *)
 
-val last_id : t -> int
-(** Highest id allocated so far (0 initially). *)
-
 val detach : int -> int
 (** The detached (negative) form of a context. *)
-
-val id_of_ctx : int -> int
-(** Flow id of a context: its absolute value. *)
-
-val charged : int -> bool
-(** [true] iff the context is charged attribution (positive). *)
 
 val start :
   t -> id:int -> ?args:(string * Trace.arg) list -> unit -> unit

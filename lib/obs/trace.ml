@@ -52,7 +52,6 @@ let enable t ~clock ~scope =
   t.scope <- scope;
   t.enabled <- true
 
-let disable t = t.enabled <- false
 let now t = t.clock ()
 let event_count t = t.len
 let dropped t = t.dropped
@@ -205,6 +204,13 @@ let buffer_add_escaped b s =
         Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
     s
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  buffer_add_escaped b s;
+  Buffer.add_char b '"';
+  Buffer.contents b
 
 let buffer_add_arg buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)

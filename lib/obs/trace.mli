@@ -59,8 +59,6 @@ val enable :
     the current simulated process name ([None] renders as
     ["kernel"]). *)
 
-val disable : t -> unit
-
 val enabled : t -> bool
 (** The single-branch guard call sites use. *)
 
@@ -167,6 +165,11 @@ val output : ?pid:int -> ?label:string -> t -> out_channel -> unit
 
 val write : ?pid:int -> ?label:string -> t -> string -> unit
 (** [write t path] streams {!output} to [path]. *)
+
+val json_string : string -> string
+(** [s] as a JSON string literal, quotes included, escaped the way
+    every string in the trace JSON is: quote, backslash and control
+    bytes escaped, other bytes (UTF-8 included) passed through. *)
 
 (** Combines the traces of several kernels (one simulated machine per
     experiment point) into a single JSON file, each kernel as its own

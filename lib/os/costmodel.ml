@@ -3,7 +3,6 @@ type t = {
   fill_rate : float;
   cksum_rate : float;
   cksum_fold : float;
-  compute_rate : float;
   syscall : float;
   per_packet : float;
   demux : float;
@@ -22,7 +21,6 @@ let default =
     fill_rate = 100e6;
     cksum_rate = 160e6;
     cksum_fold = 50e-9;
-    compute_rate = 80e6;
     syscall = 5e-6;
     per_packet = 20e-6;
     demux = 1.5e-6;

@@ -13,7 +13,6 @@ type t = {
   fill_rate : float;  (** producing fresh data into a buffer *)
   cksum_rate : float;  (** Internet checksum throughput (~120 MB/s) *)
   cksum_fold : float;  (** folding two cached partial sums (a few cycles) *)
-  compute_rate : float;  (** generic per-byte application work (wc etc.) *)
   syscall : float;  (** user/kernel crossing (~5 us) *)
   per_packet : float;  (** protocol + driver work per MTU packet (~8 us) *)
   demux : float;  (** packet-filter classification per packet *)

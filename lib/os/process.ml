@@ -10,7 +10,6 @@ type t = {
   domain : Pdomain.t;
   pool : Iobuf.Pool.t;
   footprint : int;
-  mutable cpu_time : float;
   mutable exited : bool;
 }
 
@@ -29,7 +28,6 @@ let make ?(footprint = 256 * 1024) kernel ~name =
     domain;
     pool;
     footprint;
-    cpu_time = 0.0;
     exited = false;
   }
 
@@ -59,17 +57,8 @@ let pool t = t.pool
 
 let charge t dt =
   let total = dt +. Kernel.take_pending t.kernel in
-  if total > 0.0 then begin
-    Cpu.charge (Kernel.cpu t.kernel) ~owner:t.pid total;
-    t.cpu_time <- t.cpu_time +. total
-  end
+  if total > 0.0 then Cpu.charge (Kernel.cpu t.kernel) ~owner:t.pid total
 
 let charge_pending t = charge t 0.0
 
-let compute t ~bytes =
-  let c = Kernel.cost t.kernel in
-  charge t (float_of_int bytes /. c.Costmodel.compute_rate)
-
 let compute_at t ~bytes ~rate = charge t (float_of_int bytes /. rate)
-
-let cpu_time t = t.cpu_time

@@ -38,11 +38,5 @@ val charge : t -> float -> unit
 val charge_pending : t -> unit
 (** Just drain and charge pending cost. *)
 
-val compute : t -> bytes:int -> unit
-(** Application per-byte work at the cost model's compute rate. *)
-
 val compute_at : t -> bytes:int -> rate:float -> unit
 (** Per-byte work at an application-specific rate (bytes/second). *)
-
-val cpu_time : t -> float
-(** Total CPU seconds this process has consumed. *)

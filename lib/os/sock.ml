@@ -21,7 +21,7 @@ type listener = {
   lshards : (int, conn) Hashtbl.t array;
   lmask : int;
   mutable llive : int;
-  mutable lidle : float; (* idle timeout armed at accept; 0 = off *)
+  lidle : float; (* idle timeout armed at accept; 0 = off *)
 }
 
 and conn = {
@@ -33,7 +33,6 @@ and conn = {
   to_server : msg Sync.Mailbox.t;
   to_client : int Sync.Mailbox.t;
   mutable client_closed : bool;
-  mutable pending : int;
   mutable reserved : int; (* wired socket-buffer reservation *)
   mutable chome : listener option; (* registered in chome's shard table *)
   mutable cidle : float;
@@ -63,14 +62,9 @@ let listen ?(reserve_tss = false) ?(shards = 16) ?(idle_timeout = 0.0) kernel
 let port c = c.cport
 let rtt c = c.crtt
 let id c = c.cid
-let pending_responses c = c.pending
 
-let set_idle_timeout l dt = l.lidle <- dt
 let live_conns l = l.llive
 let shard_count l = Array.length l.lshards
-
-let iter_conns l f =
-  Array.iter (fun tbl -> Hashtbl.iter (fun _ c -> f c) tbl) l.lshards
 
 let connect ?(rtt = 0.0) ?(tss = 65536) kernel listener =
   (* Three-way handshake: SYN, SYN-ACK, ACK. *)
@@ -87,7 +81,6 @@ let connect ?(rtt = 0.0) ?(tss = 65536) kernel listener =
       to_server = Sync.Mailbox.create ();
       to_client = Sync.Mailbox.create ();
       client_closed = false;
-      pending = 0;
       reserved = 0;
       chome = None;
       cidle = 0.0;
@@ -102,13 +95,6 @@ let request c req =
   if c.crtt > 0.0 then Proc.sleep (c.crtt /. 2.0);
   Sync.Mailbox.send c.to_server (Req req);
   Sync.Mailbox.recv c.to_client
-
-let request_async c req =
-  if c.client_closed then failwith "Sock.request_async: connection closed";
-  Sync.Mailbox.send c.to_server (Req req)
-
-let try_response c = Sync.Mailbox.try_recv c.to_client
-let queued_responses c = Sync.Mailbox.length c.to_client
 
 let close c =
   if not c.client_closed then begin
@@ -277,7 +263,6 @@ let drain kernel c ~wired ~len ~chain ~on_complete =
   if wired > 0 then
     Physmem.unwire (Iosys.physmem (Kernel.sys kernel)) Physmem.Net_wired wired;
   Mbuf.free chain;
-  c.pending <- c.pending - 1;
   if ctx > 0 then
     Iolite_obs.Attrib.note a ~ctx Iolite_obs.Attrib.Queue (Proc.now () -. t0);
   if Trace.enabled tr then
@@ -356,7 +341,6 @@ let send_mode ?on_complete proc c mode agg =
     else min (Mbuf.wired_bytes chain) (c.ctss + (4 * Mbuf.mbuf_header_size))
   in
   if wired > 0 then Physmem.wire (Iosys.physmem sys) Physmem.Net_wired wired;
-  c.pending <- c.pending + 1;
   Process.charge proc
     (cost.Costmodel.syscall
     +. Costmodel.cksum_time cost cksum_bytes

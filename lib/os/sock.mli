@@ -48,15 +48,10 @@ val rtt : conn -> float
 val id : conn -> int
 (** Process-wide connection id (also the shard key). *)
 
-val set_idle_timeout : listener -> float -> unit
-(** Applies to connections accepted afterwards; 0 disables. *)
-
 val live_conns : listener -> int
 (** Accepted connections not yet torn down (O(1)). *)
 
 val shard_count : listener -> int
-
-val iter_conns : listener -> (conn -> unit) -> unit
 
 (** {2 Client side (driver coroutines, not OS processes)} *)
 
@@ -68,17 +63,6 @@ val request : conn -> string -> int
 (** Send a request and block until the whole response has arrived;
     returns the response length in bytes. Raises [Failure] if the server
     closed the connection. *)
-
-val request_async : conn -> string -> unit
-(** Queue a request without blocking for the response (and without the
-    client-side half-RTT pacing — the caller owns its own pacing). Lets
-    one driver coroutine pump requests into an arbitrarily large
-    connection population; responses accumulate for {!try_response}. *)
-
-val try_response : conn -> int option
-(** Dequeue a completed response's byte count, if one has drained. *)
-
-val queued_responses : conn -> int
 
 val close : conn -> unit
 (** Client-initiated close; the server's next [recv] returns [None]. *)
@@ -121,6 +105,3 @@ val sendfile :
     identity, the Internet checksum is recomputed on every transmission,
     and the interface does not extend to dynamic content. Returns the
     queued byte count (header + file). *)
-
-val pending_responses : conn -> int
-(** Responses queued but not yet fully drained (diagnostic). *)

@@ -38,8 +38,6 @@ let open_pipe_in proc pipe =
     carry = Buffer.create 256;
   }
 
-let in_eof ic = ic.ieof && ic.current = None
-
 (* Ensure [current] holds unconsumed data; false at EOF. *)
 let rec refill ic =
   match ic.current with

@@ -33,8 +33,6 @@ val input_line : in_channel -> string option
 val input_all_lines : in_channel -> f:(string -> unit) -> int
 (** Fold [f] over every line; returns the line count. *)
 
-val in_eof : in_channel -> bool
-
 (** {2 Output} *)
 
 val open_file_out : Process.t -> file:int -> out_channel

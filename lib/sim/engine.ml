@@ -198,7 +198,6 @@ module Proc = struct
   let now () = Effect.perform E_now
   let sleep dt = Effect.perform (E_sleep dt)
   let sleep_until time = Effect.perform (E_sleep_until time)
-  let yield () = Effect.perform (E_sleep 0.0)
   let spawn ?name f = Effect.perform (E_spawn (name, f))
   let suspend register = Effect.perform (E_suspend register)
   let engine () = Effect.perform E_engine

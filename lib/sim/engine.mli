@@ -97,9 +97,6 @@ module Proc : sig
       [sleep (stop -. now ())] wakes at [now +. (stop -. now)], which
       need not round back to [stop]. *)
 
-  val yield : unit -> unit
-  (** Reschedule at the same time, after already-queued same-time events. *)
-
   val spawn : ?name:string -> (unit -> unit) -> unit
   (** Start a sibling process in the same engine at the current time. *)
 

@@ -9,7 +9,6 @@ module Semaphore = struct
     if n < 0 then invalid_arg "Semaphore.create: negative capacity";
     { tokens = n; queue = Queue.create () }
 
-  let available t = t.tokens
   let waiters t = Queue.length t.queue
 
   (* Wake waiters strictly in FIFO order: a large request at the head
@@ -81,9 +80,6 @@ module Mailbox = struct
     | None ->
       Proc.suspend (fun resume -> Queue.push resume t.readers);
       recv t
-
-  let try_recv t = Queue.take_opt t.items
-  let length t = Queue.length t.items
 end
 
 module Ivar = struct

@@ -17,7 +17,6 @@ module Semaphore : sig
   val release : ?n:int -> t -> unit
   (** Return [n] tokens and wake eligible waiters in order. *)
 
-  val available : t -> int
   val waiters : t -> int
 
   val with_acquired : ?n:int -> t -> (unit -> 'a) -> 'a
@@ -55,9 +54,6 @@ module Mailbox : sig
 
   val recv : 'a t -> 'a
   (** Blocks until a message is available. *)
-
-  val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
 end
 
 (** Write-once cell; a future a process can block on. *)

@@ -63,7 +63,6 @@ let create ?(tick = 1e-3) ?(bits = 8) ?(levels = 3) () =
 
 let size t = t.size
 let current_tick t = t.cur
-let tick_len t = t.tick
 let time_of_tick t k = float_of_int k *. t.tick
 
 (* Ceiling division so a timer never fires before its requested time.
@@ -73,7 +72,6 @@ let tick_of_time t time =
   if time <= 0.0 then 0
   else int_of_float (Float.ceil ((time /. t.tick) -. 1e-9))
 
-let handle_time t (h : 'a handle) = time_of_tick t h.expiry
 let is_active (h : 'a handle) = h.active
 
 let link_before (s : 'a cell) (c : 'a cell) =
@@ -187,10 +185,6 @@ let next_due_tick t =
     end;
     if t.bound < 0 then None else Some (max t.bound t.cur)
   end
-
-let next_due_time t =
-  Option.map (fun k -> time_of_tick t k) (next_due_tick t)
-
 let fire_list t (s : 'a cell) fire =
   while s.next != s do
     let c = s.next in

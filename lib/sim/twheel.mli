@@ -29,7 +29,6 @@ val size : 'a t -> int
 (** Pending (inserted, not fired, not cancelled) timers. *)
 
 val current_tick : 'a t -> int
-val tick_len : 'a t -> float
 
 val tick_of_time : 'a t -> float -> int
 (** Quantize an absolute time up to a tick (ceiling). *)
@@ -42,7 +41,6 @@ val add : 'a t -> tick:int -> 'a -> 'a handle
 val cancel : 'a t -> 'a handle -> bool
 (** O(1) unlink; [false] if the timer already fired or was cancelled. *)
 
-val handle_time : 'a t -> 'a handle -> float
 val is_active : 'a handle -> bool
 
 val next_due_tick : 'a t -> int option
@@ -50,8 +48,6 @@ val next_due_tick : 'a t -> int option
     fires strictly before it, and advancing to it makes progress
     (cascade + rescan). Exact when the earliest timer sits in level 0
     or the due list. [None] when empty. *)
-
-val next_due_time : 'a t -> float option
 
 val advance_to : 'a t -> int -> fire:('a -> unit) -> unit
 (** [advance_to t k ~fire] moves the cursor to tick [k], firing every

@@ -71,6 +71,3 @@ let setup ?(level = Logs.Info) ?(directives = []) () =
   (* Overrides win over the global level for their sources. *)
   Hashtbl.fold (fun name l acc -> (name, l) :: acc) overrides []
   |> List.iter (fun (name, l) -> set_source_level name l)
-
-let debug_enabled src =
-  match Logs.Src.level src with Some Logs.Debug -> true | Some _ | None -> false

@@ -33,7 +33,3 @@ val apply_directive : string -> (unit, string) result
 
 val parse_directive : string -> (string * Logs.level option, string) result
 (** Parse without applying; returns the canonical source name. *)
-
-val debug_enabled : Logs.src -> bool
-(** Guard helper for debug-only instrumentation that is costly to even
-    construct: [if Logging.debug_enabled log then ...]. *)

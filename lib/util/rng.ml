@@ -34,8 +34,6 @@ let float t x =
   let r = Int64.to_float (Int64.shift_right_logical (next_raw t) 11) in
   x *. (r /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next_raw t) 1L = 1L
-
 let exponential t ~mean =
   let u = ref (float t 1.0) in
   while !u = 0.0 do u := float t 1.0 done;

@@ -192,6 +192,13 @@ let test_trace_events_and_json () =
   Trace.clear tr;
   Alcotest.(check int) "clear empties buffer" 0 (Trace.event_count tr)
 
+(* The bench harness writes its run labels through the same escaper, so
+   any label must come out as one valid JSON string literal. *)
+let test_trace_json_string () =
+  Alcotest.(check string)
+    "quote, backslash, control byte, UTF-8" {|"say \"hi\" C:\\x \u0001 café"|}
+    (Trace.json_string "say \"hi\" C:\\x \001 caf\xc3\xa9")
+
 let test_trace_sink () =
   let mk label =
     let tr = Trace.create () in
@@ -603,6 +610,7 @@ let suites =
       [
         Alcotest.test_case "disabled is a no-op" `Quick test_trace_disabled_noop;
         Alcotest.test_case "events and json" `Quick test_trace_events_and_json;
+        Alcotest.test_case "json string" `Quick test_trace_json_string;
         Alcotest.test_case "sink" `Quick test_trace_sink;
         Alcotest.test_case "ring buffer bound" `Quick test_trace_ring_buffer;
         Alcotest.test_case "streaming output" `Quick
