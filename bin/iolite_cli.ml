@@ -182,10 +182,9 @@ let cmds =
        (Cmdliner.Cmd.info "scale"
           ~doc:
             "C1M sweep: hold N concurrent connections against Flash-Lite \
-             (timer-wheel idle timers, 16-way sharded connection tables) \
-             and measure per-request wall cost, latency percentiles, \
-             warm-phase fresh allocations, and timer churn at full \
-             population")
+             (one timer-wheel idle timer each) and measure per-request \
+             wall cost, latency percentiles, warm-phase fresh \
+             allocations, and timer churn at full population")
        Cmdliner.Term.(
          const run $ verbose_arg $ log_arg $ conns_arg $ requests_arg));
     (let run verbose directives scale =

@@ -83,68 +83,18 @@ let lru () =
 (* Greedy-Dual-Size: lazy min-heap over H values.                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A tiny private min-heap of (priority, stamp, key) with lazy deletion. *)
-module Fheap = struct
-  type 'a t = { mutable data : (float * int * 'a) array; mutable len : int }
-
-  let create () = { data = [||]; len = 0 }
-
-  let less (p1, s1, _) (p2, s2, _) = p1 < p2 || (p1 = p2 && s1 < s2)
-
-  let push t entry =
-    let cap = Array.length t.data in
-    if t.len = cap then begin
-      let ndata = Array.make (max 16 (cap * 2)) entry in
-      Array.blit t.data 0 ndata 0 t.len;
-      t.data <- ndata
-    end;
-    t.data.(t.len) <- entry;
-    t.len <- t.len + 1;
-    let i = ref (t.len - 1) in
-    while !i > 0 && less t.data.(!i) t.data.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = t.data.(!i) in
-      t.data.(!i) <- t.data.(p);
-      t.data.(p) <- tmp;
-      i := p
-    done
-
-  let pop t =
-    if t.len = 0 then None
-    else begin
-      let top = t.data.(0) in
-      t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.data.(0) <- t.data.(t.len);
-        let i = ref 0 and continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let m = ref !i in
-          if l < t.len && less t.data.(l) t.data.(!m) then m := l;
-          if r < t.len && less t.data.(r) t.data.(!m) then m := r;
-          if !m = !i then continue := false
-          else begin
-            let tmp = t.data.(!i) in
-            t.data.(!i) <- t.data.(!m);
-            t.data.(!m) <- tmp;
-            i := !m
-          end
-        done
-      end;
-      Some top
-    end
-end
-
 let gds ?(cost = fun _ ~size:_ -> 1.0) () =
   let cost = ref cost in
   let infos : (key, float * int) Hashtbl.t = Hashtbl.create 256 in
-  let heap = Fheap.create () in
+  (* (H, stamp) entries on the engine's event heap; one that no longer
+     matches its key's [infos] record is stale. *)
+  let heap = Iolite_sim.Heap.create () in
   let inflation = ref 0.0 in
   let stamp = ref 0 in
   let set k h =
     incr stamp;
     Hashtbl.replace infos k (h, !stamp);
-    Fheap.push heap (h, !stamp, k)
+    Iolite_sim.Heap.push heap ~time:h ~seq:!stamp k
   in
   let priority k ~size =
     !inflation +. (!cost k ~size /. float_of_int (max 1 size))
@@ -153,7 +103,7 @@ let gds ?(cost = fun _ ~size:_ -> 1.0) () =
     (* Pop stale and ineligible entries; reinsert what we skipped. *)
     let skipped = ref [] in
     let rec hunt () =
-      match Fheap.pop heap with
+      match Iolite_sim.Heap.pop heap with
       | None -> None
       | Some ((h, s, k) as entry) -> (
         match Hashtbl.find_opt infos k with
@@ -170,7 +120,9 @@ let gds ?(cost = fun _ ~size:_ -> 1.0) () =
         | Some _ | None -> hunt () (* stale heap entry *))
     in
     let result = hunt () in
-    List.iter (fun e -> Fheap.push heap e) !skipped;
+    List.iter
+      (fun (h, s, k) -> Iolite_sim.Heap.push heap ~time:h ~seq:s k)
+      !skipped;
     Option.map (fun (_, _, k) -> k) result
   in
   {

@@ -1,16 +1,17 @@
 type inode = { iname : string; isize : int }
 
+(* Inode footprint in the metadata buffer cache. *)
+let metadata_bytes_per_file = 256
+
 type t = {
-  metadata_bytes_per_file : int;
   mutable inodes : inode array;
   mutable count : int;
   by_name : (string, int) Hashtbl.t;
   mutable total : int;
 }
 
-let create ?(metadata_bytes_per_file = 256) () =
+let create () =
   {
-    metadata_bytes_per_file;
     inodes = Array.make 64 { iname = ""; isize = 0 };
     count = 0;
     by_name = Hashtbl.create 256;
@@ -48,7 +49,7 @@ let size t id =
 
 let file_count t = t.count
 let total_bytes t = t.total
-let metadata_bytes t = t.count * t.metadata_bytes_per_file
+let metadata_bytes t = t.count * metadata_bytes_per_file
 
 (* Mostly printable text with newlines roughly every 64 bytes, so the
    line-oriented utilities (wc, grep) see realistic input. The byte for

@@ -10,7 +10,7 @@
 
 type t
 
-val create : ?metadata_bytes_per_file:int -> unit -> t
+val create : unit -> t
 
 val add : t -> name:string -> size:int -> int
 (** Registers a file, returning its id. Raises [Invalid_argument] on a
@@ -24,7 +24,7 @@ val size : t -> int -> int
 val file_count : t -> int
 val total_bytes : t -> int
 val metadata_bytes : t -> int
-(** Metadata footprint to wire in kernel memory. *)
+(** Metadata footprint to wire in kernel memory: 256 bytes per file. *)
 
 val content_byte : file:int -> off:int -> char
 (** The defining content function. It is defined for every offset, past

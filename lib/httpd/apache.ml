@@ -93,8 +93,9 @@ let handle t proc conn =
   in
   loop ()
 
-let start ?(workers = 64) ?(worker_footprint = 200 * 1024) ?cgi_doc_size kernel
-    ~port =
+let worker_footprint = 200 * 1024
+
+let start ?(workers = 64) ?cgi_doc_size kernel ~port =
   let listener = Sock.listen ~reserve_tss:true kernel ~port in
   let t =
     { kernel; listener; requests = 0; response_bytes = 0; cgi = None }

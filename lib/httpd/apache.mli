@@ -15,13 +15,12 @@ type t
 
 val start :
   ?workers:int ->
-  ?worker_footprint:int ->
   ?cgi_doc_size:int ->
   Kernel.t ->
   port:int ->
   t
 (** [workers] defaults to 64; size it to the expected concurrent client
-    population. [worker_footprint] defaults to 200 KB. *)
+    population. Each worker wires a 200 KB footprint. *)
 
 val listener : t -> Sock.listener
 val requests : t -> int

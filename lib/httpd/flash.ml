@@ -76,11 +76,6 @@ type t = {
   mutable requests : int;
   mutable response_bytes : int;
   mutable cgi : Cgi.t option;
-  (* Request-latency histograms are sharded by connection id: the
-     completion hook touches one shard, and readers merge the shards
-     into one histogram at snapshot time (log-bucketed histograms merge
-     exactly, so the merged view equals an unsharded one). *)
-  latencies : Hist.t array;
 }
 
 let header_agg proc ~keep_alive ~len =
@@ -193,7 +188,6 @@ let handle t proc mapcache conn =
       let sent_cell = ref 0 in
       let on_complete t_end =
         let dt = t_end -. t0 in
-        Hist.add t.latencies.(Sock.id conn land (Array.length t.latencies - 1)) dt;
         Metrics.observe (Kernel.metrics t.kernel) "httpd.request_latency_s" dt;
         let tr = Kernel.trace t.kernel in
         if Trace.enabled tr then begin
@@ -239,29 +233,14 @@ let handle t proc mapcache conn =
   in
   loop ()
 
-let round_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let start ?(variant = Iolite) ?cgi_doc_size ?cgi_mode ?policy ?(lat_shards = 16)
-    ?conn_shards ?idle_timeout kernel ~port =
+let start ?(variant = Iolite) ?cgi_doc_size ?cgi_mode ?policy ?idle_timeout
+    kernel ~port =
   let reserve_tss =
     match variant with Conventional | Sendfile -> true | Iolite -> false
   in
-  let listener =
-    Sock.listen ~reserve_tss ?shards:conn_shards ?idle_timeout kernel ~port
-  in
+  let listener = Sock.listen ~reserve_tss ?idle_timeout kernel ~port in
   let t =
-    {
-      kernel;
-      listener;
-      variant;
-      requests = 0;
-      response_bytes = 0;
-      cgi = None;
-      latencies =
-        Array.init (round_pow2 (max 1 lat_shards)) (fun _ -> Hist.create ());
-    }
+    { kernel; listener; variant; requests = 0; response_bytes = 0; cgi = None }
   in
   Logs.info ~src:log (fun m ->
       m "starting %s on port %d%s"
@@ -324,13 +303,9 @@ let cksum_stats t =
   let scanned = Metrics.get m "net.cksum_bytes" in
   (total, scanned, total - scanned)
 
-let latency_hist t =
-  Array.fold_left
-    (fun acc h -> Hist.merge acc h)
-    (Hist.create ()) t.latencies
-
-let latency_shard_count t = Array.length t.latencies
-
 let latency_stats t =
-  let merged = latency_hist t in
-  if Hist.count merged = 0 then None else Some (Hist.summary merged)
+  match
+    Metrics.find_hist (Kernel.metrics t.kernel) "httpd.request_latency_s"
+  with
+  | Some h when Hist.count h > 0 -> Some (Hist.summary h)
+  | Some _ | None -> None

@@ -32,8 +32,6 @@ val start :
   ?cgi_doc_size:int ->
   ?cgi_mode:Cgi.mode ->
   ?policy:Iolite_core.Policy.t ->
-  ?lat_shards:int ->
-  ?conn_shards:int ->
   ?idle_timeout:float ->
   Kernel.t ->
   port:int ->
@@ -41,10 +39,10 @@ val start :
 (** Spawns the server process; [variant] defaults to [Iolite].
     [cgi_mode] selects FastCGI (default) or fork-per-request CGI 1.1.
     [policy] (default GDS for [Iolite]) customizes the unified cache.
-    [lat_shards] (default 16, rounded to a power of two) shards the
-    request-latency histogram by connection id; [conn_shards] sizes the
-    listener's connection table; [idle_timeout] > 0 arms per-connection
-    idle timers (see {!Sock.listen}). *)
+    [idle_timeout] > 0 arms per-connection idle timers (see
+    {!Sock.listen}). Each completed request's latency (seconds, request
+    arrival to last byte drained) goes to the kernel registry's
+    [httpd.request_latency_s] histogram. *)
 
 val listener : t -> Sock.listener
 val variant : t -> variant
@@ -61,17 +59,12 @@ val cksum_stats : t -> int * int * int
     scanned, and the difference — the checksum-cache contribution to the
     Fig. 11 ablation, re-derivable from counters. *)
 
-val latency_hist : t -> Iolite_util.Stats.Hist.t
-(** The request-latency histogram (seconds, request arrival to last
-    byte drained), merged across the per-connection-id shards at call
-    time — identical to what an unsharded histogram would hold. Also
-    mirrored into the kernel registry under [httpd.request_latency_s]. *)
-
-val latency_shard_count : t -> int
-
 val latency_stats : t -> Iolite_util.Stats.summary option
-(** p50/p90/p99 (and mean/min/max) of request latency; [None] before
-    the first completed request. *)
+(** p50/p90/p99 (and mean/min/max) of request latency, read from the
+    kernel registry's [httpd.request_latency_s]; [None] before the
+    first completed request. The registry is per kernel, so this is the
+    server's own stream only while it is the one Flash on its kernel,
+    and it restarts empty after a [Metrics.reset] of that registry. *)
 
 val request_overhead : float
 (** Per-request event-machinery CPU of the Flash design (both

@@ -10,10 +10,12 @@ type mode = Copying | Zero_copy
    into the reader's pool at delivery. *)
 type item = Direct of Iobuf.Agg.t | Staged of string
 
+(* Byte capacity, as BSD's pipes. *)
+let capacity = 65536
+
 type t = {
   sys : Iosys.t;
   mode : mode;
-  capacity : int;
   reader : Pdomain.t;
   reader_pool : Iobuf.Pool.t;
   spool : Iobuf.Pool.t; (* the I/O stream's buffer pool *)
@@ -29,8 +31,7 @@ let item_len = function
   | Direct agg -> Iobuf.Agg.length agg
   | Staged s -> String.length s
 
-let create ?(capacity = 65536) ?writer sys ~mode ~reader ~reader_pool () =
-  if capacity <= 0 then invalid_arg "Pipe.create: capacity";
+let create ?writer sys ~mode ~reader ~reader_pool () =
   let spool =
     match writer with
     | None -> reader_pool
@@ -41,7 +42,6 @@ let create ?(capacity = 65536) ?writer sys ~mode ~reader ~reader_pool () =
   {
     sys;
     mode;
-    capacity;
     reader;
     reader_pool;
     spool;
@@ -63,7 +63,7 @@ let enqueue t item =
 
 let rec wait_for_room t needed =
   if t.write_closed then invalid_arg "Pipe.write: write end closed";
-  if t.in_flight + needed > t.capacity && t.in_flight > 0 then begin
+  if t.in_flight + needed > capacity && t.in_flight > 0 then begin
     Sync.Condvar.wait t.writable;
     wait_for_room t needed
   end
@@ -75,7 +75,7 @@ let write_copying t agg =
   let len = Iobuf.Agg.length agg in
   let pos = ref 0 in
   while !pos < len do
-    let portion = min t.capacity (len - !pos) in
+    let portion = min capacity (len - !pos) in
     wait_for_room t portion;
     let part = Iobuf.Agg.sub agg ~off:!pos ~len:portion in
     (* First copy: user -> kernel pipe buffer. *)
@@ -88,7 +88,7 @@ let write_copying t agg =
 
 let write_zero_copy t agg =
   let len = Iobuf.Agg.length agg in
-  if len > t.capacity then
+  if len > capacity then
     invalid_arg "Pipe.write: aggregate exceeds pipe capacity";
   wait_for_room t len;
   (* Grant the reader access; warm streams cost no VM work. *)
@@ -114,7 +114,7 @@ let write_posix t s =
   let len = String.length s in
   let pos = ref 0 in
   while !pos < len do
-    let portion = min t.capacity (len - !pos) in
+    let portion = min capacity (len - !pos) in
     wait_for_room t portion;
     let part = String.sub s !pos portion in
     (match t.mode with

@@ -11,7 +11,7 @@
       granted read mappings (cheap after the first, warm transfer) and no
       data is touched.
 
-    The pipe enforces a byte capacity (default 64 KB, like BSD): writers
+    The pipe enforces a byte capacity (64 KB, like BSD): writers
     block while the in-flight volume would exceed it, giving
     producer/consumer synchronization — the property plain shared memory
     lacks (Section 6.2). *)
@@ -23,7 +23,6 @@ type mode = Copying | Zero_copy
 type t
 
 val create :
-  ?capacity:int ->
   ?writer:Pdomain.t ->
   Iolite_core.Iosys.t ->
   mode:mode ->

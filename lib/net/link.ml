@@ -2,7 +2,6 @@ module Sync = Iolite_sim.Sync
 module Trace = Iolite_obs.Trace
 
 type t = {
-  mtu : int;
   bits_per_sec : float;
   nlinks : int;
   lock : Sync.Semaphore.t;
@@ -11,13 +10,13 @@ type t = {
   trace : Trace.t;
 }
 
+let mtu_bytes = 1500 (* Ethernet *)
 let frame_overhead = 58 (* Ethernet 14 + IP 20 + TCP 20 + FCS 4 *)
 
-let create ?(mtu = 1500) ?(links = 5) ?trace ~bits_per_sec () =
+let create ?(links = 5) ?trace ~bits_per_sec () =
   if bits_per_sec <= 0.0 then invalid_arg "Link.create: bandwidth";
   if links <= 0 then invalid_arg "Link.create: links";
   {
-    mtu;
     bits_per_sec;
     nlinks = links;
     lock = Sync.Semaphore.create links;
@@ -26,14 +25,14 @@ let create ?(mtu = 1500) ?(links = 5) ?trace ~bits_per_sec () =
     trace = (match trace with Some tr -> tr | None -> Trace.create ());
   }
 
-let mtu t = t.mtu
+let mtu _ = mtu_bytes
 let bits_per_sec t = t.bits_per_sec
 let links t = t.nlinks
 
 let wire_time t ~bytes =
   if bytes <= 0 then 0.0
   else begin
-    let packets = ((bytes - 1) / t.mtu) + 1 in
+    let packets = ((bytes - 1) / mtu_bytes) + 1 in
     let total = bytes + (packets * frame_overhead) in
     float_of_int (total * 8) /. (t.bits_per_sec /. float_of_int t.nlinks)
   end

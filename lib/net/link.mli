@@ -9,7 +9,6 @@
 type t
 
 val create :
-  ?mtu:int ->
   ?links:int ->
   ?trace:Iolite_obs.Trace.t ->
   bits_per_sec:float ->
@@ -17,8 +16,8 @@ val create :
   t
 (** [bits_per_sec] is the {e aggregate} capacity shared by [links]
     parallel interfaces (default 5, like the testbed); each transmission
-    occupies one interface at [bits_per_sec / links]. [mtu] defaults to
-    1500 bytes. [trace] receives a [net]/[tx] span per transmission
+    occupies one interface at [bits_per_sec / links]. The MTU is 1500
+    bytes. [trace] receives a [net]/[tx] span per transmission
     (queueing + wire time) when tracing is enabled. *)
 
 val mtu : t -> int

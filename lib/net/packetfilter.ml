@@ -1,16 +1,7 @@
-(* Hash-sharded flow table: the port key picks a shard, so binds,
-   unbinds and classifications touch one small table instead of one
-   global one, and per-shard stat counters keep the classify hot path a
-   single increment. Aggregate counts are summed at read time. *)
-
-type shard = {
-  flows : (int, Iolite_core.Iobuf.Pool.t) Hashtbl.t;
-  mutable s_lookups : int;
-  mutable s_matched : int;
-}
-
 type t = {
-  shards : shard array;
+  flows : (int, Iolite_core.Iobuf.Pool.t) Hashtbl.t;
+  mutable lookups : int;
+  mutable matched : int;
   (* Request-id source for early demultiplexing: when a flow allocator
      is attached (observability armed), [demux] stamps every classified
      packet train with a fresh flow id — the packet filter is where a
@@ -21,30 +12,19 @@ type t = {
 
 type verdict = Demuxed of Iolite_core.Iobuf.Pool.t | Unmatched
 
-(* A power of two, so the shard index is a mask of the port. *)
-let n_shards = 16
-
 let create () =
-  {
-    shards =
-      Array.init n_shards (fun _ ->
-          { flows = Hashtbl.create 64; s_lookups = 0; s_matched = 0 });
-    flow = None;
-  }
+  { flows = Hashtbl.create 16; lookups = 0; matched = 0; flow = None }
 
 let attach_flow t flow = t.flow <- Some (flow : Iolite_obs.Flow.t)
 
-let shard t ~port = t.shards.(port land (n_shards - 1))
-
-let bind t ~port pool = Hashtbl.replace (shard t ~port).flows port pool
-let unbind t ~port = Hashtbl.remove (shard t ~port).flows port
+let bind t ~port pool = Hashtbl.replace t.flows port pool
+let unbind t ~port = Hashtbl.remove t.flows port
 
 let classify t ~port =
-  let s = shard t ~port in
-  s.s_lookups <- s.s_lookups + 1;
-  match Hashtbl.find_opt s.flows port with
+  t.lookups <- t.lookups + 1;
+  match Hashtbl.find_opt t.flows port with
   | Some pool ->
-    s.s_matched <- s.s_matched + 1;
+    t.matched <- t.matched + 1;
     Demuxed pool
   | None -> Unmatched
 
@@ -55,11 +35,6 @@ let demux t ~port =
   in
   (v, rid)
 
-let lookups t =
-  Array.fold_left (fun acc s -> acc + s.s_lookups) 0 t.shards
-
-let matched t =
-  Array.fold_left (fun acc s -> acc + s.s_matched) 0 t.shards
-
-let flow_count t =
-  Array.fold_left (fun acc s -> acc + Hashtbl.length s.flows) 0 t.shards
+let lookups t = t.lookups
+let matched t = t.matched
+let flow_count t = Hashtbl.length t.flows

@@ -16,9 +16,8 @@ type verdict =
   | Unmatched  (** no filter: data must be copied at delivery *)
 
 val create : unit -> t
-(** The flow table is hash-sharded by port into 16 shards: no bind or
-    classify ever touches a table sized by the whole live-connection
-    population. *)
+(** One port-keyed table. A flow is a server's listening port, so the
+    table holds one entry per bound server, not one per connection. *)
 
 val bind : t -> port:int -> Iolite_core.Iobuf.Pool.t -> unit
 (** Install a filter mapping the local port to the pool. Rebinding
@@ -43,4 +42,3 @@ val demux : t -> port:int -> verdict * int
 val lookups : t -> int
 val matched : t -> int
 val flow_count : t -> int
-(** Summed across shards at read time. *)

@@ -191,7 +191,11 @@ let events t =
    it crosses a threshold — the full JSON string is never materialized
    unless [to_json] is asked for one. *)
 
+(* Bytes >= 0x80 pass through when [s] is valid UTF-8; otherwise each
+   is written as the code point of the same value, so the output is
+   valid JSON for any bytes. *)
 let buffer_add_escaped b s =
+  let escape_high = not (String.is_valid_utf_8 s) in
   String.iter
     (fun c ->
       match c with
@@ -200,7 +204,7 @@ let buffer_add_escaped b s =
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
+      | c when Char.code c < 0x20 || (escape_high && Char.code c >= 0x80) ->
         Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
     s

@@ -169,7 +169,9 @@ val write : ?pid:int -> ?label:string -> t -> string -> unit
 val json_string : string -> string
 (** [s] as a JSON string literal, quotes included, escaped the way
     every string in the trace JSON is: quote, backslash and control
-    bytes escaped, other bytes (UTF-8 included) passed through. *)
+    bytes escaped, valid UTF-8 passed through. When [s] is not valid
+    UTF-8, each byte >= 0x80 becomes [\u00XX], so the literal is valid
+    JSON for any bytes. *)
 
 (** Combines the traces of several kernels (one simulated machine per
     experiment point) into a single JSON file, each kernel as its own

@@ -10,74 +10,54 @@ module Trace = Iolite_obs.Trace
 
 type msg = Req of string | Fin
 
+(* Socket send-buffer size Tss: 64 KB in all experiments (Section 5.7). *)
+let tss = 65536
+
 type listener = {
   lkernel : Kernel.t;
   lport : int;
   reserve_tss : bool;
   incoming : conn Sync.Mailbox.t;
-  (* Hash-sharded table of accepted connections: registration, lookup
-     and teardown touch one small shard, never a structure sized by the
-     whole live population. *)
-  lshards : (int, conn) Hashtbl.t array;
-  lmask : int;
   mutable llive : int;
   lidle : float; (* idle timeout armed at accept; 0 = off *)
 }
 
 and conn = {
-  cid : int; (* process-wide id; also the shard key *)
   ckernel : Kernel.t;
   cport : int;
   crtt : float;
-  ctss : int;
   to_server : msg Sync.Mailbox.t;
   to_client : int Sync.Mailbox.t;
   mutable client_closed : bool;
   mutable reserved : int; (* wired socket-buffer reservation *)
-  mutable chome : listener option; (* registered in chome's shard table *)
+  mutable chome : listener option; (* counted in chome's [llive] *)
   mutable cidle : float;
   mutable ctimer : Iolite_sim.Engine.timer option;
 }
 
-let next_cid = ref 0
-
-let round_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let listen ?(reserve_tss = false) ?(shards = 16) ?(idle_timeout = 0.0) kernel
-    ~port =
-  let n = round_pow2 (max 1 shards) in
+let listen ?(reserve_tss = false) ?(idle_timeout = 0.0) kernel ~port =
   {
     lkernel = kernel;
     lport = port;
     reserve_tss;
     incoming = Sync.Mailbox.create ();
-    lshards = Array.init n (fun _ -> Hashtbl.create 64);
-    lmask = n - 1;
     llive = 0;
     lidle = idle_timeout;
   }
 
 let port c = c.cport
 let rtt c = c.crtt
-let id c = c.cid
 
 let live_conns l = l.llive
-let shard_count l = Array.length l.lshards
 
-let connect ?(rtt = 0.0) ?(tss = 65536) kernel listener =
+let connect ?(rtt = 0.0) kernel listener =
   (* Three-way handshake: SYN, SYN-ACK, ACK. *)
   if rtt > 0.0 then Proc.sleep (1.5 *. rtt);
-  let cid = !next_cid in
-  incr next_cid;
   let c =
     {
-      cid;
       ckernel = kernel;
       cport = listener.lport;
       crtt = rtt;
-      ctss = tss;
       to_server = Sync.Mailbox.create ();
       to_client = Sync.Mailbox.create ();
       client_closed = false;
@@ -139,7 +119,6 @@ let rearm_idle c =
   end
 
 let register l c =
-  Hashtbl.replace l.lshards.(c.cid land l.lmask) c.cid c;
   c.chome <- Some l;
   l.llive <- l.llive + 1
 
@@ -148,10 +127,7 @@ let unregister c =
   | None -> ()
   | Some l ->
     c.chome <- None;
-    if Hashtbl.mem l.lshards.(c.cid land l.lmask) c.cid then begin
-      Hashtbl.remove l.lshards.(c.cid land l.lmask) c.cid;
-      l.llive <- l.llive - 1
-    end
+    l.llive <- l.llive - 1
 
 let accept proc listener =
   let c = Sync.Mailbox.recv listener.incoming in
@@ -159,7 +135,7 @@ let accept proc listener =
   if listener.reserve_tss then begin
     (* Conventional socket: the send buffer is wired kernel memory for
        the connection's lifetime (Section 5.7). *)
-    c.reserved <- c.ctss;
+    c.reserved <- tss;
     Physmem.wire
       (Iosys.physmem (Kernel.sys listener.lkernel))
       Physmem.Net_wired c.reserved
@@ -225,9 +201,7 @@ let recv proc c ~zero_copy =
          rides every suspension and spawn from here (syscalls, cache
          fills, disk waits, the TCP drain). *)
       Proc.set_ctx rid;
-      (* Args stay free of [c.cid]: connection ids come from a
-         process-global counter, which would break the byte-identical
-         same-seed-trace guarantee. The port is the demux key. *)
+      (* The port is the demux key. *)
       if Iolite_obs.Flow.enabled flow then
         Iolite_obs.Flow.start flow ~id:rid
           ~args:[ ("port", Trace.Int c.cport) ]
@@ -253,7 +227,7 @@ let drain kernel c ~wired ~len ~chain ~on_complete =
     Trace.flow_step tr ~id:ctx ~args:[ ("at", Trace.Str "drain") ] ();
   let rec loop remaining =
     if remaining > 0 then begin
-      let window = min c.ctss remaining in
+      let window = min tss remaining in
       Iolite_net.Link.transmit link ~bytes:window;
       if c.crtt > 0.0 then Proc.sleep c.crtt;
       loop (remaining - window)
@@ -338,7 +312,7 @@ let send_mode ?on_complete proc c mode agg =
      connection wires only mbuf headers for the duration of the drain. *)
   let wired =
     if c.reserved > 0 then 0
-    else min (Mbuf.wired_bytes chain) (c.ctss + (4 * Mbuf.mbuf_header_size))
+    else min (Mbuf.wired_bytes chain) (tss + (4 * Mbuf.mbuf_header_size))
   in
   if wired > 0 then Physmem.wire (Iosys.physmem sys) Physmem.Net_wired wired;
   Process.charge proc

@@ -21,7 +21,6 @@ type conn
 
 val listen :
   ?reserve_tss:bool ->
-  ?shards:int ->
   ?idle_timeout:float ->
   Kernel.t ->
   port:int ->
@@ -34,30 +33,24 @@ val listen :
     count — the Fig. 12 effect. IO-Lite servers leave it [false]: their
     send queues reference IO-Lite buffers and wire only mbuf headers.
 
-    Accepted connections live in a hash-sharded table ([shards] rounded
-    up to a power of two, default 16) keyed by connection id, so
-    registration and teardown touch one small shard regardless of the
-    live population. [idle_timeout] > 0 arms a per-connection idle timer
-    at accept, re-armed on every request (O(1) on the engine's timer
-    wheel); expiry closes the connection as if the client had, counted
-    by [sock.idle_closed]. *)
+    The listener keeps no table of its connections, only their live
+    count: accept increments it and teardown decrements it.
+    [idle_timeout] > 0 arms a per-connection idle timer at accept,
+    re-armed on every request (O(1) on the engine's timer wheel);
+    expiry closes the connection as if the client had, counted by
+    [sock.idle_closed]. *)
 
 val port : conn -> int
 val rtt : conn -> float
 
-val id : conn -> int
-(** Process-wide connection id (also the shard key). *)
-
 val live_conns : listener -> int
 (** Accepted connections not yet torn down (O(1)). *)
 
-val shard_count : listener -> int
-
 (** {2 Client side (driver coroutines, not OS processes)} *)
 
-val connect : ?rtt:float -> ?tss:int -> Kernel.t -> listener -> conn
+val connect : ?rtt:float -> Kernel.t -> listener -> conn
 (** Blocks 1.5 RTT for the handshake; queues the connection for
-    [accept]. [tss] defaults to 64 KB. *)
+    [accept]. *)
 
 val request : conn -> string -> int
 (** Send a request and block until the whole response has arrived;

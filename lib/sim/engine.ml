@@ -19,14 +19,14 @@ type _ Effect.t +=
   | E_engine : t Effect.t
   | E_self : string option Effect.t
 
-let create ?(timer_tick = 1e-3) () =
+let create () =
   {
     clock = 0.0;
     seq = 0;
     current = None;
     fctx = 0;
     queue = Heap.create ();
-    wheel = Twheel.create ~tick:timer_tick ();
+    wheel = Twheel.create ~tick:1e-3 ();
     live_timers = 0;
   }
 

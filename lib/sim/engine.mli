@@ -10,11 +10,10 @@
 
 type t
 
-val create : ?timer_tick:float -> unit -> t
-(** [timer_tick] (default 1 ms) is the resolution of the hierarchical
-    timer wheel behind {!schedule_cancelable}: O(1) insert/cancel, with
-    deadlines quantized up to a whole tick. Plain [spawn]/[sleep]
-    events use an exact event heap. *)
+val create : unit -> t
+(** The hierarchical timer wheel behind {!schedule_cancelable} ticks
+    every 1 ms: O(1) insert/cancel, with deadlines quantized up to a
+    whole tick. Plain [spawn]/[sleep] events use an exact event heap. *)
 
 val now : t -> float
 (** Current virtual time (for use from outside a process). *)

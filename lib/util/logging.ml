@@ -57,17 +57,11 @@ let apply_directive directive =
     Ok ()
   | Error _ as e -> e
 
-let setup ?(level = Logs.Info) ?(directives = []) () =
+let setup ?(level = Logs.Info) () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level ~all:false None;
   (* Sources created after setup also get the level. *)
   Logs.set_level ~all:true (Some level);
-  List.iter
-    (fun d ->
-      match apply_directive d with
-      | Ok () -> ()
-      | Error m -> Printf.eprintf "warning: %s\n%!" m)
-    directives;
   (* Overrides win over the global level for their sources. *)
   Hashtbl.fold (fun name l acc -> (name, l) :: acc) overrides []
   |> List.iter (fun (name, l) -> set_source_level name l)

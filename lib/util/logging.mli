@@ -6,20 +6,18 @@
     is enabled globally by {!setup}, e.g. from the CLI's [-v] flag.
     Individual sources can be raised or silenced independently of the
     global level with {!set_source_level} or [--log]-style directives
-    ("iolite.cache=debug"), applied by {!setup} or
-    {!apply_directive}. *)
+    ("iolite.cache=debug") applied with {!apply_directive}. *)
 
 val src : string -> Logs.src
 (** [src "kernel"] declares (or returns) the source
     ["iolite.kernel"]. A pending per-source override is applied at
     declaration time. *)
 
-val setup :
-  ?level:Logs.level -> ?directives:string list -> unit -> unit
+val setup : ?level:Logs.level -> unit -> unit
 (** Install a stderr reporter and set the level for every iolite source
-    (default [Logs.Info]). [directives] are ["SOURCE=LEVEL"] strings
-    (see {!apply_directive}); they and any previously applied overrides
-    win over [level] for their sources. *)
+    (default [Logs.Info]). Overrides already applied with
+    {!set_source_level} or {!apply_directive} win over [level] for
+    their sources. *)
 
 val set_source_level : string -> Logs.level option -> unit
 (** [set_source_level "iolite.cache" (Some Logs.Debug)] raises one

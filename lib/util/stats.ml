@@ -50,46 +50,16 @@ let summarize a =
     p99 = percentile sorted 0.99;
   }
 
-module Online = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; min = Float.infinity; max = Float.neg_infinity }
-
-  let add t x =
-    t.count <- t.count + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count t = t.count
-  let mean t = t.mean
-
-  let variance t =
-    if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
-
-  let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
-end
-
 module Hist = struct
   (* Log-bucketed histogram: bucket 0 holds values <= [min_value]; bucket
      [i >= 1] covers (min_value * base^(i-1), min_value * base^i] with
      [base = 10^(1/buckets_per_decade)]. Exact count/sum/min/max are kept
      alongside the buckets, so mean and the q=0/q=1 ranks are exact and
      only interior percentiles are quantized to bucket resolution. *)
+  let min_value = 1e-9
+  let buckets_per_decade = 20
+
   type t = {
-    min_value : float;
-    buckets_per_decade : int;
     mutable counts : int array;
     mutable count : int;
     mutable sum : float;
@@ -98,13 +68,8 @@ module Hist = struct
     mutable vmax : float;
   }
 
-  let create ?(min_value = 1e-9) ?(buckets_per_decade = 20) () =
-    if min_value <= 0.0 then invalid_arg "Stats.Hist.create: min_value";
-    if buckets_per_decade <= 0 then
-      invalid_arg "Stats.Hist.create: buckets_per_decade";
+  let create () =
     {
-      min_value;
-      buckets_per_decade;
       counts = Array.make 16 0;
       count = 0;
       sum = 0.0;
@@ -113,26 +78,25 @@ module Hist = struct
       vmax = Float.neg_infinity;
     }
 
-  let bucket_index t v =
-    if v <= t.min_value then 0
+  let bucket_index v =
+    if v <= min_value then 0
     else
       1
       + int_of_float
           (Float.floor
-             (Float.log10 (v /. t.min_value) *. float_of_int t.buckets_per_decade))
+             (Float.log10 (v /. min_value) *. float_of_int buckets_per_decade))
 
   (* Lower edge of bucket [i]; bucket 0 starts at 0. *)
-  let bucket_lo t i =
+  let bucket_lo i =
     if i = 0 then 0.0
     else
-      t.min_value
-      *. Float.pow 10.0 (float_of_int (i - 1) /. float_of_int t.buckets_per_decade)
+      min_value
+      *. Float.pow 10.0 (float_of_int (i - 1) /. float_of_int buckets_per_decade)
 
-  let bucket_hi t i =
-    if i = 0 then t.min_value
+  let bucket_hi i =
+    if i = 0 then min_value
     else
-      t.min_value
-      *. Float.pow 10.0 (float_of_int i /. float_of_int t.buckets_per_decade)
+      min_value *. Float.pow 10.0 (float_of_int i /. float_of_int buckets_per_decade)
 
   let ensure_capacity t i =
     if i >= Array.length t.counts then begin
@@ -142,7 +106,7 @@ module Hist = struct
     end
 
   let add t v =
-    let i = bucket_index t v in
+    let i = bucket_index v in
     ensure_capacity t i;
     t.counts.(i) <- t.counts.(i) + 1;
     t.count <- t.count + 1;
@@ -162,26 +126,6 @@ module Hist = struct
       sqrt (Float.max 0.0 var)
     end
 
-  let merge a b =
-    if
-      a.min_value <> b.min_value || a.buckets_per_decade <> b.buckets_per_decade
-    then invalid_arg "Stats.Hist.merge: incompatible bucketing";
-    let t =
-      create ~min_value:a.min_value ~buckets_per_decade:a.buckets_per_decade ()
-    in
-    let width = max (Array.length a.counts) (Array.length b.counts) in
-    ensure_capacity t (width - 1);
-    let get arr i = if i < Array.length arr then arr.(i) else 0 in
-    for i = 0 to width - 1 do
-      t.counts.(i) <- get a.counts i + get b.counts i
-    done;
-    t.count <- a.count + b.count;
-    t.sum <- a.sum +. b.sum;
-    t.sumsq <- a.sumsq +. b.sumsq;
-    t.vmin <- Float.min a.vmin b.vmin;
-    t.vmax <- Float.max a.vmax b.vmax;
-    t
-
   let percentile t q =
     if t.count = 0 then invalid_arg "Stats.Hist.percentile: empty histogram";
     if q < 0.0 || q > 1.0 then invalid_arg "Stats.Hist.percentile: q";
@@ -198,7 +142,7 @@ module Hist = struct
         else begin
           let seen' = seen + t.counts.(i) in
           if target < seen' then begin
-            let lo = bucket_lo t i and hi = bucket_hi t i in
+            let lo = bucket_lo i and hi = bucket_hi i in
             let mid = if i = 0 then hi else sqrt (lo *. hi) in
             Float.min t.vmax (Float.max t.vmin mid)
           end
@@ -220,28 +164,4 @@ module Hist = struct
       p90 = percentile t 0.9;
       p99 = percentile t 0.99;
     }
-end
-
-module Counter = struct
-  type t = (string, int ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 32
-
-  let cell t key =
-    match Hashtbl.find_opt t key with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.add t key r;
-      r
-
-  let add t key n = cell t key := !(cell t key) + n
-  let incr t key = add t key 1
-  let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0
-
-  let to_list t =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let reset t = Hashtbl.reset t
 end

@@ -22,42 +22,23 @@ val percentile : float array -> float -> float
 val mean : float array -> float
 val stddev : float array -> float
 
-(** Online mean/variance accumulator (Welford). *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-end
-
 (** Log-bucketed histogram: constant-size summary of a value stream
     (request latencies, span durations) with quantile estimates.
-    Bucket [i] covers a fixed ratio [10^(1/buckets_per_decade)] of
-    range, so relative quantization error is bounded regardless of the
-    value magnitude. Exact count/sum/min/max ride alongside, making
-    [mean], [q=0] and [q=1] exact. *)
+    Bucket [i] covers a fixed ratio [10^(1/20)] of range, so relative
+    quantization error is bounded regardless of the value magnitude.
+    Exact count/sum/min/max ride alongside, making [mean], [q=0] and
+    [q=1] exact. *)
 module Hist : sig
   type t
 
-  val create : ?min_value:float -> ?buckets_per_decade:int -> unit -> t
-  (** [min_value] (default 1e-9) is the top of the underflow bucket;
-      [buckets_per_decade] (default 20, ~12% resolution) sets bucket
-      width. Raises [Invalid_argument] on non-positive parameters. *)
+  val create : unit -> t
+  (** Values up to 1e-9 share the underflow bucket; above it there are
+      20 buckets per decade (~12% resolution). *)
 
   val add : t -> float -> unit
   val count : t -> int
   val mean : t -> float
   val stddev : t -> float
-
-  val merge : t -> t -> t
-  (** Fresh histogram holding both streams. Raises [Invalid_argument]
-      if the two histograms were created with different bucketing. *)
 
   val percentile : t -> float -> float
   (** [percentile t q] with [q] in \[0,1\]. [q=0]/[q=1] return the exact
@@ -67,18 +48,4 @@ module Hist : sig
 
   val summary : t -> summary
   (** Raises [Invalid_argument] on an empty histogram. *)
-end
-
-(** Counter map with pretty totals, used for operation accounting. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
-  (** Sorted by key. *)
-
-  val reset : t -> unit
 end

@@ -48,7 +48,8 @@ let print ~header ~rows = print_string (render ~header ~rows)
 
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@'; '%'; '&' |]
 
-let chart ?(width = 64) ?(height = 18) ~x_label ~y_label ~series () =
+let chart ~x_label ~y_label ~series =
+  let width = 64 and height = 18 in
   let pts = List.concat_map snd series in
   match pts with
   | [] -> "(empty chart)\n"
@@ -100,7 +101,8 @@ let chart ?(width = 64) ?(height = 18) ~x_label ~y_label ~series () =
       series;
     Buffer.contents buf
 
-let bar_chart ?(width = 50) bars =
+let bar_chart bars =
+  let width = 50 in
   let vmax = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 bars in
   let vmax = if vmax <= 0.0 then 1.0 else vmax in
   let label_w =

@@ -10,18 +10,15 @@ val render : header:string list -> rows:string list list -> string
 val print : header:string list -> rows:string list list -> unit
 
 val chart :
-  ?width:int ->
-  ?height:int ->
   x_label:string ->
   y_label:string ->
   series:(string * (float * float) list) list ->
-  unit ->
   string
-(** Multi-series ASCII scatter/line chart. Each series gets a distinct
-    glyph; a legend is appended. *)
+(** Multi-series ASCII scatter/line chart, 64 columns by 18 rows. Each
+    series gets a distinct glyph; a legend is appended. *)
 
-val bar_chart : ?width:int -> (string * float) list -> string
-(** Horizontal bar chart scaled to the maximum value. *)
+val bar_chart : (string * float) list -> string
+(** Horizontal bar chart, 50 columns at the maximum value. *)
 
 val fmt_mbps : float -> string
 (** Format a bandwidth in Mb/s with sensible precision. *)

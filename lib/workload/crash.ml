@@ -216,7 +216,8 @@ type result = {
    duration; the disk's durable-write log at that instant is exactly
    what a crash would leave, and the oracle judges the recovered
    image. *)
-let run_one ?(cfg = default_workload) ~seed ~frac () =
+let run_one ~seed ~frac =
+  let cfg = default_workload in
   let _k, history = run_workload ~seed cfg in
   let crash_t = frac *. history.h_end in
   let kernel, _ = run_workload ~until:crash_t ~seed cfg in
@@ -229,7 +230,8 @@ let run_one ?(cfg = default_workload) ~seed ~frac () =
    ones mid-final-fsync. The recording pass is shared per seed. The
    first [runs mod seeds] seeds take one extra point, so exactly [runs]
    points run. *)
-let run_many ?(cfg = default_workload) ?(seeds = 25) ?(runs = 1000) () =
+let run_many ?(seeds = 25) ?(runs = 1000) () =
+  let cfg = default_workload in
   let per_seed = runs / max 1 seeds and extra = runs mod max 1 seeds in
   let durable_min = ref max_int in
   let durable_max = ref 0 in

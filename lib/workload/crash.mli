@@ -66,10 +66,9 @@ val check :
   string list
 (** The oracle: failure descriptions (empty = consistent). *)
 
-val run_one :
-  ?cfg:wl_config -> seed:int64 -> frac:float -> unit -> int * string list
-(** Record a full run, crash a twin at [frac] of its duration. Returns
-    (durable writes at the crash, failures). *)
+val run_one : seed:int64 -> frac:float -> int * string list
+(** Record a full {!default_workload} run, crash a twin at [frac] of its
+    duration. Returns (durable writes at the crash, failures). *)
 
 type result = {
   r_points : int;
@@ -79,7 +78,7 @@ type result = {
   r_durable_total : int;
 }
 
-val run_many : ?cfg:wl_config -> ?seeds:int -> ?runs:int -> unit -> result
+val run_many : ?seeds:int -> ?runs:int -> unit -> result
 (** Exactly [runs] randomized crash points spread over [seeds] distinct
     workloads (default 1000 over 25; the first [runs mod seeds] seeds
     take one extra point); the recording pass is shared per seed and

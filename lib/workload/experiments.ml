@@ -633,7 +633,7 @@ let print_series ~title ~x_label series_list =
       series_list
   in
   print_string
-    (Table.chart ~x_label ~y_label:"Mb/s" ~series:chart_series ())
+    (Table.chart ~x_label ~y_label:"Mb/s" ~series:chart_series)
 
 let print_fig7 () =
   List.iter

@@ -143,8 +143,7 @@ val smoke : unit -> smoke_result
     [sm_trace_json]. Its kernel, labelled ["smoke"], registers with an
     installed sink but prints no metrics block. *)
 
-(** {2 C1M: connection-scale scaffolding (timer wheel + size classes +
-    shards)} *)
+(** {2 C1M: connection-scale scaffolding (timer wheel + size classes)} *)
 
 type c1m_point = {
   c1m_conns : int;  (** concurrent persistent connections held open *)
@@ -170,11 +169,11 @@ type c1m_point = {
 val c1m : ?requests:int -> conns:int -> unit -> c1m_point
 (** One point of the connection-scale sweep: a Flash-Lite server holds
     [conns] persistent connections (each with a one-hour idle timer on
-    the engine's timer wheel, in 16-way sharded connection, filter and
-    latency tables), 64 driver fibers stream [requests] (default 50k)
-    round-robin over the whole population, and the measured phase is
-    bracketed with metrics snapshots and wall-clock stamps. Ends with a
-    100k-op timer cancel+insert churn at full population. *)
+    the engine's timer wheel; the listener keeps only their count),
+    64 driver fibers stream [requests] (default 50k) round-robin over
+    the whole population, and the measured phase is bracketed with
+    metrics snapshots and wall-clock stamps. Ends with a 100k-op timer
+    cancel+insert churn at full population. *)
 
 val print_c1m : c1m_point list -> unit
 

@@ -352,6 +352,172 @@ let test_gds_policy_skip_reinserts () =
     "big still tracked" (Some (1, 0))
     (p.Policy.choose ~eligible:(fun k -> k = (1, 0)))
 
+(* GDS as it was before it moved onto [Iolite_sim.Heap]: a private
+   (priority, stamp, key) tuple heap with the same ordering and the
+   same sift code. The property below pins the shared-heap version to
+   it victim for victim. *)
+module Ref_heap = struct
+  type 'a t = { mutable data : (float * int * 'a) array; mutable len : int }
+
+  let create () = { data = [||]; len = 0 }
+
+  let less (p1, s1, _) (p2, s2, _) = p1 < p2 || (p1 = p2 && s1 < s2)
+
+  let push t entry =
+    let cap = Array.length t.data in
+    if t.len = cap then begin
+      let ndata = Array.make (max 16 (cap * 2)) entry in
+      Array.blit t.data 0 ndata 0 t.len;
+      t.data <- ndata
+    end;
+    t.data.(t.len) <- entry;
+    t.len <- t.len + 1;
+    let i = ref (t.len - 1) in
+    while !i > 0 && less t.data.(!i) t.data.((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      let tmp = t.data.(!i) in
+      t.data.(!i) <- t.data.(p);
+      t.data.(p) <- tmp;
+      i := p
+    done
+
+  let pop t =
+    if t.len = 0 then None
+    else begin
+      let top = t.data.(0) in
+      t.len <- t.len - 1;
+      if t.len > 0 then begin
+        t.data.(0) <- t.data.(t.len);
+        let i = ref 0 and continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+          let m = ref !i in
+          if l < t.len && less t.data.(l) t.data.(!m) then m := l;
+          if r < t.len && less t.data.(r) t.data.(!m) then m := r;
+          if !m = !i then continue := false
+          else begin
+            let tmp = t.data.(!i) in
+            t.data.(!i) <- t.data.(!m);
+            t.data.(!m) <- tmp;
+            i := !m
+          end
+        done
+      end;
+      Some top
+    end
+end
+
+let ref_gds ?(cost = fun _ ~size:_ -> 1.0) () =
+  let cost = ref cost in
+  let infos : (Policy.key, float * int) Hashtbl.t = Hashtbl.create 256 in
+  let heap = Ref_heap.create () in
+  let inflation = ref 0.0 in
+  let stamp = ref 0 in
+  let set k h =
+    incr stamp;
+    Hashtbl.replace infos k (h, !stamp);
+    Ref_heap.push heap (h, !stamp, k)
+  in
+  let priority k ~size =
+    !inflation +. (!cost k ~size /. float_of_int (max 1 size))
+  in
+  let choose ~eligible =
+    let skipped = ref [] in
+    let rec hunt () =
+      match Ref_heap.pop heap with
+      | None -> None
+      | Some ((h, s, k) as entry) -> (
+        match Hashtbl.find_opt infos k with
+        | Some (h', s') when h = h' && s = s' ->
+          if eligible k then begin
+            inflation := Float.max !inflation h;
+            Some entry
+          end
+          else begin
+            skipped := entry :: !skipped;
+            hunt ()
+          end
+        | Some _ | None -> hunt ())
+    in
+    let result = hunt () in
+    List.iter (fun e -> Ref_heap.push heap e) !skipped;
+    Option.map (fun (_, _, k) -> k) result
+  in
+  {
+    Policy.name = "GDS";
+    on_insert = (fun k ~size -> set k (priority k ~size));
+    on_access = (fun k ~size -> set k (priority k ~size));
+    on_remove = (fun k -> Hashtbl.remove infos k);
+    choose;
+    set_cost = Some (fun f -> cost := f);
+  }
+
+type pop =
+  | P_insert of Policy.key * int
+  | P_access of Policy.key * int
+  | P_remove of Policy.key
+  | P_choose of int * bool (* eligibility mask over key slots, evict *)
+
+(* Keys (file 0..5, off 0..2) index bits 0..17 of a [P_choose] mask. *)
+let pkey_bit (f, o) = 1 lsl ((f * 3) + o)
+
+let pop_gen =
+  let open QCheck.Gen in
+  let key = pair (0 -- 5) (0 -- 2) in
+  (* Few distinct sizes, so equal H values exercise the stamp order. *)
+  let size = oneof [ oneofl [ 1; 10; 100; 4096 ]; 1 -- 5000 ] in
+  frequency
+    [
+      (4, map2 (fun k n -> P_insert (k, n)) key size);
+      (4, map2 (fun k n -> P_access (k, n)) key size);
+      (1, map (fun k -> P_remove k) key);
+      (3, map2 (fun m e -> P_choose (m, e)) (0 -- ((1 lsl 18) - 1)) bool);
+    ]
+
+let pcosts : (Policy.key -> size:int -> float) array =
+  [|
+    (fun _ ~size:_ -> 2.0);
+    (fun (f, _) ~size:_ -> float_of_int (f + 1));
+    (fun _ ~size -> float_of_int size);
+  |]
+
+let prop_gds_matches_tuple_heap =
+  QCheck.Test.make ~name:"gds picks the tuple-heap gds victims" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple (list_size (1 -- 80) pop_gen) (0 -- 80)
+           (0 -- (Array.length pcosts - 1)))
+       ~print:(fun (ops, at, c) ->
+         Printf.sprintf "set_cost %d at %d: %s" c at
+           (String.concat ";"
+              (List.map
+                 (function
+                   | P_insert ((f, o), n) -> Printf.sprintf "ins(%d,%d,%d)" f o n
+                   | P_access ((f, o), n) -> Printf.sprintf "acc(%d,%d,%d)" f o n
+                   | P_remove (f, o) -> Printf.sprintf "rm(%d,%d)" f o
+                   | P_choose (m, e) -> Printf.sprintf "choose(%x,%b)" m e)
+                 ops))))
+    (fun (ops, at, c) ->
+      let p = Policy.gds () and r = ref_gds () in
+      let both f = f p; f r in
+      let step i op =
+        if i = at then
+          both (fun q -> Option.get q.Policy.set_cost pcosts.(c));
+        match op with
+        | P_insert (k, size) -> both (fun q -> q.Policy.on_insert k ~size); true
+        | P_access (k, size) -> both (fun q -> q.Policy.on_access k ~size); true
+        | P_remove k -> both (fun q -> q.Policy.on_remove k); true
+        | P_choose (mask, evict) ->
+          let eligible k = mask land pkey_bit k <> 0 in
+          let v = p.Policy.choose ~eligible in
+          let v' = r.Policy.choose ~eligible in
+          (match v with
+          | Some k when evict -> both (fun q -> q.Policy.on_remove k)
+          | Some _ | None -> ());
+          v = v'
+      in
+      List.for_all Fun.id (List.mapi step ops))
+
 let test_unified_trim_via_pageout () =
   (* Unified regime: a small physical memory forces pool chunk allocation
      to trigger pageout, which must evict cache entries (Section 3.7). *)
@@ -877,5 +1043,6 @@ let suites =
         Alcotest.test_case "gds size preference" `Quick test_gds_prefers_small_victims;
         Alcotest.test_case "gds inflation" `Quick test_gds_inflation_protects_recent;
         Alcotest.test_case "gds skip reinserts" `Quick test_gds_policy_skip_reinserts;
+        QCheck_alcotest.to_alcotest prop_gds_matches_tuple_heap;
       ] );
   ]

@@ -419,55 +419,6 @@ let test_flash_lite_faster_than_flash_large_file () =
   let t_conv = time_server Flash.Conventional in
   Alcotest.(check bool) "IO-Lite serves faster" true (t_iolite < t_conv)
 
-(* Sharding must be invisible to the simulation: the same deterministic
-   workload against a 1-shard and an 8-shard server produces identical
-   request streams, and the merged latency histogram must equal the
-   unsharded one field for field. *)
-let test_latency_shards_merge_exact () =
-  let run ~shards =
-    let _, kernel = mk () in
-    ignore (Kernel.add_file kernel ~name:"/doc" ~size:4_000);
-    let server =
-      Flash.start ~variant:Flash.Iolite ~lat_shards:shards ~conn_shards:shards
-        kernel ~port:80
-    in
-    for c = 1 to 6 do
-      Engine.spawn (Kernel.engine kernel) (fun () ->
-          let conn = Sock.connect kernel (Flash.listener server) in
-          for _ = 1 to 3 + (c mod 3) do
-            ignore
-              (Sock.request conn (Http.request_string ~keep_alive:true "/doc"))
-          done;
-          Sock.close conn)
-    done;
-    Engine.run (Kernel.engine kernel);
-    ( Flash.latency_shard_count server,
-      Flash.requests server,
-      Flash.latency_stats server )
-  in
-  let n1, r1, s1 = run ~shards:1 in
-  let n8, r8, s8 = run ~shards:8 in
-  Alcotest.(check int) "unsharded baseline" 1 n1;
-  Alcotest.(check int) "eight shards" 8 n8;
-  Alcotest.(check int) "same requests" r1 r8;
-  match (s1, s8) with
-  | Some a, Some b ->
-    let open Iolite_util.Stats in
-    Alcotest.(check int) "same count" a.count b.count;
-    List.iter
-      (fun (name, x, y) -> Alcotest.(check (float 0.0)) name x y)
-      [
-        ("p50", a.p50, b.p50);
-        ("p90", a.p90, b.p90);
-        ("p99", a.p99, b.p99);
-        ("min", a.min, b.min);
-        ("max", a.max, b.max);
-      ];
-    (* The mean is a running float sum: per-shard accumulation changes
-       the addition order, so allow last-ulp noise there. *)
-    Alcotest.(check (float 1e-12)) "mean" a.mean b.mean
-  | _ -> Alcotest.fail "latency stats missing"
-
 let suites =
   [
     ( "httpd.http",
@@ -490,8 +441,6 @@ let suites =
         Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
         Alcotest.test_case "apache workers" `Quick test_apache_parallel_workers;
         Alcotest.test_case "iolite faster" `Quick test_flash_lite_faster_than_flash_large_file;
-        Alcotest.test_case "latency shards merge exact" `Quick
-          test_latency_shards_merge_exact;
       ] );
     ( "httpd.cksum",
       [

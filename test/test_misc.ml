@@ -247,11 +247,10 @@ let test_chart_renders () =
   let s =
     Iolite_util.Table.chart ~x_label:"x" ~y_label:"y"
       ~series:[ ("a", [ (0.0, 1.0); (1.0, 2.0) ]); ("b", [ (0.0, 2.0) ]) ]
-      ()
   in
   Alcotest.(check bool) "nonempty" true (String.length s > 100);
   Alcotest.(check string) "empty chart" "(empty chart)\n"
-    (Iolite_util.Table.chart ~x_label:"x" ~y_label:"y" ~series:[] ())
+    (Iolite_util.Table.chart ~x_label:"x" ~y_label:"y" ~series:[])
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200

@@ -197,7 +197,11 @@ let test_trace_events_and_json () =
 let test_trace_json_string () =
   Alcotest.(check string)
     "quote, backslash, control byte, UTF-8" {|"say \"hi\" C:\\x \u0001 café"|}
-    (Trace.json_string "say \"hi\" C:\\x \001 caf\xc3\xa9")
+    (Trace.json_string "say \"hi\" C:\\x \001 caf\xc3\xa9");
+  Alcotest.(check string) "valid UTF-8 unchanged" {|"café"|}
+    (Trace.json_string "café");
+  Alcotest.(check string) "invalid UTF-8 byte as \\u00XX" {|"caf\u00e9"|}
+    (Trace.json_string "caf\xe9")
 
 let test_trace_sink () =
   let mk label =

@@ -767,8 +767,7 @@ let test_sock_persistent_multiple_requests () =
 
 let test_sock_idle_timeout_expires () =
   let _, kernel = mk () in
-  let listener = Sock.listen ~shards:4 ~idle_timeout:5.0 kernel ~port:80 in
-  Alcotest.(check int) "shard count rounded" 4 (Sock.shard_count listener);
+  let listener = Sock.listen ~idle_timeout:5.0 kernel ~port:80 in
   let server_saw_close = ref false in
   ignore
     (Process.spawn kernel ~name:"server" (fun proc ->
@@ -785,12 +784,12 @@ let test_sock_idle_timeout_expires () =
       Engine.Proc.sleep 0.1;
       registered := Sock.live_conns listener);
   Engine.run (Kernel.engine kernel);
-  Alcotest.(check int) "conn in sharded table while open" 1 !registered;
+  Alcotest.(check int) "conn live while open" 1 !registered;
   Alcotest.(check bool) "server unblocked by idle reaper" true
     !server_saw_close;
   Alcotest.(check int) "idle close counted" 1
     (Counter.get (Kernel.metrics kernel) "sock.idle_closed");
-  Alcotest.(check int) "table empty after teardown" 0
+  Alcotest.(check int) "no live conns after teardown" 0
     (Sock.live_conns listener);
   Alcotest.(check bool) "reaped at the timeout, not before" true
     (Engine.now (Kernel.engine kernel) >= 5.0)

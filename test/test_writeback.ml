@@ -345,7 +345,7 @@ let test_crash_directed_points () =
      flush) and very late (mid final fsync). *)
   List.iter
     (fun frac ->
-      let durable, failures = Crash.run_one ~seed:424242L ~frac () in
+      let durable, failures = Crash.run_one ~seed:424242L ~frac in
       ignore durable;
       Alcotest.(check (list string))
         (Printf.sprintf "no failures at frac %.2f" frac)
@@ -405,7 +405,7 @@ let prop_crash_consistent =
     (fun (s, f) ->
       let seed = Int64.of_int (7001 + (s * 13)) in
       let frac = 0.02 +. (float_of_int f /. 100.0) in
-      let _durable, failures = Crash.run_one ~seed ~frac () in
+      let _durable, failures = Crash.run_one ~seed ~frac in
       failures = [])
 
 (* -------------------- dirty accounting invariant ------------------ *)
