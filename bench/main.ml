@@ -676,7 +676,7 @@ let run_obs ~label ~out =
     (best "disabled_flow" (fun () ->
          sink := !sink + 1;
          if Iolite_obs.Flow.enabled flow then
-           Iolite_obs.Flow.step flow ~id:1 ()));
+           Trace.flow_step tr ~id:1 ()));
   let attr = Iolite_obs.Attrib.create () in
   record
     (best "disabled_attrib" (fun () ->

@@ -9,18 +9,6 @@ let scale_arg =
   in
   Cmdliner.Arg.(value & opt float 1.0 & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
 
-let verbose_arg =
-  let doc = "Enable subsystem logging to stderr (repeat for debug)." in
-  Cmdliner.Arg.(value & flag_all & info [ "v"; "verbose" ] ~doc)
-
-let log_arg =
-  let doc =
-    "Per-source log level override, e.g. $(b,iolite.cache=debug) or \
-     $(b,httpd=off). Repeatable; implies logging setup."
-  in
-  Cmdliner.Arg.(
-    value & opt_all string [] & info [ "log" ] ~docv:"SOURCE=LEVEL" ~doc)
-
 let metrics_arg =
   let doc =
     "Print each experiment point's metrics-registry snapshot and request \
@@ -36,18 +24,6 @@ let trace_arg =
   in
   Cmdliner.Arg.(
     value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let with_logging verbose directives =
-  (match verbose with
-  | [] -> if directives <> [] then Iolite_util.Logging.setup ~level:Logs.Warning ()
-  | [ _ ] -> Iolite_util.Logging.setup ~level:Logs.Info ()
-  | _ -> Iolite_util.Logging.setup ~level:Logs.Debug ());
-  List.iter
-    (fun d ->
-      match Iolite_util.Logging.apply_directive d with
-      | Ok () -> ()
-      | Error msg -> Printf.eprintf "--log %s: %s\n%!" d msg)
-    directives
 
 (* Install observability per the flags, run the thunk, then flush the
    trace sink to disk. *)
@@ -70,24 +46,20 @@ let with_observability ~metrics ~trace_out f =
     f
 
 let series_cmd name title x_label runner =
-  let run verbose directives metrics trace_out scale =
-    with_logging verbose directives;
+  let run metrics trace_out scale =
     with_observability ~metrics ~trace_out (fun () ->
         E.print_series ~title ~x_label (runner ~scale ()))
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info name ~doc:title)
-    Cmdliner.Term.(
-      const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg $ scale_arg)
+    Cmdliner.Term.(const run $ metrics_arg $ trace_arg $ scale_arg)
 
 let unit_cmd name doc run =
-  let run verbose directives metrics trace_out scale =
-    with_logging verbose directives;
+  let run metrics trace_out scale =
     with_observability ~metrics ~trace_out (fun () -> run scale)
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info name ~doc)
-    Cmdliner.Term.(
-      const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg $ scale_arg)
+    Cmdliner.Term.(const run $ metrics_arg $ trace_arg $ scale_arg)
 
 let cmds =
   [
@@ -125,8 +97,7 @@ let cmds =
          & pos 0 (enum [ ("ece", `Ece); ("cs", `Cs); ("merged", `Merged) ]) `Ece
          & info [] ~docv:"TRACE" ~doc:"Trace to inspect: ece, cs or merged.")
      in
-     let run verbose which =
-       with_logging verbose [];
+     let run which =
        let module Trace = Iolite_workload.Trace in
        let spec =
          match which with
@@ -157,7 +128,7 @@ let cmds =
      in
      Cmdliner.Cmd.v
        (Cmdliner.Cmd.info "trace" ~doc:"Inspect a synthesized trace")
-       Cmdliner.Term.(const run $ verbose_arg $ trace_name));
+       Cmdliner.Term.(const run $ trace_name));
     (let conns_arg =
        Cmdliner.Arg.(
          value
@@ -174,8 +145,7 @@ let cmds =
          & info [ "requests" ] ~docv:"N"
              ~doc:"Measured-phase requests per point (default 50000).")
      in
-     let run verbose directives conns requests =
-       with_logging verbose directives;
+     let run conns requests =
        E.print_c1m (List.map (fun n -> E.c1m ?requests ~conns:n ()) conns)
      in
      Cmdliner.Cmd.v
@@ -185,10 +155,8 @@ let cmds =
              (one timer-wheel idle timer each) and measure per-request \
              wall cost, latency percentiles, warm-phase fresh \
              allocations, and timer churn at full population")
-       Cmdliner.Term.(
-         const run $ verbose_arg $ log_arg $ conns_arg $ requests_arg));
-    (let run verbose directives scale =
-       with_logging verbose directives;
+       Cmdliner.Term.(const run $ conns_arg $ requests_arg));
+    (let run scale =
        let points = E.async_sweep ~scale () in
        E.print_async points;
        E.print_async_tail points
@@ -200,7 +168,7 @@ let cmds =
              pressure), measuring foreground small-file latency \
              percentiles under a background scan, disk utilization, \
              batching, miss coalescing and readahead accuracy")
-       Cmdliner.Term.(const run $ verbose_arg $ log_arg $ scale_arg));
+       Cmdliner.Term.(const run $ scale_arg));
     (let crash_arg =
        Cmdliner.Arg.(
          value & opt int 0
@@ -211,8 +179,7 @@ let cmds =
                 BENCH_write.json uses 1000) and report oracle failures; \
                 exit 1 if there are any.")
      in
-     let run verbose directives metrics trace_out crash_points =
-       with_logging verbose directives;
+     let run metrics trace_out crash_points =
        with_observability ~metrics ~trace_out (fun () ->
            E.print_write (E.write_seq_point () :: E.write_cawl_sweep ()));
        if crash_points > 0 then begin
@@ -232,11 +199,8 @@ let cmds =
              CAWL burst sweep at two sync-daemon flush intervals \
              (memory-speed vs. disk-bound regimes either side of the \
              dirty-limit knee)")
-       Cmdliner.Term.(
-         const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg
-         $ crash_arg));
-    (let run verbose directives metrics trace_out scale =
-       with_logging verbose directives;
+       Cmdliner.Term.(const run $ metrics_arg $ trace_arg $ crash_arg));
+    (let run metrics trace_out scale =
        with_observability ~metrics ~trace_out (fun () ->
            (* Sweep first, so its metrics blocks precede the probe's. *)
            let points = E.tier_sweep ~scale () in
@@ -250,17 +214,14 @@ let cmds =
              second tier with demotion/promotion traffic decomposed, \
              plus the three-class latency probe (DRAM hit, warm tier \
              hit, cold disk fill)")
-       Cmdliner.Term.(
-         const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg
-         $ scale_arg));
-    (let run verbose directives metrics trace_out =
-       with_logging verbose directives;
+       Cmdliner.Term.(const run $ metrics_arg $ trace_arg $ scale_arg));
+    (let run metrics trace_out =
        let r = E.smoke () in
        (match trace_out with
        | Some path ->
-         let oc = open_out path in
-         output_string oc r.E.sm_trace_json;
-         close_out oc;
+         let sink = Iolite_obs.Trace.Sink.create () in
+         Iolite_obs.Trace.Sink.absorb sink ~label:"smoke" r.E.sm_trace;
+         Iolite_obs.Trace.Sink.write sink path;
          Printf.eprintf "trace written to %s\n%!" path
        | None -> ());
        Printf.printf "smoke: %d requests" r.E.sm_requests;
@@ -287,8 +248,7 @@ let cmds =
           ~doc:
             "Small deterministic Flash-Lite run exercising the telemetry \
              stack (static + CGI, tracing armed)")
-       Cmdliner.Term.(
-         const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg));
+       Cmdliner.Term.(const run $ metrics_arg $ trace_arg));
     (let filter_arg =
        Cmdliner.Arg.(
          value
@@ -298,8 +258,7 @@ let cmds =
                "Only show metrics whose dotted name starts with $(docv) \
                 (e.g. $(b,cache.) or $(b,net.)).")
      in
-     let report verbose directives filter =
-       with_logging verbose directives;
+     let report filter =
        let r = E.smoke () in
        let keep k =
          match filter with
@@ -345,7 +304,7 @@ let cmds =
               "Run the deterministic smoke workload and render its metrics \
                registry — per-phase (cold/warm) counter deltas against the \
                final snapshot — as an aligned table")
-         Cmdliner.Term.(const report $ verbose_arg $ log_arg $ filter_arg)
+         Cmdliner.Term.(const report $ filter_arg)
      in
      Cmdliner.Cmd.group
        (Cmdliner.Cmd.info "obs" ~doc:"Observability reports")

@@ -2,8 +2,6 @@ module Metrics = Iolite_obs.Metrics
 module Trace = Iolite_obs.Trace
 module Attrib = Iolite_obs.Attrib
 
-let log = Iolite_util.Logging.src "cache"
-
 type entry = {
   efile : int;
   eoff : int;
@@ -94,9 +92,6 @@ type t = {
   cells : cells;
   mutable slices : int; (* total pinned slices, from cached Agg.num_slices *)
   mutable capacity : (unit -> int) option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
   mutable dirty : int; (* total dirty bytes across files *)
   file_dirty : (int, int) Hashtbl.t; (* file -> dirty bytes, when > 0 *)
   mutable gen : int; (* dirty-generation allocator *)
@@ -245,17 +240,12 @@ let evict_one t =
             ~data:(snapshot [ e ] ~len:e.elen)
         | _ -> ());
         drop_entry t e;
-        t.evictions <- t.evictions + 1;
         incr t.cells.cc_eviction;
         (let tr = Iosys.trace t.sys in
          if Trace.enabled tr then
            Trace.instant tr ~cat:"cache" ~name:"evict"
              ~args:[ ("file", Int e.efile); ("bytes", Int e.elen) ]
              ());
-        Logs.debug ~src:log (fun m ->
-            m "evicted file %d [%d,+%d) under %s; %d entries / %d bytes remain"
-              e.efile e.eoff e.elen t.policy.Policy.name (Map.count t.map)
-              (Map.total_bytes t.map));
         e.elen
       end
   in
@@ -292,9 +282,6 @@ let create ?(policy = Policy.lru ()) ?(register_with_pageout = true) sys () =
         };
       slices = 0;
       capacity = None;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
       dirty = 0;
       file_dirty = Hashtbl.create 16;
       gen = 0;
@@ -356,13 +343,11 @@ let trace_note t event ~file ~bytes =
       ()
 
 let miss t ~file ~len =
-  t.misses <- t.misses + 1;
   incr t.cells.cc_miss;
   trace_note t "miss" ~file ~bytes:len;
   None
 
 let hit t ~file ~len =
-  t.hits <- t.hits + 1;
   incr t.cells.cc_hit;
   trace_note t "hit" ~file ~bytes:len
 
@@ -505,14 +490,9 @@ let fill_single_flight t ~file ?(off = 0) fill =
           ~args:[ ("at", Str "fill_coalesced"); ("leader", Int leader) ]
           ()
     end;
-    if Attrib.enabled a && ctx > 0 then begin
-      (* The follower's whole suspension is time spent waiting on the
-         leader's in-flight fill. *)
-      let t0 = Attrib.now a in
-      Iolite_sim.Sync.Ivar.read iv;
-      Attrib.note ~leader a ~ctx Attrib.Coalesced_wait (Attrib.now a -. t0)
-    end
-    else Iolite_sim.Sync.Ivar.read iv;
+    (* The follower's whole suspension is time spent waiting on the
+       leader's in-flight fill. *)
+    Attrib.timed ~leader a Attrib.Coalesced_wait Iolite_sim.Sync.Ivar.read iv;
     false
   | None ->
     let iv = Iolite_sim.Sync.Ivar.create () in
@@ -654,9 +634,6 @@ let ack_cluster t c =
 let total_bytes t = Map.total_bytes t.map
 let total_slices t = t.slices
 let entry_count t = Map.count t.map
-let hits t = t.hits
-let misses t = t.misses
-let evictions t = t.evictions
 
 let check t =
   Map.check t.map;

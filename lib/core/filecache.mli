@@ -190,11 +190,6 @@ val total_slices : t -> int
     incrementally from the aggregates' O(1) [Agg.num_slices]. *)
 
 val entry_count : t -> int
-val hits : t -> int
-val misses : t -> int
-(** [misses] counts [lookup] calls that returned [None]. *)
-
-val evictions : t -> int
 
 val entries : t -> file:int -> (int * int) list
 (** [(offset, length)] of each cached entry of [file], ascending by

@@ -65,9 +65,9 @@ val trace : t -> Iolite_obs.Trace.t
     which owns the virtual clock). *)
 
 val flow : t -> Iolite_obs.Flow.t
-(** The kernel-wide flow-id allocator/emitter (shares {!trace}).
-    Request ids are per kernel, so same-seed runs allocate
-    identically. *)
+(** The kernel-wide flow-id allocator, enabled with {!trace}; flow
+    events go through {!trace}. Request ids are per kernel, so
+    same-seed runs allocate identically. *)
 
 val attrib : t -> Iolite_obs.Attrib.t
 (** The kernel-wide wait-state attribution collector (created

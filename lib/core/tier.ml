@@ -1,8 +1,6 @@
 module Metrics = Iolite_obs.Metrics
 module Trace = Iolite_obs.Trace
 
-let log = Iolite_util.Logging.src "tier"
-
 (* A resident extent: bytes by value (the tier is its own pool — nothing
    here pins DRAM buffers), with the dirty-generation stamp of the bytes
    and the write-ahead pin. Entries never overlap within a file. *)
@@ -38,7 +36,6 @@ type t = {
   map : Map.t;
   cells : cells;
   mutable staged : int;
-  mutable evictions : int;
   mutable capacity : (unit -> int) option;
   mutable charge : (float -> unit) option;
 }
@@ -67,7 +64,6 @@ let create ?(policy = Policy.gds ()) sys () =
         tc_evict = Metrics.counter m "cache.tier.evict";
       };
     staged = 0;
-    evictions = 0;
     capacity = None;
     charge = None;
   }
@@ -81,7 +77,6 @@ let write_time _ ~bytes = float_of_int bytes /. bytes_per_sec
 let total_bytes t = Map.total_bytes t.map
 let staged_bytes t = t.staged
 let entry_count t = Map.count t.map
-let evictions t = t.evictions
 
 let trace_instant t ~name ~file ~bytes =
   let tr = Iosys.trace t.sys in
@@ -143,7 +138,6 @@ let enforce_capacity t =
       match Map.victim t.map t.policy ~eligible:(fun e -> not e.zstaged) with
       | Some e ->
         drop_entry t e;
-        t.evictions <- t.evictions + 1;
         incr t.cells.tc_evict;
         trace_instant t ~name:"evict" ~file:e.zfile ~bytes:e.zlen
       | None -> progress := false
@@ -175,11 +169,7 @@ let admit t ~staged ~file ~off ~gen data =
         incr t.cells.tc_demote;
         trace_instant t ~name:"demote" ~file ~bytes:len
       end;
-      if not staged then enforce_capacity t;
-      Logs.debug ~src:log (fun m ->
-          m "%s file %d [%d,+%d) gen %d; %d entries / %d bytes resident"
-            (if staged then "staged" else "demoted")
-            file off len gen (entry_count t) (total_bytes t))
+      if not staged then enforce_capacity t
     end
   end
 
@@ -231,9 +221,6 @@ let promote t ~file ~off ~len =
     incr t.cells.tc_hit;
     incr t.cells.tc_promote;
     trace_instant t ~name:"promote" ~file ~bytes:len;
-    Logs.debug ~src:log (fun m ->
-        m "promoted file %d [%d,+%d); %d entries / %d bytes remain" file off
-          len (entry_count t) (total_bytes t));
     Some data
   end
 

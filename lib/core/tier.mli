@@ -99,7 +99,6 @@ val covered : t -> file:int -> off:int -> len:int -> bool
 val total_bytes : t -> int
 val staged_bytes : t -> int
 val entry_count : t -> int
-val evictions : t -> int
 
 val entries : t -> file:int -> (int * string * int * bool) list
 (** [(off, bytes, gen, staged)] in offset order — the test oracle's

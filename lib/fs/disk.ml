@@ -272,13 +272,8 @@ let blocking ?data t op ~file ~off ~bytes =
   let ctx =
     if Attrib.enabled a || Trace.enabled t.trace then Attrib.here a else 0
   in
-  if Attrib.enabled a && ctx > 0 then begin
-    (* Submit-ring admission wait is queueing on the request. *)
-    let t0 = Attrib.now a in
-    Sync.Semaphore.acquire t.ring;
-    Attrib.note a ~ctx Queue (Attrib.now a -. t0)
-  end
-  else Sync.Semaphore.acquire t.ring;
+  (* Submit-ring admission wait is queueing on the request. *)
+  Attrib.timed a Queue Sync.Semaphore.acquire t.ring;
   (* A freshly spawned dispatcher only runs once this fiber parks, so
      it observes the request pushed by the register closure. *)
   ensure_dispatcher t;

@@ -13,8 +13,6 @@ module Hist = Iolite_util.Stats.Hist
 
 type variant = Conventional | Iolite | Sendfile
 
-let log = Iolite_util.Logging.src "httpd"
-
 let request_overhead = 45e-6
 
 (* LRU cache of mmapped files, bounded by a dynamic byte budget (Flash
@@ -196,9 +194,7 @@ let handle t proc mapcache conn =
               [ ("path", Trace.Str rpath); ("bytes", Trace.Int !sent_cell) ]
             ();
           if rid > 0 then
-            Iolite_obs.Flow.finish (Kernel.flow t.kernel) ~id:rid
-              ~args:[ ("path", Trace.Str rpath) ]
-              ()
+            Trace.flow_finish tr ~id:rid ~args:[ ("path", Trace.Str rpath) ] ()
         end;
         if rid > 0 then Iolite_obs.Attrib.end_request a ~ctx:rid
       in
@@ -242,16 +238,6 @@ let start ?(variant = Iolite) ?cgi_doc_size ?cgi_mode ?policy ?idle_timeout
   let t =
     { kernel; listener; variant; requests = 0; response_bytes = 0; cgi = None }
   in
-  Logs.info ~src:log (fun m ->
-      m "starting %s on port %d%s"
-        (match variant with
-        | Iolite -> "Flash-Lite"
-        | Conventional -> "Flash"
-        | Sendfile -> "Flash (sendfile)")
-        port
-        (match cgi_doc_size with
-        | Some n -> Printf.sprintf " with a %d-byte FastCGI app" n
-        | None -> ""));
   let _server =
     Process.spawn kernel ~name:"flash" (fun proc ->
         (match variant with

@@ -2,8 +2,6 @@ module Rng = Iolite_util.Rng
 module Trace = Iolite_obs.Trace
 module Attrib = Iolite_obs.Attrib
 
-let log = Iolite_util.Logging.src "pageout"
-
 type segment = {
   name : string;
   is_io_cache : bool;
@@ -81,7 +79,7 @@ let pick_segment t =
     walk 0 sizes
   end
 
-let run_round t ~needed =
+let run_round t needed =
   (* Memory pressure starts a clustered flush of the dirty backlog (a
      non-blocking kick): dirty cache entries become clean — and so
      evictable without the per-victim flush path — by the time later
@@ -152,10 +150,6 @@ let run_round t ~needed =
     Trace.instant t.trace ~cat:"vm" ~name:"pageout"
       ~args:[ ("needed", Int needed); ("freed", Int !freed) ]
       ();
-  Logs.debug ~src:log (fun m ->
-      m "pageout: needed %d, freed %d (lifetime: %d pages selected, %d io, %d entry evictions, %d victim writes)"
-        needed !freed t.total_selected t.total_io_selected t.total_evicted
-        t.total_swap_writes);
   !freed
 
 (* The whole reclaim round — victim selection, submit-ring backpressure
@@ -165,19 +159,11 @@ let run_round t ~needed =
    are not separately charged: victim writes are submitted
    asynchronously (only blocking reads carry disk attribution). *)
 let run t ~needed =
-  let a = t.attrib in
-  if not (Attrib.enabled a) then run_round t ~needed
-  else begin
-    let ctx = Attrib.here a in
-    if ctx <> 0 && Trace.enabled t.trace then
-      Trace.flow_step t.trace ~id:ctx
-        ~args:[ ("at", Str "pageout") ]
-        ();
-    let t0 = Attrib.now a in
-    let freed = run_round t ~needed in
-    Attrib.note a ~ctx Vm_stall (Attrib.now a -. t0);
-    freed
-  end
+  (if Trace.enabled t.trace then
+     let ctx = Attrib.here t.attrib in
+     if ctx <> 0 then
+       Trace.flow_step t.trace ~id:ctx ~args:[ ("at", Str "pageout") ] ());
+  Attrib.timed t.attrib Vm_stall (run_round t) needed
 
 let install t =
   Physmem.set_low_memory_hook t.physmem (fun ~needed -> run t ~needed)

@@ -59,17 +59,6 @@ let enable t ~clock ~ctx =
 let now t = t.clock ()
 let here t = t.ctx ()
 
-let clear t =
-  Hashtbl.reset t.active;
-  t.slowest <- [];
-  t.completed <- 0;
-  t.tot_wall <- 0.0;
-  t.tot_queue <- 0.0;
-  t.tot_disk <- 0.0;
-  t.tot_coalesced <- 0.0;
-  t.tot_vm <- 0.0;
-  t.tot_cpu <- 0.0
-
 let begin_request t ~ctx ~tag =
   if t.enabled && ctx > 0 then
     Hashtbl.replace t.active ctx
@@ -153,6 +142,18 @@ let note ?(leader = 0) t ~ctx cause dt =
         if leader <> 0 then r.ar_coalesced_on <- leader
       | Vm_stall -> r.ar_vm <- r.ar_vm +. dt
       | Cpu -> r.ar_cpu <- r.ar_cpu +. dt)
+
+let timed ?leader t cause f x =
+  if not t.enabled then f x
+  else
+    let ctx = t.ctx () in
+    if ctx <= 0 then f x
+    else begin
+      let t0 = t.clock () in
+      let v = f x in
+      note ?leader t ~ctx cause (t.clock () -. t0);
+      v
+    end
 
 let slowest t = t.slowest
 let completed t = t.completed

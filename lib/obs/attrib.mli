@@ -9,9 +9,10 @@
     decomposition of the request's wall time; the slowest 16 land in a
     bounded, deterministic reservoir for the tail profiler.
 
-    Like the tracer, an [Attrib.t] starts disabled and every recording
-    site guards with [if Attrib.enabled a then ...] — one bool load
-    and branch on the hot path when off. Only {e positive} contexts
+    Like the tracer, an [Attrib.t] starts disabled, and a blocking edge
+    runs its call through {!timed} (or guards with
+    [if Attrib.enabled a then ...]) — one bool load and branch on the
+    hot path when off. Only {e positive} contexts
     are charged (see [Engine.ctx]: 0 = no request, negative =
     detached prefetch work). *)
 
@@ -47,12 +48,11 @@ val enabled : t -> bool
 (** The one-branch guard recording sites use. *)
 
 val now : t -> float
-(** Clock reading, for call sites bracketing an interval. *)
+(** Clock reading, for intervals {!timed} cannot bracket (the disk
+    dispatcher's queue residency and service split). *)
 
 val here : t -> int
 (** The running fiber's flow context (0 outside any request). *)
-
-val clear : t -> unit
 
 (** {2 Recording} *)
 
@@ -70,6 +70,13 @@ val note : ?leader:int -> t -> ctx:int -> cause -> float -> unit
     request [ctx]. [leader] tags a [Coalesced_wait] with the leader's
     flow id (the fill the follower piggybacked on). Ignored for
     unknown/non-positive contexts and non-positive [dt]. *)
+
+val timed : ?leader:int -> t -> cause -> ('a -> 'b) -> 'a -> 'b
+(** [timed t cause f x] is [f x], a call that may block; when the
+    running fiber's context is a request, the virtual time the call
+    took is {!note}d against it as [cause] (with [leader]). Disabled,
+    it costs one bool test on top of the call; passing [f] and [x]
+    rather than a thunk lets a call site allocate no closure. *)
 
 (** {2 Reading} *)
 

@@ -5,7 +5,6 @@
 type t = { tr : Trace.t; mutable next : int }
 
 let create tr = { tr; next = 0 }
-let trace t = t.tr
 let[@inline] enabled t = Trace.enabled t.tr
 
 let fresh t =
@@ -17,7 +16,3 @@ let fresh t =
    negative means detached — stitchable into the flow (abs value) but
    not charged wait attribution. *)
 let detach id = -abs id
-
-let start t ~id ?args () = Trace.flow_start t.tr ~id ?args ()
-let step t ~id ?args () = Trace.flow_step t.tr ~id ?args ()
-let finish t ~id ?args () = Trace.flow_finish t.tr ~id ?args ()

@@ -1,13 +1,13 @@
-(** Per-kernel flow (request) identity and Chrome flow-event emission.
+(** Per-kernel flow (request) identity.
 
-    One [Flow.t] per simulated kernel wraps its tracer with a
-    deterministic id allocator. A request id is allocated at the
+    One [Flow.t] per simulated kernel pairs its tracer's enabled flag
+    with a deterministic id allocator. A request id is allocated at the
     packet-filter/accept demux (HTTP path) or at job start (workload
     harnesses), installed as the fiber's flow context ([Engine.ctx]),
     and rides suspensions and spawns from there; subsystems emit
-    [ph:"s"/"t"/"f"] events against it so Perfetto stitches the
-    request across sock, syscall, cache, disk-dispatcher and pageout
-    fibers.
+    [Trace.flow_start]/[flow_step]/[flow_finish] against it so Perfetto
+    stitches the request across sock, syscall, cache, disk-dispatcher
+    and pageout fibers.
 
     {b Context conventions}: context [0] = no request; positive = the
     request's flow id, charged wait-state attribution ({!Attrib});
@@ -18,7 +18,6 @@
 type t
 
 val create : Trace.t -> t
-val trace : t -> Trace.t
 
 val enabled : t -> bool
 (** Mirrors [Trace.enabled] — the same one-branch guard. *)
@@ -28,11 +27,3 @@ val fresh : t -> int
 
 val detach : int -> int
 (** The detached (negative) form of a context. *)
-
-val start :
-  t -> id:int -> ?args:(string * Trace.arg) list -> unit -> unit
-
-val step : t -> id:int -> ?args:(string * Trace.arg) list -> unit -> unit
-
-val finish :
-  t -> id:int -> ?args:(string * Trace.arg) list -> unit -> unit

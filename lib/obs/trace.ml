@@ -16,18 +16,14 @@ type event = {
   eargs : (string * arg) list;
 }
 
-(* Events live in a growable circular array: push is O(1) amortized and
-   the ring-buffer mode (set_capacity) bounds it, overwriting the oldest
-   event and counting the drop. *)
+(* Events live in a growable array, oldest first: push is O(1)
+   amortized. *)
 type t = {
   mutable enabled : bool;
   mutable clock : unit -> float;
   mutable scope : unit -> string option;
   mutable buf : event array;
-  mutable head : int; (* index of the oldest retained event *)
-  mutable len : int; (* retained events *)
-  mutable capacity : int; (* 0 = unbounded *)
-  mutable dropped : int; (* events overwritten by ring wrap-around *)
+  mutable len : int;
 }
 
 let dummy_event =
@@ -39,10 +35,7 @@ let create () =
     clock = (fun () -> 0.0);
     scope = (fun () -> None);
     buf = [||];
-    head = 0;
     len = 0;
-    capacity = 0;
-    dropped = 0;
   }
 
 let[@inline] enabled t = t.enabled
@@ -54,63 +47,21 @@ let enable t ~clock ~scope =
 
 let now t = t.clock ()
 let event_count t = t.len
-let dropped t = t.dropped
 
 let clear t =
   t.buf <- [||];
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0
-
-(* Copy the retained events (oldest first) into a fresh backing array of
-   size [ncap >= t.len], resetting head to 0. *)
-let rebuild t ncap =
-  let old_cap = Array.length t.buf in
-  let nb = Array.make (max ncap 1) dummy_event in
-  for i = 0 to t.len - 1 do
-    nb.(i) <- t.buf.((t.head + i) mod old_cap)
-  done;
-  t.buf <- nb;
-  t.head <- 0
-
-let set_capacity t cap =
-  match cap with
-  | None -> t.capacity <- 0
-  | Some n ->
-    if n <= 0 then invalid_arg "Trace.set_capacity: capacity must be positive";
-    if t.len > n then begin
-      (* Drop the oldest surplus before shrinking the backing array. *)
-      let surplus = t.len - n in
-      t.head <- (t.head + surplus) mod Array.length t.buf;
-      t.len <- n;
-      t.dropped <- t.dropped + surplus
-    end;
-    if Array.length t.buf <> n then rebuild t n;
-    t.capacity <- n
+  t.len <- 0
 
 let tid t = match t.scope () with Some name -> name | None -> "kernel"
 
 let push t e =
-  let cap = Array.length t.buf in
-  if t.len < cap then begin
-    t.buf.((t.head + t.len) mod cap) <- e;
-    t.len <- t.len + 1
-  end
-  else if t.capacity > 0 && t.len >= t.capacity then begin
-    (* Bounded and full: overwrite the oldest in place. *)
-    t.buf.(t.head) <- e;
-    t.head <- (t.head + 1) mod cap;
-    t.dropped <- t.dropped + 1
-  end
-  else begin
-    let ncap =
-      let doubled = if cap = 0 then 64 else cap * 2 in
-      if t.capacity > 0 then min doubled t.capacity else doubled
-    in
-    rebuild t ncap;
-    t.buf.(t.len) <- e;
-    t.len <- t.len + 1
-  end
+  if t.len = Array.length t.buf then begin
+    let nb = Array.make (max 64 (2 * t.len)) dummy_event in
+    Array.blit t.buf 0 nb 0 t.len;
+    t.buf <- nb
+  end;
+  t.buf.(t.len) <- e;
+  t.len <- t.len + 1
 
 (* Callers guard with [if Trace.enabled t then ...]; these re-check so an
    unguarded call is still correct, just marginally slower. *)
@@ -171,15 +122,9 @@ let span t ~cat ~name ?args f =
   end
 
 let iter_events t f =
-  let cap = Array.length t.buf in
   for i = 0 to t.len - 1 do
-    f t.buf.((t.head + i) mod cap)
+    f t.buf.(i)
   done
-
-let events t =
-  let acc = ref [] in
-  iter_events t (fun e -> acc := e :: !acc);
-  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON (loadable in Perfetto / chrome://tracing)   *)
@@ -187,7 +132,7 @@ let events t =
 
 (* Serialization appends into a single [Buffer.t]; there is no per-event
    intermediate string, so emitting n events is O(total bytes), and the
-   streaming writers below flush the same buffer to a channel whenever
+   streaming [Sink.write] flushes the same buffer to its file whenever
    it crosses a threshold — the full JSON string is never materialized
    unless [to_json] is asked for one. *)
 
@@ -239,9 +184,10 @@ let buffer_add_args buf args =
 let buffer_add_ts buf s = Printf.bprintf buf "%.3f" (s *. 1e6)
 
 (* Emit one trace process (metadata + events) into [buf]. [spill] is
-   called after each emitted object so streaming writers can bound the
-   buffer; [emit_sep] threads the separator state across processes. *)
-let buffer_add_events ?(spill = fun () -> ()) ~emit_sep buf ~pid ~label iter =
+   called after each emitted object so the streaming writer can bound
+   the buffer; [emit_sep] threads the separator state across
+   processes. *)
+let buffer_add_events ?(spill = fun () -> ()) ~emit_sep buf ~pid ~label tr =
   let tids = Hashtbl.create 8 in
   let tid_order = ref [] in
   let tid_of name =
@@ -265,7 +211,7 @@ let buffer_add_events ?(spill = fun () -> ()) ~emit_sep buf ~pid ~label iter =
   spill ();
   (* Reserve tids in first-seen order before emitting events, so thread
      metadata precedes use. *)
-  iter (fun e -> ignore (tid_of e.etid));
+  iter_events tr (fun e -> ignore (tid_of e.etid));
   List.iter
     (fun (name, i) ->
       start_obj ();
@@ -276,7 +222,7 @@ let buffer_add_events ?(spill = fun () -> ()) ~emit_sep buf ~pid ~label iter =
       Buffer.add_string buf "\"}}";
       spill ())
     (List.rev !tid_order);
-  iter (fun e ->
+  iter_events tr (fun e ->
       start_obj ();
       Printf.bprintf buf "{\"pid\":%d,\"tid\":%d,\"cat\":\"" pid (tid_of e.etid);
       buffer_add_escaped buf e.ecat;
@@ -310,39 +256,26 @@ let buffer_add_events ?(spill = fun () -> ()) ~emit_sep buf ~pid ~label iter =
 let json_header = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
 let json_footer = "\n]}\n"
 
-let to_json ?(pid = 1) ?(label = "iolite") t =
-  let buf = Buffer.create 4096 in
+(* The whole document: the i-th [(label, trace)] is trace process
+   [i + 1]. *)
+let buffer_add_json ?spill buf traces =
   Buffer.add_string buf json_header;
-  buffer_add_events ~emit_sep:(ref false) buf ~pid ~label (iter_events t);
-  Buffer.add_string buf json_footer;
+  let emit_sep = ref false in
+  List.iteri
+    (fun i (label, tr) ->
+      buffer_add_events ?spill ~emit_sep buf ~pid:(i + 1) ~label tr)
+    traces;
+  Buffer.add_string buf json_footer
+
+let to_json ?(label = "iolite") t =
+  let buf = Buffer.create 4096 in
+  buffer_add_json buf [ (label, t) ];
   Buffer.contents buf
 
-(* Streaming writer: one bounded scratch buffer, flushed whenever it
-   exceeds [spill_at] bytes. Memory stays O(spill_at) however long the
-   trace is. *)
+(* The streaming writer's scratch buffer is flushed whenever it exceeds
+   [spill_at] bytes, so memory stays O(spill_at) however long the
+   traces are. *)
 let spill_at = 1 lsl 16
-
-let output_events oc ~pid ~label iter =
-  let buf = Buffer.create (spill_at + 1024) in
-  let spill () =
-    if Buffer.length buf >= spill_at then begin
-      Buffer.output_buffer oc buf;
-      Buffer.clear buf
-    end
-  in
-  Buffer.add_string buf json_header;
-  buffer_add_events ~spill ~emit_sep:(ref false) buf ~pid ~label iter;
-  Buffer.add_string buf json_footer;
-  Buffer.output_buffer oc buf
-
-let output ?(pid = 1) ?(label = "iolite") t oc =
-  output_events oc ~pid ~label (iter_events t)
-
-let write ?pid ?label t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output ?pid ?label t oc)
 
 module Sink = struct
   type trace = t
@@ -353,34 +286,15 @@ module Sink = struct
   let absorb t ~label trace = t.traces <- (label, trace) :: t.traces
   let count t = List.length t.traces
 
-  let add_all ?spill ~emit_sep buf t =
-    List.iteri
-      (fun i (label, trace) ->
-        buffer_add_events ?spill ~emit_sep buf ~pid:(i + 1) ~label
-          (iter_events trace))
-      (List.rev t.traces)
-
-  let to_json t =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf json_header;
-    add_all ~emit_sep:(ref false) buf t;
-    Buffer.add_string buf json_footer;
-    Buffer.contents buf
-
-  let output t oc =
-    let buf = Buffer.create (spill_at + 1024) in
-    let spill () =
-      if Buffer.length buf >= spill_at then begin
-        Buffer.output_buffer oc buf;
-        Buffer.clear buf
-      end
-    in
-    Buffer.add_string buf json_header;
-    add_all ~spill ~emit_sep:(ref false) buf t;
-    Buffer.add_string buf json_footer;
-    Buffer.output_buffer oc buf
-
   let write t path =
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output t oc)
+    Out_channel.with_open_text path (fun oc ->
+        let buf = Buffer.create (spill_at + 1024) in
+        let spill () =
+          if Buffer.length buf >= spill_at then begin
+            Buffer.output_buffer oc buf;
+            Buffer.clear buf
+          end
+        in
+        buffer_add_json ~spill buf (List.rev t.traces);
+        Buffer.output_buffer oc buf)
 end

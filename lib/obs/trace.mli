@@ -6,7 +6,8 @@
     request stitching, see below) stamped with the simulation
     engine's virtual clock and the simulated process name. Events
     buffer in-simulation and serialize as Chrome trace-event JSON,
-    loadable in Perfetto or [chrome://tracing].
+    loadable in Perfetto or [chrome://tracing]. The tracer is the
+    simulator's one event channel; there is no separate log.
 
     {b Overhead contract}: a tracer starts disabled and every emission
     site guards with [if Trace.enabled t then ...] — a single mutable
@@ -22,7 +23,7 @@
     events.
 
     {b Flow events} carry a per-kernel request id (allocated by
-    {!Flow}) and serialize as [ph:"s"/"t"/"f"] sharing that [id], so
+    [Flow.fresh]) and serialize as [ph:"s"/"t"/"f"] sharing that [id], so
     Perfetto draws one request's arrows across the fibers it visited:
     accept demux ([s]), syscall/cache/disk-dispatcher steps ([t]),
     completion ([f], bound to the enclosing slice with [bp:"e"]).
@@ -123,48 +124,21 @@ val flow_finish :
 (** Close the chain ([ph:"f","bp":"e"]) — emitted where the request
     completes (last drained byte, job end). *)
 
-(** {2 Bounding} *)
-
-val set_capacity : t -> int option -> unit
-(** [set_capacity t (Some n)] bounds the tracer to the [n] most recent
-    events: further pushes overwrite the oldest (ring buffer) and
-    count in {!dropped}. If more than [n] events are already retained
-    the oldest surplus is dropped immediately. [None] (the default)
-    removes the bound; already-retained events are kept either way.
-    Always-on tracing in long sweeps uses this so memory can't grow
-    without bound. *)
-
-val dropped : t -> int
-(** Events lost to ring-buffer wrap-around since {!create}/{!clear}
-    (exported as the [trace.dropped] gauge by the kernel). *)
-
 (** {2 Inspection and serialization} *)
 
 val event_count : t -> int
-(** Retained events (excludes {!dropped}). *)
+(** Events recorded since {!create} or {!clear}. *)
 
 val clear : t -> unit
 
-val events : t -> event list
-(** Retained events, oldest first (tests and tooling; serialization
-    streams via {!iter_events} instead). *)
-
 val iter_events : t -> (event -> unit) -> unit
-(** Iterate retained events oldest-first without materializing a
-    list. *)
+(** Iterate the events oldest-first without materializing a list. *)
 
-val to_json : ?pid:int -> ?label:string -> t -> string
+val to_json : ?label:string -> t -> string
 (** Chrome trace-event JSON ([{"traceEvents": [...]}]), timestamps in
     microseconds of virtual time, one trace "process" labelled
     [label]. Built in a single buffer — O(total bytes), no
     per-event intermediate strings. *)
-
-val output : ?pid:int -> ?label:string -> t -> out_channel -> unit
-(** Stream the same JSON to a channel through a bounded (64 KB)
-    scratch buffer — the full string is never materialized. *)
-
-val write : ?pid:int -> ?label:string -> t -> string -> unit
-(** [write t path] streams {!output} to [path]. *)
 
 val json_string : string -> string
 (** [s] as a JSON string literal, quotes included, escaped the way
@@ -188,12 +162,10 @@ module Sink : sig
 
   val count : t -> int
 
-  val to_json : t -> string
-  (** Single-buffer build, like the trace-level {!to_json}. *)
-
-  val output : t -> out_channel -> unit
-  (** Streaming merge: bounded scratch buffer, never the whole
-      string. *)
-
   val write : t -> string -> unit
+  (** [write t path] writes every absorbed trace to [path] as one JSON
+      document, the [i]-th absorbed as trace process [i] (a lone trace
+      comes out as the trace-level {!to_json} with its label). It
+      streams through a bounded (64 KB) scratch buffer, so the whole
+      string is never materialized. *)
 end

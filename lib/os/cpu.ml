@@ -24,37 +24,23 @@ let create ?(context_switch = 30e-6) ?attrib () =
    one handed out ends (or now, if the CPU is idle), so its end is known
    at request time and the caller sleeps straight to it. The surcharge
    is decided at request too, against the burst queued just before:
-   that is the burst that runs just before. *)
-let burn t ~owner dt =
-  let dt =
-    if t.last_owner <> owner && t.last_owner <> -1 then begin
-      t.switches <- t.switches + 1;
-      dt +. t.context_switch
-    end
-    else dt
-  in
-  t.last_owner <- owner;
-  let stop = Float.max (Proc.now ()) t.free_at +. dt in
-  t.free_at <- stop;
-  Proc.sleep_until stop;
-  t.busy <- t.busy +. dt
-
-(* The whole charge — queueing behind earlier bursts, context-switch
-   surcharge, and the burn itself — is CPU time from the request's
-   point of view. *)
+   that is the burst that runs just before. The whole sleep — queueing
+   behind earlier bursts, context-switch surcharge, and the burn itself
+   — is CPU time from the request's point of view. *)
 let charge t ~owner dt =
   if dt > 0.0 then begin
-    let a = t.attrib in
-    if Attrib.enabled a then begin
-      let ctx = Attrib.here a in
-      if ctx > 0 then begin
-        let t0 = Attrib.now a in
-        burn t ~owner dt;
-        Attrib.note a ~ctx Cpu (Attrib.now a -. t0)
+    let dt =
+      if t.last_owner <> owner && t.last_owner <> -1 then begin
+        t.switches <- t.switches + 1;
+        dt +. t.context_switch
       end
-      else burn t ~owner dt
-    end
-    else burn t ~owner dt
+      else dt
+    in
+    t.last_owner <- owner;
+    let stop = Float.max (Proc.now ()) t.free_at +. dt in
+    t.free_at <- stop;
+    Attrib.timed t.attrib Cpu Proc.sleep_until stop;
+    t.busy <- t.busy +. dt
   end
 
 let busy_time t = t.busy

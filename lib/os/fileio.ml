@@ -21,6 +21,27 @@ let stat_size proc ~file =
     (Kernel.cost kernel).Costmodel.metadata_lookup;
   size
 
+let dma_fill kernel ~pool ~bytes fill =
+  if bytes = 0 then Iobuf.Agg.empty ()
+  else begin
+    let sys = Kernel.sys kernel in
+    let kd = Iosys.kernel sys in
+    let rec build pos acc =
+      if pos >= bytes then List.rev acc
+      else begin
+        let n = min Iobuf.Pool.max_alloc (bytes - pos) in
+        let b = Iobuf.Pool.alloc ~paged:true pool ~producer:kd n in
+        Iosys.with_fill_mode sys `Dma (fun () -> fill b ~pos);
+        Iobuf.Buffer.seal b;
+        build (pos + n) (Iobuf.Agg.of_buffer_owned b :: acc)
+      end
+    in
+    let parts = build 0 [] in
+    let agg = Iobuf.Agg.concat_list parts in
+    List.iter Iobuf.Agg.free parts;
+    agg
+  end
+
 (* Read [off, off+bytes) of a file from disk into IO-Lite buffers
    allocated from [pool]. The kernel is the producer (trusted: no
    permission toggling); placement is DMA. Returns the caller-owned
@@ -30,28 +51,10 @@ let stat_size proc ~file =
    so nothing simulated depends on when. *)
 let disk_fetch_range proc ~pool ~file ~off ~bytes =
   let kernel = Process.kernel proc in
-  let sys = Kernel.sys kernel in
-  let kd = Iosys.kernel sys in
   let contents = Filestore.prefetch ~file ~off ~len:bytes in
   Iolite_fs.Disk.read (Kernel.disk kernel) ~file ~off ~bytes;
-  let rec build pos acc =
-    if pos >= bytes then List.rev acc
-    else begin
-      let n = min Iobuf.Pool.max_alloc (bytes - pos) in
-      let b = Iobuf.Pool.alloc ~paged:true pool ~producer:kd n in
-      Iosys.with_fill_mode sys `Dma (fun () ->
-          Iobuf.Buffer.fill b (Filestore.take contents ~pos));
-      Iobuf.Buffer.seal b;
-      build (pos + n) (Iobuf.Agg.of_buffer_owned b :: acc)
-    end
-  in
-  if bytes = 0 then Iobuf.Agg.empty ()
-  else begin
-    let parts = build 0 [] in
-    let agg = Iobuf.Agg.concat_list parts in
-    List.iter Iobuf.Agg.free parts;
-    agg
-  end
+  dma_fill kernel ~pool ~bytes (fun b ~pos ->
+      Iobuf.Buffer.fill b (Filestore.take contents ~pos))
 
 let disk_fetch proc ~pool ~file ~size =
   disk_fetch_range proc ~pool ~file ~off:0 ~bytes:size
@@ -71,24 +74,10 @@ let tier_fetch_range proc cache ~pool ~file ~off ~bytes =
       if Iolite_sim.Engine.Proc.running () then
         Iolite_sim.Engine.Proc.sleep
           (Iolite_core.Tier.read_time tier ~bytes);
-      let sys = Kernel.sys kernel in
-      let kd = Iosys.kernel sys in
-      let rec build pos acc =
-        if pos >= bytes then List.rev acc
-        else begin
-          let n = min Iobuf.Pool.max_alloc (bytes - pos) in
-          let b = Iobuf.Pool.alloc ~paged:true pool ~producer:kd n in
-          Iosys.with_fill_mode sys `Dma (fun () ->
-              Iobuf.Buffer.blit_string b ~src:data ~src_off:pos ~dst_off:0
-                ~len:n);
-          Iobuf.Buffer.seal b;
-          build (pos + n) (Iobuf.Agg.of_buffer_owned b :: acc)
-        end
-      in
-      let parts = build 0 [] in
-      let agg = Iobuf.Agg.concat_list parts in
-      List.iter Iobuf.Agg.free parts;
-      Some agg)
+      Some
+        (dma_fill kernel ~pool ~bytes (fun b ~pos ->
+             Iobuf.Buffer.blit_string b ~src:data ~src_off:pos ~dst_off:0
+               ~len:(Iobuf.Buffer.length b))))
   | _ -> None
 
 (* Admission control: an object bigger than this fraction of the cache

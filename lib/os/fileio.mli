@@ -24,6 +24,19 @@ val admission_limit : Kernel.t -> int
 (** The largest file the caches admit: 1/8 of the current I/O budget.
     Bigger files are served uncached. *)
 
+val dma_fill :
+  Kernel.t ->
+  pool:Iolite_core.Iobuf.Pool.t ->
+  bytes:int ->
+  (Iolite_core.Iobuf.Buffer.t -> pos:int -> unit) ->
+  Iolite_core.Iobuf.Agg.t
+(** The caller-owned aggregate of a [bytes]-byte range placed by DMA,
+    as a disk or NVMM-tier fill places it: paged buffers from [pool] of
+    at most [Pool.max_alloc] bytes each, produced by the kernel (no
+    permission toggling), allocated in range order. [fill b ~pos]
+    writes buffer [b], which holds the range from offset [pos]; each
+    buffer is sealed once filled. *)
+
 (** {2 IO-Lite API} *)
 
 val iol_read :

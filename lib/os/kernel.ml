@@ -23,8 +23,6 @@ type config = {
   tier_capacity : int option; (* bytes; [None] = 10x the io budget *)
 }
 
-let log = Iolite_util.Logging.src "kernel"
-
 let default_config () =
   {
     mem_capacity = 128 * 1024 * 1024;
@@ -249,24 +247,18 @@ let create ?config engine =
       if Proc.running () then begin
         let bytes = pages * Iolite_mem.Page.page_size in
         Iolite_obs.Metrics.incr (Iosys.metrics sys) "vm.swap_in";
-        let swap_in () =
-          Iolite_fs.Disk.read t.disk ~file:swap_file
-            ~off:(max 0 (t.swap_cursor - bytes))
-            ~bytes
+        (* The faulting request stalls for the swap-in; charge the
+           whole read as [Vm_stall] and run it under a detached context
+           so the disk layer doesn't also charge its queue and service
+           components (the flow still stitches). *)
+        let swap_in ctx =
+          Proc.with_ctx (Iolite_obs.Flow.detach ctx) (fun () ->
+              Iolite_fs.Disk.read t.disk ~file:swap_file
+                ~off:(max 0 (t.swap_cursor - bytes))
+                ~bytes)
         in
-        let a = Iosys.attrib sys in
-        let ctx = if Iolite_obs.Attrib.enabled a then Iolite_obs.Attrib.here a else 0 in
-        if ctx > 0 then begin
-          (* The faulting request stalls for the swap-in; charge the
-             whole read as [Vm_stall] and run it under a detached
-             context so the disk layer doesn't also charge its queue
-             and service components (the flow still stitches). *)
-          let t0 = Iolite_obs.Attrib.now a in
-          Proc.with_ctx (Iolite_obs.Flow.detach ctx) swap_in;
-          Iolite_obs.Attrib.note a ~ctx Iolite_obs.Attrib.Vm_stall
-            (Iolite_obs.Attrib.now a -. t0)
-        end
-        else swap_in ()
+        Iolite_obs.Attrib.timed (Iosys.attrib sys) Iolite_obs.Attrib.Vm_stall
+          swap_in (Proc.ctx ())
       end);
   (* VM operations and data touches accumulate CPU work; syscall
      wrappers charge it to the calling process. *)
@@ -318,8 +310,6 @@ let create ?config engine =
       Iolite_fs.Disk.batched t.disk);
   Iolite_obs.Metrics.set_gauge m "disk.batches" (fun () ->
       Iolite_fs.Disk.batches t.disk);
-  Iolite_obs.Metrics.set_gauge m "trace.dropped" (fun () ->
-      Iolite_obs.Trace.dropped (Iosys.trace sys));
   Iosys.set_on_touch sys (fun kind n ->
       let c = config.cost in
       let dt =
@@ -329,11 +319,6 @@ let create ?config engine =
         | Iosys.Dma -> 0.0
       in
       t.pending <- t.pending +. dt);
-  Logs.info ~src:log (fun m ->
-      m "kernel up: %d MB RAM, %.0f Mb/s link, checksum cache %s"
-        (config.mem_capacity / 1048576)
-        (config.link_bits_per_sec /. 1e6)
-        (if config.cksum_cache_enabled then "on" else "off"));
   t
 
 let engine t = t.engine

@@ -168,11 +168,11 @@ let recv proc c ~zero_copy =
     let len = String.length s in
     let mtu = Iolite_net.Link.mtu (Kernel.link kernel) in
     let pkts = Costmodel.packets ~mtu len in
-    (let tr = Kernel.trace kernel in
-     if Trace.enabled tr then
-       Trace.instant tr ~cat:"net" ~name:"recv"
-         ~args:[ ("bytes", Trace.Int len) ]
-         ());
+    let tr = Kernel.trace kernel in
+    if Trace.enabled tr then
+      Trace.instant tr ~cat:"net" ~name:"recv"
+        ~args:[ ("bytes", Trace.Int len) ]
+        ();
     let flow = Kernel.flow kernel in
     let path_cost, rid =
       if zero_copy then begin
@@ -202,10 +202,8 @@ let recv proc c ~zero_copy =
          fills, disk waits, the TCP drain). *)
       Proc.set_ctx rid;
       (* The port is the demux key. *)
-      if Iolite_obs.Flow.enabled flow then
-        Iolite_obs.Flow.start flow ~id:rid
-          ~args:[ ("port", Trace.Int c.cport) ]
-          ()
+      if Trace.enabled tr then
+        Trace.flow_start tr ~id:rid ~args:[ ("port", Trace.Int c.cport) ] ()
     end;
     Process.charge proc
       (cost.Costmodel.syscall
@@ -218,13 +216,11 @@ let recv proc c ~zero_copy =
 let drain kernel c ~wired ~len ~chain ~on_complete =
   let link = Kernel.link kernel in
   let tr = Kernel.trace kernel in
-  let a = Kernel.attrib kernel in
-  (* The drain fiber inherited the request's flow context at spawn, so
-     link-queue residency and window round trips charge the request. *)
-  let ctx = if Iolite_obs.Attrib.enabled a then Iolite_obs.Attrib.here a else 0 in
-  let t0 = if Trace.enabled tr || ctx > 0 then Proc.now () else 0.0 in
-  if ctx <> 0 && Trace.enabled tr then
-    Trace.flow_step tr ~id:ctx ~args:[ ("at", Trace.Str "drain") ] ();
+  let t0 = if Trace.enabled tr then Proc.now () else 0.0 in
+  (if Trace.enabled tr then
+     let ctx = Iolite_obs.Attrib.here (Kernel.attrib kernel) in
+     if ctx <> 0 then
+       Trace.flow_step tr ~id:ctx ~args:[ ("at", Trace.Str "drain") ] ());
   let rec loop remaining =
     if remaining > 0 then begin
       let window = min tss remaining in
@@ -233,12 +229,13 @@ let drain kernel c ~wired ~len ~chain ~on_complete =
       loop (remaining - window)
     end
   in
-  loop len;
+  (* The drain fiber inherited the request's flow context at spawn, so
+     link-queue residency and window round trips charge the request. *)
+  Iolite_obs.Attrib.timed (Kernel.attrib kernel) Iolite_obs.Attrib.Queue loop
+    len;
   if wired > 0 then
     Physmem.unwire (Iosys.physmem (Kernel.sys kernel)) Physmem.Net_wired wired;
   Mbuf.free chain;
-  if ctx > 0 then
-    Iolite_obs.Attrib.note a ~ctx Iolite_obs.Attrib.Queue (Proc.now () -. t0);
   if Trace.enabled tr then
     Trace.complete tr ~cat:"net" ~name:"drain" ~ts:t0
       ~dur:(Proc.now () -. t0)

@@ -6,8 +6,6 @@ module Metrics = Iolite_obs.Metrics
 module Trace = Iolite_obs.Trace
 module Flow = Iolite_obs.Flow
 
-let log = Iolite_util.Logging.src "writeback"
-
 type config = {
   wb_flush_interval : float;
   wb_hi_ratio : float;
@@ -160,7 +158,7 @@ and submit_clusters t ~reason clusters =
     let fid = if Flow.enabled t.flow then Flow.fresh t.flow else 0 in
     let body () =
       if fid > 0 then
-        Flow.start t.flow ~id:fid
+        Trace.flow_start t.trace ~id:fid
           ~args:[ ("at", Trace.Str "wb.flush"); ("reason", Trace.Str reason) ]
           ();
       let remaining = ref n in
@@ -202,14 +200,11 @@ and submit_clusters t ~reason clusters =
               Inflight.remove t.inflight (reservation c);
               decr remaining;
               if !remaining = 0 && fid > 0 then
-                Flow.finish t.flow ~id:fid
+                Trace.flow_finish t.trace ~id:fid
                   ~args:[ ("at", Trace.Str "wb.durable") ]
                   ();
               on_durable t))
-        clusters;
-      Logs.debug ~src:log (fun m ->
-          m "flush (%s): %d cluster(s), %d dirty bytes remain" reason n
-            (Filecache.dirty_bytes t.cache))
+        clusters
     in
     if Trace.enabled t.trace then
       Trace.span t.trace ~cat:"wb" ~name:"flush"

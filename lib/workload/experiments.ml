@@ -222,7 +222,6 @@ let fig7 () =
 let preload_cache kernel ~conv ~trace ~prefix_ranks =
   let module Filecache = Iolite_core.Filecache in
   let module Filestore = Iolite_fs.Filestore in
-  let module Iobuf = Iolite_core.Iobuf in
   let module Iosys = Iolite_core.Iosys in
   let module Tier = Iolite_core.Tier in
   let sys = Kernel.sys kernel in
@@ -231,7 +230,6 @@ let preload_cache kernel ~conv ~trace ~prefix_ranks =
   in
   let pool = if conv then Kernel.page_pool kernel else Kernel.file_pool kernel in
   let store = Kernel.store kernel in
-  let kd = Iosys.kernel sys in
   (* Ranks eligible for preloading, most popular first. *)
   let ranks =
     match prefix_ranks with
@@ -262,23 +260,10 @@ let preload_cache kernel ~conv ~trace ~prefix_ranks =
     ~full:(fun () -> Filecache.total_bytes cache >= budget)
     (fun file size ->
       if size <= limit && not (Filecache.covered cache ~file ~off:0 ~len:size)
-      then begin
-        let rec build pos acc =
-          if pos >= size then List.rev acc
-          else begin
-            let n = min Iobuf.Pool.max_alloc (size - pos) in
-            let b = Iobuf.Pool.alloc ~paged:true pool ~producer:kd n in
-            Iosys.with_fill_mode sys `Dma (fun () ->
-                Filestore.fill_buffer store b ~file ~off:pos);
-            Iobuf.Buffer.seal b;
-            build (pos + n) (Iobuf.Agg.of_buffer_owned b :: acc)
-          end
-        in
-        let parts = build 0 [] in
-        let agg = Iobuf.Agg.concat_list parts in
-        List.iter Iobuf.Agg.free parts;
-        Filecache.insert cache ~file ~off:0 agg
-      end);
+      then
+        Filecache.insert cache ~file ~off:0
+          (Iolite_os.Fileio.dma_fill kernel ~pool ~bytes:size (fun b ~pos ->
+               Filestore.fill_buffer store b ~file ~off:pos)));
   Option.iter
     (fun tier ->
       let budget =
@@ -713,7 +698,7 @@ let run_all ?(scale = 1.0) () =
 (* ------------------------------------------------------------------ *)
 
 type smoke_result = {
-  sm_trace_json : string;
+  sm_trace : Iolite_obs.Trace.t;
   sm_metrics : (string * int) list;
   sm_cold : (string * int) list;
   sm_warm : (string * int) list;
@@ -754,8 +739,7 @@ let smoke () =
   run_phase ();
   let s2 = Iolite_obs.Metrics.snapshot m in
   {
-    sm_trace_json =
-      Iolite_obs.Trace.to_json ~label:"smoke" (Kernel.trace kernel);
+    sm_trace = Kernel.trace kernel;
     sm_metrics = s2;
     sm_cold = Iolite_obs.Metrics.diff ~before:s0 ~after:s1;
     sm_warm = Iolite_obs.Metrics.diff ~before:s1 ~after:s2;
@@ -1427,12 +1411,10 @@ let tier_point ~tiered ~trace ~log ~scale mb =
   in
   let m = Kernel.metrics kernel in
   let get k = Iolite_obs.Metrics.get m k in
-  let module F = Iolite_core.Filecache in
-  let uc = Kernel.unified_cache kernel in
   let disk = Kernel.disk kernel in
   (* Preload demotions are warm-start plumbing, not measured traffic. *)
   let demote0 = get "cache.tier.demote" in
-  let hits0 = F.hits uc and evictions0 = F.evictions uc in
+  let hits0 = get "cache.hit" and evictions0 = get "cache.eviction" in
   let reads0 = Iolite_fs.Disk.reads disk in
   let pick = sample_prefix ~seed:0x5BEC99L ~log ~prefix in
   let mbps = replay ~label ~scale ~pick bed in
@@ -1440,8 +1422,8 @@ let tier_point ~tiered ~trace ~log ~scale mb =
     tp_label = variant;
     tp_ws_mb = mb;
     tp_mbps = mbps;
-    tp_dram_hits = F.hits uc - hits0;
-    tp_dram_evictions = F.evictions uc - evictions0;
+    tp_dram_hits = get "cache.hit" - hits0;
+    tp_dram_evictions = get "cache.eviction" - evictions0;
     tp_tier_hit = get "cache.tier.hit";
     tp_tier_miss = get "cache.tier.miss";
     tp_tier_demote = get "cache.tier.demote" - demote0;

@@ -126,7 +126,7 @@ val set_observability :
     the runs). Defaults reset both. *)
 
 type smoke_result = {
-  sm_trace_json : string;  (** Chrome trace-event JSON of the run *)
+  sm_trace : Iolite_obs.Trace.t;  (** the run's events, tracing armed *)
   sm_metrics : (string * int) list;  (** final registry snapshot *)
   sm_cold : (string * int) list;  (** Metrics.diff over the cold phase *)
   sm_warm : (string * int) list;  (** Metrics.diff over the warm phase *)
@@ -140,7 +140,7 @@ val smoke : unit -> smoke_result
     persistent connections, two measurement phases) with tracing always
     armed: the CI smoke test, the trace-determinism test, and
     [iolite smoke] all run this. Two calls produce byte-identical
-    [sm_trace_json]. Its kernel, labelled ["smoke"], registers with an
+    trace JSON. Its kernel, labelled ["smoke"], registers with an
     installed sink but prints no metrics block. *)
 
 (** {2 C1M: connection-scale scaffolding (timer wheel + size classes)} *)

@@ -10,6 +10,9 @@ let mk ?policy ?(capacity = 32 * 1024 * 1024) () =
   let cache = Filecache.create ?policy ~register_with_pageout:false sys () in
   (sys, app, pool, cache)
 
+(* A counter of the cache's registry. *)
+let get sys name = Iolite_obs.Metrics.get (Iosys.metrics sys) name
+
 let agg_str agg =
   let buf = Buffer.create 16 in
   Iobuf.Agg.iter_slices agg (fun sl ->
@@ -21,7 +24,7 @@ let put cache pool app ~file ~off s =
   Filecache.insert cache ~file ~off (Iobuf.Agg.of_string pool ~producer:app s)
 
 let test_insert_lookup () =
-  let _, app, pool, cache = mk () in
+  let sys, app, pool, cache = mk () in
   put cache pool app ~file:1 ~off:0 "hello world";
   (match Filecache.lookup cache ~file:1 ~off:0 ~len:11 with
   | Some a ->
@@ -33,16 +36,16 @@ let test_insert_lookup () =
     Alcotest.(check string) "partial range hit" "world" (agg_str a);
     Iobuf.Agg.free a
   | None -> Alcotest.fail "expected partial hit");
-  Alcotest.(check int) "hits" 2 (Filecache.hits cache)
+  Alcotest.(check int) "hits" 2 (get sys "cache.hit")
 
 let test_miss () =
-  let _, app, pool, cache = mk () in
+  let sys, app, pool, cache = mk () in
   put cache pool app ~file:1 ~off:0 "abc";
   Alcotest.(check bool) "other file misses" true
     (Filecache.lookup cache ~file:2 ~off:0 ~len:1 = None);
   Alcotest.(check bool) "beyond extent misses" true
     (Filecache.lookup cache ~file:1 ~off:2 ~len:5 = None);
-  Alcotest.(check int) "misses" 2 (Filecache.misses cache)
+  Alcotest.(check int) "misses" 2 (get sys "cache.miss")
 
 let test_write_replaces () =
   let _, app, pool, cache = mk () in
@@ -96,14 +99,16 @@ let test_eviction_prefers_unreferenced () =
   let _, app, pool, cache = mk () in
   put cache pool app ~file:1 ~off:0 (String.make 100 'a');
   put cache pool app ~file:2 ~off:0 (String.make 100 'b');
-  (* Hold a reference into file 1's buffers: it should survive. *)
+  (* Hold file 1 whole. An exact-bounds hit is an [Agg.dup], which
+     moves no buffer refcount, so the hold does not count as a
+     reference (DESIGN.md §5d): file 1 survives because this lookup's
+     LRU touch leaves file 2 the least recently used, not because it
+     is held. *)
   let held =
     match Filecache.lookup cache ~file:1 ~off:0 ~len:100 with
     | Some a -> a
     | None -> Alcotest.fail "hit"
   in
-  (* file 2 was accessed more recently, but is unreferenced: with LRU
-     among unreferenced entries, file 2 is the victim. *)
   let freed = Filecache.evict_one cache in
   Alcotest.(check int) "evicted 100 bytes" 100 freed;
   Alcotest.(check bool) "file1 still cached" true
@@ -198,7 +203,7 @@ let test_carve_preserves_disjoint () =
 let test_evict_victim_order () =
   (* The victim-capture eviction (single index probe) must still follow
      strict LRU order and report exact byte counts. *)
-  let _, app, pool, cache = mk () in
+  let sys, app, pool, cache = mk () in
   put cache pool app ~file:1 ~off:0 (String.make 11 'a');
   put cache pool app ~file:2 ~off:0 (String.make 22 'b');
   put cache pool app ~file:3 ~off:0 (String.make 33 'c');
@@ -207,10 +212,10 @@ let test_evict_victim_order () =
   Alcotest.(check int) "then next" 33 (Filecache.evict_one cache);
   Alcotest.(check int) "then the touched one" 11 (Filecache.evict_one cache);
   Alcotest.(check int) "empty" 0 (Filecache.evict_one cache);
-  Alcotest.(check int) "evictions counted" 3 (Filecache.evictions cache)
+  Alcotest.(check int) "evictions counted" 3 (get sys "cache.eviction")
 
 let test_shrinking_capacity_converges () =
-  let _, app, pool, cache = mk () in
+  let sys, app, pool, cache = mk () in
   for file = 1 to 20 do
     put cache pool app ~file ~off:0 (String.make 50 'x')
   done;
@@ -226,12 +231,13 @@ let test_shrinking_capacity_converges () =
   put cache pool app ~file:21 ~off:0 (String.make 50 'x');
   Alcotest.(check bool) "converged to the floor" true
     (Filecache.total_bytes cache <= 100);
-  Alcotest.(check bool) "many evictions" true (Filecache.evictions cache >= 15);
+  let evictions = get sys "cache.eviction" in
+  Alcotest.(check bool) "many evictions" true (evictions >= 15);
   Alcotest.(check bool)
     (Printf.sprintf "capacity read per round, not per eviction (%d reads)"
        !calls)
     true
-    (!calls < 10 && !calls < Filecache.evictions cache)
+    (!calls < 10 && !calls < evictions)
 
 let test_fastpath_counters () =
   let sys, app, pool, cache = mk () in
@@ -532,7 +538,7 @@ let test_unified_trim_via_pageout () =
     Filecache.insert cache ~file ~off:0
       (Iobuf.Agg.of_string pool ~producer:app (String.make 60_000 'x'))
   done;
-  Alcotest.(check bool) "entries were evicted" true (Filecache.evictions cache > 0);
+  Alcotest.(check bool) "entries were evicted" true (get sys "cache.eviction" > 0);
   Alcotest.(check bool) "cache bounded by memory" true
     (Filecache.total_bytes cache < 512 * 1024);
   Alcotest.(check bool) "memory not overcommitted much" true

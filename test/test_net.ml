@@ -613,21 +613,23 @@ let test_link_stats () =
     (Link.utilization l ~now:(Engine.now e) > 0.0)
 
 let test_packetfilter () =
-  let _, d, pool = mk () in
-  ignore d;
+  let _, _, pool = mk () in
   let pf = Packetfilter.create () in
   Packetfilter.bind pf ~port:80 pool;
-  (match Packetfilter.classify pf ~port:80 with
-  | Packetfilter.Demuxed p ->
-    Alcotest.(check string) "right pool" "net-test" (Iobuf.Pool.name p)
-  | Packetfilter.Unmatched -> Alcotest.fail "should demux");
-  (match Packetfilter.classify pf ~port:81 with
-  | Packetfilter.Unmatched -> ()
-  | Packetfilter.Demuxed _ -> Alcotest.fail "should not demux");
-  Alcotest.(check int) "lookups" 2 (Packetfilter.lookups pf);
-  Alcotest.(check int) "matched" 1 (Packetfilter.matched pf);
-  Packetfilter.unbind pf ~port:80;
-  Alcotest.(check int) "flows" 0 (Packetfilter.flow_count pf)
+  (match Packetfilter.demux pf ~port:80 with
+  | Packetfilter.Demuxed p, rid ->
+    Alcotest.(check string) "bound port: its pool" "net-test" (Iobuf.Pool.name p);
+    Alcotest.(check int) "no flow allocator: request id 0" 0 rid
+  | Packetfilter.Unmatched, _ -> Alcotest.fail "should demux");
+  (match Packetfilter.demux pf ~port:81 with
+  | Packetfilter.Unmatched, _ -> ()
+  | Packetfilter.Demuxed _, _ -> Alcotest.fail "other port should not demux");
+  let flow = Iolite_obs.Flow.create (Iolite_obs.Trace.create ()) in
+  ignore (Iolite_obs.Flow.fresh flow);
+  Packetfilter.attach_flow pf flow;
+  Alcotest.(check int) "attached allocator: a fresh id" 2
+    (snd (Packetfilter.demux pf ~port:80));
+  Alcotest.(check int) "one id per demux" 3 (snd (Packetfilter.demux pf ~port:81))
 
 let test_mbuf_zero_copy_wiring () =
   let _, d, pool = mk () in

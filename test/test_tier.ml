@@ -154,8 +154,8 @@ let test_capacity_eviction_spares_staged () =
   Tier.unstage tier ~file:1 ~off:0 ~len:8;
   Alcotest.(check int) "unstaged, still resident" 8 (Tier.total_bytes tier);
   Alcotest.(check int) "staged accounting drained" 0 (Tier.staged_bytes tier);
-  Alcotest.(check int) "evictions counted" 1 (Tier.evictions tier);
-  ignore sys
+  Alcotest.(check int) "evictions counted" 1
+    (Iolite_obs.Metrics.get (Iosys.metrics sys) "cache.tier.evict")
 
 (* Tier-served bytes end to end: a kernel with the tier armed and a
    working set larger than its DRAM budget. Every file is read four
@@ -376,14 +376,17 @@ let tier_prop ~name ?capacity () =
        QCheck.Gen.(list_size (1 -- 60) op_gen)
        ~print:(fun ops -> String.concat ";" (List.map show_op ops)))
     (fun ops ->
-      let _, tier = mk_tier ?capacity () in
+      let sys, tier = mk_tier ?capacity () in
+      let evictions () =
+        Iolite_obs.Metrics.get (Iosys.metrics sys) "cache.tier.evict"
+      in
       let model = ref [] in
       let ok = ref true in
       let check b = if not b then ok := false in
       let file = 1 in
       List.iter
         (fun op ->
-          let evictions = Tier.evictions tier in
+          let evictions0 = evictions () in
           let enforced = ref false in
           (match op with
           | Demote (off, data, gen) ->
@@ -435,7 +438,7 @@ let tier_prop ~name ?capacity () =
           in
           model := kept;
           check (List.for_all (fun e -> not e.rs) evicted);
-          check (Tier.evictions tier - evictions = List.length evicted);
+          check (evictions () - evictions0 = List.length evicted);
           (match capacity with
           | Some cap when !enforced ->
             check
